@@ -10,14 +10,10 @@ complete search.
 """
 
 from .core import (
-    BlockClass,
     INFINITE_WIDTH,
     Instance,
     Partition,
-    canonical_blocks,
-    classify,
     deviation,
-    equivalent,
     implements,
     is_equitable,
     magic_sum,
@@ -33,10 +29,8 @@ from .feasibility import (
     prefix_top_sum,
 )
 from .graphs import (
-    LabeledMultipartite,
     MagicCheck,
     labeling_from_partition,
-    partition_from_labeling,
     verify_closed_magic_cycle,
     verify_distance_magic,
 )
@@ -63,14 +57,10 @@ from .solver import (
 )
 
 __all__ = [
-    "BlockClass",
     "INFINITE_WIDTH",
     "Instance",
     "Partition",
-    "canonical_blocks",
-    "classify",
     "deviation",
-    "equivalent",
     "implements",
     "is_equitable",
     "magic_sum",
@@ -82,10 +72,8 @@ __all__ = [
     "feasibility",
     "necessary_condition",
     "prefix_top_sum",
-    "LabeledMultipartite",
     "MagicCheck",
     "labeling_from_partition",
-    "partition_from_labeling",
     "verify_closed_magic_cycle",
     "verify_distance_magic",
     "SweepReport",

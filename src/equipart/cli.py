@@ -22,9 +22,9 @@ from typing import Any
 
 from .core import Instance, Partition, magic_sum
 from .feasibility import FeasibilityStatus, Verdict, feasibility, prefix_top_sum
-from .graphs import labeling_from_partition, verify_closed_magic_cycle, verify_distance_magic
+from .graphs import verify_closed_magic_cycle, verify_distance_magic
 from .lab import SweepReport, check_symmetric, sweep
-from .solver import SearchParams, SolveStatus, solve
+from .solver import DEFAULT_NODE_BUDGET, SearchParams, SolveStatus, solve
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -206,31 +206,42 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def _read_partition(args: argparse.Namespace) -> Partition:
-    if args.input and args.input != "-":
-        with open(args.input, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    else:
-        data = json.load(sys.stdin)
+    try:
+        if args.input and args.input != "-":
+            with open(args.input, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        else:
+            data = json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("verify input is nested too deeply") from None
     if not isinstance(data, dict) or "blocks" not in data or "n" not in data:
         raise ValueError('verify input must be a JSON object with "n" and "blocks"')
-    if data["blocks"] is None:
+    n, blocks = data["n"], data["blocks"]
+    if blocks is None:
         raise ValueError("input has no blocks (was the instance infeasible?)")
-    return Partition.from_blocks(int(data["n"]), data["blocks"])
+    # JSON numbers may arrive as floats and true/false as bools (an int
+    # subclass); only genuine integers are labels.
+    if type(n) is not int:
+        raise ValueError(f'"n" must be an integer, got {n!r}')
+    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+        raise ValueError('"blocks" must be a list of lists of labels')
+    if not all(type(x) is int for b in blocks for x in b):
+        raise ValueError("labels must be integers")
+    return Partition.from_blocks(n, blocks)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     p = _read_partition(args)
-    inst = Instance.from_sizes(p.n, [len(b) for b in p.blocks])
     if args.closed:
         check = verify_closed_magic_cycle(p)
         mode = "closed"
     else:
-        check = verify_distance_magic(labeling_from_partition(p))
+        check = verify_distance_magic(p)
         mode = "open"
     payload = {
         "n": p.n,
         "k": p.k,
-        "sizes": list(inst.sizes),
+        "sizes": sorted(len(b) for b in p.blocks),
         "status": "magic" if check.is_magic else "not_magic",
         "magic_sum": magic_sum(p.n, p.k),
         "blocks": [list(b) for b in p.blocks],
@@ -314,7 +325,7 @@ def _add_instance_opts(parser: argparse.ArgumentParser) -> None:
 def _add_search_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="0 = fully deterministic path")
     parser.add_argument("--max-restarts", type=int, default=64)
-    parser.add_argument("--exact-budget", type=int, default=100_000_000)
+    parser.add_argument("--exact-budget", type=int, default=DEFAULT_NODE_BUDGET)
     parser.add_argument("--exact-cutoff", type=int, default=24)
 
 
@@ -356,14 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--nmax", type=int, required=True)
     swp.add_argument("--k", type=str, required=True, help="comma-separated k values")
     swp.add_argument("--min-part", type=int, default=2)
-    swp.add_argument("--budget", type=int, default=100_000_000)
+    swp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     swp.add_argument("--workers", type=int, default=1)
     _add_output_opts(swp)
     swp.set_defaults(handler=cmd_sweep)
 
     sym = sub.add_parser("symmetric", help="equal-part-size family vs the parity rule")
     sym.add_argument("--max-total", type=int, required=True)
-    sym.add_argument("--budget", type=int, default=100_000_000)
+    sym.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     sym.add_argument("--workers", type=int, default=1)
     _add_output_opts(sym)
     sym.set_defaults(handler=cmd_symmetric)

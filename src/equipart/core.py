@@ -7,6 +7,11 @@ search: it is zero exactly on equitable partitions, and exchanging two
 elements a < b between blocks changes it by 2t(t - u) with t = b - a and
 u = S(block of b) - S(block of a), independently of s.
 
+Partition is the package's one representation of such a split; read
+block i as part i, it is also the labeling of the complete multipartite
+graph that the graphs module verifies.  width() and the local search
+share one routine over the search's (assign, sums) arrays.
+
 All arithmetic is exact integer arithmetic.  Ground sets are capped at
 n <= 2^31 so every quantity here stays within signed 64-bit range in
 fixed-width ports of this module.
@@ -17,21 +22,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 MAX_N = 2**31
 
 #: Distinguished width value when no high/low element pair exists.
 INFINITE_WIDTH = math.inf
-
-
-class BlockClass(Enum):
-    """Position of a block sum relative to the magic sum."""
-
-    LOW = "low"
-    EXACT = "exact"
-    HIGH = "high"
 
 
 def magic_sum(n: int, k: int) -> int | None:
@@ -58,17 +54,12 @@ class Instance:
     """
 
     n: int
-    k: int
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must be in [1, {MAX_N}], got {self.n}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
         object.__setattr__(self, "sizes", tuple(self.sizes))
-        if len(self.sizes) != self.k:
-            raise ValueError(f"expected {self.k} sizes, got {len(self.sizes)}")
         if any(p < 1 for p in self.sizes):
             raise ValueError(f"sizes must be positive, got {self.sizes}")
         if any(a > b for a, b in zip(self.sizes, self.sizes[1:])):
@@ -79,8 +70,11 @@ class Instance:
     @classmethod
     def from_sizes(cls, n: int, sizes) -> "Instance":
         """Build an instance, normalizing sizes to non-decreasing order."""
-        ordered = tuple(sorted(sizes))
-        return cls(n=n, k=len(ordered), sizes=ordered)
+        return cls(n=n, sizes=tuple(sorted(sizes)))
+
+    @property
+    def k(self) -> int:
+        return len(self.sizes)
 
     @property
     def prefix_sums(self) -> tuple[int, ...]:
@@ -163,11 +157,6 @@ class Partition:
             raise ValueError(f"label {label} not in [1, {self.n}]") from None
 
 
-def canonical_blocks(p: Partition) -> tuple[tuple[int, ...], ...]:
-    """Blocks reordered by least element; canonical form for equality checks."""
-    return tuple(sorted(p.blocks, key=lambda b: b[0]))
-
-
 def implements(p: Partition, sizes) -> bool:
     """True when the multiset of block sizes matches the size sequence."""
     return sorted(len(b) for b in p.blocks) == sorted(sizes)
@@ -183,15 +172,6 @@ def deviation(p: Partition, s: int) -> int:
 
 def is_equitable(p: Partition, s: int) -> bool:
     return deviation(p, s) == 0
-
-
-def classify(block_sum: int, s: int) -> BlockClass:
-    """Low/Exact/High by the sign of block_sum - s."""
-    if block_sum < s:
-        return BlockClass.LOW
-    if block_sum > s:
-        return BlockClass.HIGH
-    return BlockClass.EXACT
 
 
 def swap(p: Partition, a: int, b: int) -> Partition:
@@ -249,17 +229,23 @@ def width(p: Partition, s: int) -> int | float:
     INFINITE_WIDTH (math.inf) when no such pair exists; in particular for
     every equitable partition.  Finite values are always >= 1.
     """
-    lows: list[int] = []
-    highs: list[int] = []
-    for block, t in zip(p.blocks, p.sums):
-        if t < s:
-            lows.extend(block)
-        elif t > s:
-            highs.extend(block)
+    assign = [0] * (p.n + 1)
+    for i, block in enumerate(p.blocks):
+        for x in block:
+            assign[x] = i
+    return _assign_width(assign, list(p.sums), s, p.n)
+
+
+def _assign_width(assign: list[int], sums: list[int], s: int, n: int) -> int | float:
+    """width() over the local search's state: label x lies in block assign[x].
+
+    Labels are scanned in ascending order, so no sort is needed; the local
+    search calls this after every move and for every plateau candidate.
+    """
+    lows = [x for x in range(1, n + 1) if sums[assign[x]] < s]
+    highs = [x for x in range(1, n + 1) if sums[assign[x]] > s]
     if not lows or not highs:
         return INFINITE_WIDTH
-    lows.sort()
-    highs.sort()
     best: int | float = INFINITE_WIDTH
     i = 0
     for y in highs:
@@ -270,15 +256,3 @@ def width(p: Partition, s: int) -> int | float:
         if best == 1:
             break
     return best
-
-
-def equivalent(p: Partition, q: Partition) -> bool:
-    """True when the multisets of block sums agree.
-
-    Matching block sizes is deliberately not required; only sums matter.
-    """
-    if p.n != q.n or p.k != q.k:
-        raise ValueError(
-            f"partitions not comparable: n={p.n},k={p.k} vs n={q.n},k={q.k}"
-        )
-    return sorted(p.sums) == sorted(q.sums)

@@ -1,11 +1,12 @@
-"""Complete multipartite graphs, labelings, and magic-sum verifiers.
+"""Distance magic verifiers for labelings of complete multipartite graphs.
 
 Graphs are never stored as edge lists: a complete multipartite graph is
 determined by its parts, and vertices are identified with their labels,
-so a labeling is just the part structure over [n].  This keeps the k = 2
-constructive path viable up to n around 10^6.  The explicit
-neighbor-by-neighbor summation exists only as a cross-check and is gated
-to n <= 200.
+so a labeling is just a core.Partition read with block i as part i.
+The verifiers work from the cached block sums alone, which keeps the
+k = 2 constructive path viable up to n around 10^6; the explicit
+neighbor-by-neighbor summation lives in the tests as an independent
+oracle.
 
 verify_distance_magic checks the open condition (neighbor labels sum to
 a constant) on the complete multipartite graph itself;
@@ -17,50 +18,8 @@ joined to cliques i-1 and i+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import Partition
-
-#: Largest n for which the explicit per-vertex summation cross-check runs.
-EXPLICIT_CHECK_MAX_N = 200
-
-
-@dataclass(frozen=True)
-class LabeledMultipartite:
-    """A complete multipartite graph whose vertices carry labels in [n].
-
-    Part i holds exactly the labels in parts[i]; two vertices are
-    adjacent iff they lie in different parts.
-    """
-
-    parts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        labels = [x for part in self.parts for x in part]
-        n = len(labels)
-        if n == 0:
-            raise ValueError("a labeling needs at least one vertex")
-        if any(not part for part in self.parts):
-            raise ValueError("parts must be non-empty")
-        if min(labels) < 1 or max(labels) > n or len(set(labels)) != n:
-            raise ValueError("labels must be a bijection onto [n]")
-
-    @property
-    def n(self) -> int:
-        return sum(len(part) for part in self.parts)
-
-    @property
-    def k(self) -> int:
-        return len(self.parts)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(part) for part in self.parts)
-
-    @cached_property
-    def part_of(self) -> dict[int, int]:
-        """Label -> part index."""
-        return {x: i for i, part in enumerate(self.parts) for x in part}
 
 
 @dataclass(frozen=True)
@@ -79,54 +38,25 @@ class MagicCheck:
     degenerate: bool = False
 
 
-def labeling_from_partition(p: Partition) -> LabeledMultipartite:
-    """Read a partition as a labeling: block i becomes part i."""
-    return LabeledMultipartite(parts=p.blocks)
+def labeling_from_partition(p: Partition) -> Partition:
+    """Read a partition as a labeling: block i becomes part i.
+
+    A Partition already is that labeling, so this returns p unchanged.
+    """
+    return p
 
 
-def partition_from_labeling(g: LabeledMultipartite) -> Partition:
-    """Inverse of labeling_from_partition."""
-    return Partition.from_blocks(g.n, g.parts)
-
-
-def _explicit_neighbor_sums(g: LabeledMultipartite) -> dict[int, int]:
-    """Neighbor sums by iterating every other part, label by label."""
-    out: dict[int, int] = {}
-    for i, part in enumerate(g.parts):
-        total = sum(
-            x for j, other in enumerate(g.parts) if j != i for x in other
-        )
-        for x in part:
-            out[x] = total
-    return out
-
-
-def verify_distance_magic(g: LabeledMultipartite) -> MagicCheck:
+def verify_distance_magic(p: Partition) -> MagicCheck:
     """Check that all open-neighborhood label sums agree.
 
     In a complete multipartite graph a vertex in part j sees every label
     except its own part's, so its neighbor sum is n(n+1)/2 - S(part j).
-    For n <= 200 this is cross-checked against the explicit summation.
     """
-    n = g.n
-    total = n * (n + 1) // 2
-    part_sums = [sum(part) for part in g.parts]
-    neighbor_sums = [total - ps for ps in part_sums]
-    if n <= EXPLICIT_CHECK_MAX_N:
-        explicit = _explicit_neighbor_sums(g)
-        for i, part in enumerate(g.parts):
-            for x in part:
-                if explicit[x] != neighbor_sums[i]:
-                    raise AssertionError(
-                        f"neighbor-sum routes disagree at vertex {x}: "
-                        f"{explicit[x]} vs {neighbor_sums[i]}"
-                    )
-    for i in range(1, g.k):
+    total = p.n * (p.n + 1) // 2
+    neighbor_sums = [total - t for t in p.sums]
+    for i in range(1, p.k):
         if neighbor_sums[i] != neighbor_sums[0]:
-            return MagicCheck(
-                is_magic=False,
-                witness=(min(g.parts[0]), min(g.parts[i])),
-            )
+            return MagicCheck(is_magic=False, witness=(p.blocks[0][0], p.blocks[i][0]))
     return MagicCheck(is_magic=True, constant=neighbor_sums[0])
 
 
@@ -150,8 +80,5 @@ def verify_closed_magic_cycle(p: Partition) -> MagicCheck:
     ]
     for i in range(1, k):
         if closed[i] != closed[0]:
-            return MagicCheck(
-                is_magic=False,
-                witness=(min(p.blocks[0]), min(p.blocks[i])),
-            )
+            return MagicCheck(is_magic=False, witness=(p.blocks[0][0], p.blocks[i][0]))
     return MagicCheck(is_magic=True, constant=closed[0])

@@ -20,16 +20,21 @@ configuration.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from multiprocessing import Pool
 from typing import Iterator
 
 from .core import Instance, magic_sum
 from .feasibility import feasibility
-from .solver import ExactStatus, solve_exact
-
-#: Node budget used when callers do not supply one.
-DEFAULT_NODE_BUDGET = 100_000_000
+from .solver import (
+    DEFAULT_NODE_BUDGET,
+    ExactStatus,
+    SearchParams,
+    greedy_init,
+    local_search,
+    solve_exact,
+)
 
 
 def enumerate_size_sequences(n: int, k: int, min_part: int) -> Iterator[tuple[int, ...]]:
@@ -50,6 +55,18 @@ def enumerate_size_sequences(n: int, k: int, min_part: int) -> Iterator[tuple[in
             yield from rec(remaining - p, slots - 1, p, prefix + (p,))
 
     yield from rec(n, k, max(min_part, 1), ())
+
+
+def _box(n_max: int, ks, min_part: int) -> Iterator[Instance]:
+    """Every instance with n <= n_max, k in ks and an integral magic sum.
+
+    Ordered by n, then k, then size sequence, with parts >= min_part.
+    """
+    for n in range(1, n_max + 1):
+        for k in ks:
+            if magic_sum(n, k) is not None:
+                for sizes in enumerate_size_sequences(n, k, min_part):
+                    yield Instance(n=n, sizes=sizes)
 
 
 @dataclass(frozen=True)
@@ -125,8 +142,9 @@ def _sweep_row(task: tuple[Instance, int]) -> SweepRow:
 
 
 def _run_tasks(worker, tasks, workers: int) -> list:
-    if workers > 1 and len(tasks) > 1:
-        with Pool(processes=min(workers, len(tasks))) as pool:
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    if processes > 1:
+        with Pool(processes=processes) as pool:
             return pool.map(worker, tasks)
     return [worker(t) for t in tasks]
 
@@ -164,13 +182,7 @@ def sweep(
     if n_max < 1 or min_part < 1:
         raise ValueError("n_max and min_part must be >= 1")
     ks = sorted(set(k_set))
-    tasks: list[tuple[Instance, int]] = []
-    for n in range(1, n_max + 1):
-        for k in ks:
-            if magic_sum(n, k) is None:
-                continue
-            for sizes in enumerate_size_sequences(n, k, min_part):
-                tasks.append((Instance(n=n, k=k, sizes=sizes), budget))
+    tasks = [(inst, budget) for inst in _box(n_max, ks, min_part)]
     rows = _run_tasks(_sweep_row, tasks, workers)
     rows.sort(key=lambda r: (r.n, r.k, r.sizes))
     config = {
@@ -202,35 +214,28 @@ def descent_success(
     oracle-confirmed-feasible instance in the box.  Failures list the
     instances the descent missed.
     """
-    from .solver import SearchParams, greedy_init, local_search
-
     if params is None:
         params = SearchParams()
+    ks = sorted(set(k_set))
     attempted = 0
     solved = 0
     failures: list[dict] = []
-    for n in range(1, n_max + 1):
-        for k in sorted(set(k_set)):
-            s = magic_sum(n, k)
-            if s is None:
-                continue
-            for sizes in enumerate_size_sequences(n, k, min_part):
-                inst = Instance(n=n, k=k, sizes=sizes)
-                exact = solve_exact(inst, budget=budget)
-                if exact.status is not ExactStatus.FOUND:
-                    continue
-                attempted += 1
-                out = local_search(greedy_init(inst, params.seed), s, params)
-                if all(t == s for t in out.sums):
-                    solved += 1
-                else:
-                    failures.append({"n": n, "k": k, "sizes": list(sizes)})
+    for inst in _box(n_max, ks, min_part):
+        if solve_exact(inst, budget=budget).status is not ExactStatus.FOUND:
+            continue
+        attempted += 1
+        s = magic_sum(inst.n, inst.k)
+        out = local_search(greedy_init(inst, params.seed), s, params)
+        if all(t == s for t in out.sums):
+            solved += 1
+        else:
+            failures.append({"n": inst.n, "k": inst.k, "sizes": list(inst.sizes)})
     return {
         "attempted": attempted,
         "solved_by_descent": solved,
         "rate": solved / attempted if attempted else 1.0,
         "failures": failures,
-        "config": {"n_max": n_max, "k_set": sorted(set(k_set)), "min_part": min_part},
+        "config": {"n_max": n_max, "k_set": ks, "min_part": min_part},
     }
 
 
@@ -244,7 +249,7 @@ def _symmetric_row(task: tuple[int, int, int]) -> SymmetricRow:
     if magic_sum(n, p) is None:
         oracle = "not_found"  # divisibility failure counts as no labeling
     else:
-        exact = solve_exact(Instance(n=n, k=p, sizes=(m,) * p), budget=budget)
+        exact = solve_exact(Instance(n=n, sizes=(m,) * p), budget=budget)
         oracle = exact.status.value
     agree = True if oracle == "budget" else criterion == (oracle == "found")
     return SymmetricRow(m=m, p=p, n=n, criterion=criterion, oracle=oracle, agree=agree)

@@ -27,12 +27,16 @@ from enum import Enum
 from .core import (
     Instance,
     Partition,
+    _assign_width,
     deviation,
     implements,
     is_equitable,
     magic_sum,
 )
 from .feasibility import Verdict, feasibility, necessary_condition
+
+#: Exact-search node budget used when callers do not supply one.
+DEFAULT_NODE_BUDGET = 100_000_000
 
 
 class XorShift64Star:
@@ -74,7 +78,7 @@ class SearchParams:
     seed: int = 0
     max_restarts: int = 64
     max_plateau_steps: int | None = None
-    exact_node_budget: int = 100_000_000
+    exact_node_budget: int = DEFAULT_NODE_BUDGET
     exact_cutoff_n: int = 24
 
     def __post_init__(self) -> None:
@@ -310,24 +314,6 @@ def greedy_init(inst: Instance, seed: int) -> Partition:
     return Partition.from_blocks(inst.n, blocks)
 
 
-def _state_width(assign: list[int], sums: list[int], s: int, n: int) -> int | float:
-    """Width of the (assign, sums) state; labels scanned in ascending order."""
-    lows = [x for x in range(1, n + 1) if sums[assign[x]] < s]
-    highs = [x for x in range(1, n + 1) if sums[assign[x]] > s]
-    if not lows or not highs:
-        return float("inf")
-    best: int | float = float("inf")
-    i = 0
-    for y in highs:
-        while i < len(lows) and lows[i] < y:
-            i += 1
-        if i > 0:
-            best = min(best, y - lows[i - 1])
-        if best == 1:
-            break
-    return best
-
-
 def _best_improving_move(
     assign: list[int], sums: list[int], n: int
 ) -> tuple[int, int, int] | None:
@@ -357,7 +343,7 @@ def _plateau_move(
     """First zero-delta exchange, preferring one that shrinks the width.
 
     Zero delta means b - a equals the block-sum difference, so the two
-    blocks trade sums and the partition stays equivalent.
+    blocks trade sums and the multiset of block sums is unchanged.
     """
     fallback: tuple[int, int] | None = None
     for a in range(1, n):
@@ -373,7 +359,7 @@ def _plateau_move(
             if fallback is None:
                 fallback = (a, b)
             _apply_exchange(assign, sums, a, b)
-            shrinks = _state_width(assign, sums, s, n) < cur_width
+            shrinks = _assign_width(assign, sums, s, n) < cur_width
             _apply_exchange(assign, sums, a, b)
             if shrinks:
                 return (a, b)
@@ -416,11 +402,11 @@ def local_search(
         return sum((t - s) ** 2 for t in sums)
 
     best_assign = assign.copy()
-    best_key: tuple[int, int | float] = (dev(), _state_width(assign, sums, s, n))
+    best_key: tuple[int, int | float] = (dev(), _assign_width(assign, sums, s, n))
 
     def note_state() -> None:
         nonlocal best_key, best_assign
-        key = (dev(), _state_width(assign, sums, s, n))
+        key = (dev(), _assign_width(assign, sums, s, n))
         if key < best_key:
             best_key = key
             best_assign = assign.copy()
@@ -441,7 +427,7 @@ def local_search(
                 continue
             if plateau_used >= max_plateau:
                 break
-            step = _plateau_move(assign, sums, s, n, _state_width(assign, sums, s, n))
+            step = _plateau_move(assign, sums, s, n, _assign_width(assign, sums, s, n))
             if step is None:
                 break
             _apply_exchange(assign, sums, *step)

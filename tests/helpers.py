@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from equipart.core import Instance, Partition
+from equipart.core import INFINITE_WIDTH, Instance, Partition
+from equipart.graphs import MagicCheck, verify_distance_magic
 
 
 def naive_equitable_exists(n: int, sizes, s: int) -> bool:
@@ -91,3 +92,33 @@ def random_valid_instance(rng: random.Random, n_max: int = 20) -> Instance:
         for _ in range(n - k):
             sizes[rng.randrange(k)] += 1
         return Instance.from_sizes(n, sizes)
+
+
+def explicit_neighbor_sums(p: Partition) -> dict[int, int]:
+    """Open neighbor sums by iterating every other block, label by label."""
+    out: dict[int, int] = {}
+    for i, block in enumerate(p.blocks):
+        total = sum(x for j, other in enumerate(p.blocks) if j != i for x in other)
+        for x in block:
+            out[x] = total
+    return out
+
+
+def verify_open_checked(p: Partition) -> MagicCheck:
+    """verify_distance_magic(p), cross-checked against explicit summation."""
+    check = verify_distance_magic(p)
+    sums = explicit_neighbor_sums(p)
+    if check.is_magic:
+        assert set(sums.values()) == {check.constant}, (check, sums)
+    else:
+        x, y = check.witness
+        assert sums[x] != sums[y], (check, sums)
+    return check
+
+
+def naive_width(p: Partition, s: int) -> int | float:
+    """Minimum y - x over every high-block y and low-block x with y > x."""
+    lows = [x for b, t in zip(p.blocks, p.sums) if t < s for x in b]
+    highs = [y for b, t in zip(p.blocks, p.sums) if t > s for y in b]
+    gaps = [y - x for y in highs for x in lows if y > x]
+    return min(gaps) if gaps else INFINITE_WIDTH

@@ -3,9 +3,13 @@
 Every criterion builds a canonical JSON report from deterministic inputs
 (fixed seeds, no timing fields); the final criterion rebuilds all of
 them and demands byte-identical output.  Run with -s to see the lines.
+The sha256 of each report is pinned as well, so a report cannot change
+between commits unnoticed; a change that alters one on purpose updates
+its digest.
 """
 
 import gc
+import hashlib
 import json
 import math
 import random
@@ -14,17 +18,26 @@ import time
 import pytest
 
 from equipart.core import Instance, magic_sum, swap, swap_delta, deviation
-from equipart.graphs import labeling_from_partition, verify_closed_magic_cycle, verify_distance_magic
+from equipart.graphs import verify_closed_magic_cycle
 from equipart.lab import check_symmetric, sweep
 from equipart.solver import SolveStatus, solve, solve_k2
 
-from helpers import random_cross_block_pair, random_partition
+from helpers import random_cross_block_pair, random_partition, verify_open_checked
 
 SWAP_TRIALS = 10_000
 SWAP_SEED = 0x5EED_2026
 K2_TRIALS = 200
 K2_SEED = 0xEC0_FFEE
 K2_TIME_BUDGET_S = 1.0
+REPORT_SHA256 = {
+    "c1_proven_range_sweep": "18809c6c2affb45c0a2fb1f7aeb239a64db4559559eb55f603e51cdc2a38dd15",
+    "c2_size_one_sweep": "ed7ccf42e42c8d244b7af01a0ac191823a955133443d68d309d114927a959a4e",
+    "c3_solver_conformance": "8f35d7ec74daabf0e6d657d3ae658cf417365b66f96a3b47e8a68db1d46e998c",
+    "c4_swap_delta": "8f405ba9f7a3448d464e0e71be62a1bbeac9878aaa3323b8b53901c418c689bf",
+    "c5_k2_construction": "fcd7ce1a29e6d5a3aee7a261284e1a8b8b4cfef0a5fa13c13336ecb857d299cf",
+    "c6_symmetric": "f04e8084b9f47eabc3c11132160aafa2f23052e58d25022ad37c2f5c940c51d2",
+    "c7_conjecture_probe": "4a2d168fb4166581bbfaa605f35bb283545fad2d73e9a9af266557939b322bc0",
+}
 
 
 def _canon(obj) -> str:
@@ -36,14 +49,14 @@ def _solver_conformance_report(found_rows) -> dict:
     rows = []
     failures = 0
     for row in found_rows:
-        inst = Instance(n=row.n, k=row.k, sizes=row.sizes)
+        inst = Instance(n=row.n, sizes=row.sizes)
         s = magic_sum(inst.n, inst.k)
         total = inst.n * (inst.n + 1) // 2
         res = solve(inst)
         entry = {"n": inst.n, "k": inst.k, "sizes": list(inst.sizes)}
         ok = res.status is SolveStatus.SOLVED
         if ok:
-            check = verify_distance_magic(labeling_from_partition(res.partition))
+            check = verify_open_checked(res.partition)
             entry["constant"] = check.constant
             ok = check.is_magic and check.constant == total - s
             if ok and inst.k == 4:
@@ -290,3 +303,9 @@ def test_criterion_8_determinism(reports):
           f"{len(reports) - len(volatile)} reports compared"
           + (f", differing: {diffs}" if diffs else ""))
     assert ok
+
+
+def test_reports_match_pinned_digests(reports):
+    digests = {name: hashlib.sha256(reports[name].encode()).hexdigest() for name in REPORT_SHA256}
+    changed = sorted(name for name in REPORT_SHA256 if digests[name] != REPORT_SHA256[name])
+    assert not changed, f"reports differ from their pinned digests: {changed}"

@@ -1,7 +1,12 @@
 """Command-line behavior: outputs, exit codes, JSON round-trips."""
 
+import contextlib
 import io
 import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equipart.cli import main
 
@@ -138,6 +143,29 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 3, "blocks": [["a", "b"], ["c"]]}',
+            '{"n": 4, "blocks": [5, [1, 2, 3]]}',
+            '{"n": 1e400, "blocks": [[1, 2], [3]]}',
+            '{"n": 3, "blocks": [[1.0, 2.0], [3]]}',
+            '{"n": 3, "blocks": [[true, 2], [3]]}',
+            '{"n": "3", "blocks": [[1, 2], [3]]}',
+            '{"n": 3, "blocks": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        ],
+        ids=[
+            "string-labels", "non-list-block", "huge-float-n", "float-labels",
+            "bool-label", "string-n", "deep-nesting",
+        ],
+    )
+    def test_non_integer_input_is_usage_error(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_closed_mode_needs_three_blocks(self, capsys, monkeypatch):
         data = json.dumps({"n": 4, "blocks": [[1, 4], [2, 3]]})
         monkeypatch.setattr("sys.stdin", io.StringIO(data))
@@ -180,3 +208,29 @@ class TestSweepCommands:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["totals"]["rows"] == 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=-2, max_value=12) | json_values,
+    blocks=st.lists(st.lists(st.integers(min_value=-1, max_value=13), max_size=6), max_size=5)
+    | json_values,
+    closed=st.booleans(),
+)
+def test_verify_survives_arbitrary_json(n, blocks, closed):
+    # any JSON document ends in an exit code, never in an escaped exception
+    argv = ["verify", "--closed"] if closed else ["verify"]
+    stdin = io.StringIO(json.dumps({"n": n, "blocks": blocks}))
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sys.stdin", stdin)
+            code = main(argv)
+    assert code in (0, 1, 2)

@@ -132,7 +132,7 @@ class TestFeasibility:
                 for sizes in enumerate_size_sequences(n, k, 1):
                     if sizes[0] != 1:
                         continue
-                    v = feasibility(Instance(n=n, k=k, sizes=sizes))
+                    v = feasibility(Instance(n=n, sizes=sizes))
                     assert v.predicts_feasible == naive_equitable_exists(n, sizes, s), (
                         n, k, sizes,
                     )
@@ -147,7 +147,7 @@ def test_infeasible_statuses_never_claim_feasibility(n, k):
     if (n * (n + 1) // 2) % k != 0 or k > n:
         return
     for sizes in enumerate_size_sequences(n, k, 1):
-        v = feasibility(Instance(n=n, k=k, sizes=sizes))
+        v = feasibility(Instance(n=n, sizes=sizes))
         assert v.predicts_feasible == (
             v.status
             in (

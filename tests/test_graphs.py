@@ -5,17 +5,10 @@ import random
 import pytest
 
 from equipart.core import Instance, Partition, magic_sum
-from equipart.graphs import (
-    LabeledMultipartite,
-    _explicit_neighbor_sums,
-    labeling_from_partition,
-    partition_from_labeling,
-    verify_closed_magic_cycle,
-    verify_distance_magic,
-)
+from equipart.graphs import labeling_from_partition, verify_closed_magic_cycle
 from equipart.solver import SolveStatus, solve
 
-from helpers import random_partition
+from helpers import explicit_neighbor_sums, random_partition, verify_open_checked
 
 
 def part(n, *blocks):
@@ -26,50 +19,44 @@ class TestLabeling:
     def test_from_partition(self):
         p = part(8, [1, 8], [2, 7], [3, 6], [4, 5])
         g = labeling_from_partition(p)
-        assert g.sizes == (2, 2, 2, 2)
-        assert g.part_of[8] == 0
-        assert g.part_of[5] == 3
+        assert [len(b) for b in g.blocks] == [2, 2, 2, 2]
+        assert g.block_of(8) == 0
+        assert g.block_of(5) == 3
 
     def test_small(self):
         g = labeling_from_partition(part(3, [3], [1, 2]))
-        assert g.sizes == (1, 2)
+        assert [len(b) for b in g.blocks] == [1, 2]
 
     def test_round_trip(self):
+        # the partition is the labeling: nothing is copied or re-validated
         p = part(6, [1, 5], [2, 4, 6], [3])
-        assert partition_from_labeling(labeling_from_partition(p)) == p
-
-    def test_invalid_labeling_rejected(self):
-        with pytest.raises(ValueError):
-            LabeledMultipartite(parts=((1, 2), (2, 3)))
-        with pytest.raises(ValueError):
-            LabeledMultipartite(parts=((1, 2), (4,)))
+        assert labeling_from_partition(p) is p
 
 
 class TestVerifyDistanceMagic:
     def test_balanced_four_parts(self):
-        g = labeling_from_partition(part(8, [1, 8], [2, 7], [3, 6], [4, 5]))
-        check = verify_distance_magic(g)
+        check = verify_open_checked(part(8, [1, 8], [2, 7], [3, 6], [4, 5]))
         assert check.is_magic
         assert check.constant == 27
         assert check.witness is None
 
     def test_unbalanced_split_not_magic(self):
-        g = labeling_from_partition(part(4, [1, 2], [3, 4]))
-        check = verify_distance_magic(g)
+        p = part(4, [1, 2], [3, 4])
+        check = verify_open_checked(p)
         assert not check.is_magic
         assert check.constant is None
         x, y = check.witness
-        sums = _explicit_neighbor_sums(g)
+        sums = explicit_neighbor_sums(p)
         assert sums[x] != sums[y]
         assert {sums[x], sums[y]} == {7, 3}
 
     def test_one_two_split(self):
-        check = verify_distance_magic(labeling_from_partition(part(3, [3], [1, 2])))
+        check = verify_open_checked(part(3, [3], [1, 2]))
         assert check.is_magic
         assert check.constant == 3
 
     def test_single_part_is_edgeless(self):
-        check = verify_distance_magic(labeling_from_partition(part(3, [1, 2, 3])))
+        check = verify_open_checked(part(3, [1, 2, 3]))
         assert check.is_magic
         assert check.constant == 0
 
@@ -77,14 +64,12 @@ class TestVerifyDistanceMagic:
         rng = random.Random(424242)
         for _ in range(30):
             p = random_partition(rng, max_n=40)
-            g = labeling_from_partition(p)
             total = p.n * (p.n + 1) // 2
-            explicit = _explicit_neighbor_sums(g)
+            explicit = explicit_neighbor_sums(p)
             for i, block in enumerate(p.blocks):
                 for x in block:
                     assert explicit[x] == total - p.sums[i]
-            # verify_distance_magic re-runs this cross-check internally
-            verify_distance_magic(g)
+            verify_open_checked(p)
 
 
 class TestVerifyClosedMagicCycle:
@@ -127,7 +112,7 @@ def test_solved_instances_are_magic():
         assert res.status is SolveStatus.SOLVED
         s = magic_sum(n, inst.k)
         total = n * (n + 1) // 2
-        check = verify_distance_magic(labeling_from_partition(res.partition))
+        check = verify_open_checked(res.partition)
         assert check.is_magic
         assert check.constant == total - s
         if inst.k >= 4:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from equipart import lab
 from equipart.lab import (
     SweepReport,
     check_symmetric,
@@ -81,6 +82,31 @@ class TestSweep:
         serial = sweep(10, {2, 3}, 2, workers=1).to_json()
         parallel = sweep(10, {2, 3}, 2, workers=2).to_json()
         assert serial == parallel
+
+    @pytest.mark.parametrize("cpus,expected", [(2, [2]), (1, []), (None, [])])
+    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, expected):
+        # a fake pool records the size it was asked for and maps serially,
+        # so no worker process is ever started
+        requested = []
+
+        class FakePool:
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, tasks):
+                return [worker(t) for t in tasks]
+
+        monkeypatch.setattr(lab, "Pool", FakePool)
+        monkeypatch.setattr(lab.os, "cpu_count", lambda: cpus)
+        report = sweep(10, {2, 3}, 2, workers=10_000)
+        assert requested == expected
+        assert report.to_json() == sweep(10, {2, 3}, 2).to_json()
 
 
 class TestCheckSymmetric:

@@ -86,7 +86,7 @@ class TestSolveExact:
                 if s is None:
                     continue
                 for sizes in enumerate_size_sequences(n, k, 1):
-                    res = solve_exact(Instance(n=n, k=k, sizes=sizes), budget=BIG_BUDGET)
+                    res = solve_exact(Instance(n=n, sizes=sizes), budget=BIG_BUDGET)
                     assert res.status is not ExactStatus.BUDGET
                     found = res.status is ExactStatus.FOUND
                     assert found == naive_equitable_exists(n, sizes, s), (n, k, sizes)
@@ -297,6 +297,6 @@ def test_condition_equivalent_to_oracle_for_k_le_4(n, k, data):
     if not sequences:
         return
     sizes = data.draw(st.sampled_from(sequences))
-    inst = Instance(n=n, k=k, sizes=sizes)
+    inst = Instance(n=n, sizes=sizes)
     res = solve_exact(inst, budget=BIG_BUDGET)
     assert (res.status is ExactStatus.FOUND) == necessary_condition(inst)
