@@ -218,8 +218,11 @@ def swap_delta(p: Partition, a: int, b: int, s: int) -> int:
     ib = p.block_of(b)
     if ia == ib:
         raise ValueError(f"{a} and {b} are both in block {ia}")
-    t = b - a
-    u = p.sums[ib] - p.sums[ia]
+    return _exchange_delta(b - a, p.sums[ib] - p.sums[ia])
+
+
+def _exchange_delta(t: int, u: int) -> int:
+    """The exchange law 2t(t - u): the one delta formula swap_delta and the search share."""
     return 2 * t * (t - u)
 
 

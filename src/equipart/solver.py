@@ -10,7 +10,9 @@ Four routes, picked by the pipeline in solve():
 * the size-one constructor ({n} plus pairs {i, n-i}) for sizes
   (1, 2, ..., 2);
 * a potential-descent local search over element exchanges, restarted
-  from a randomized greedy initializer.
+  from a randomized greedy initializer.  It finds each improving move
+  from the exchange law delta = 2t(t - u) in O(k n log n) over per-block
+  sorted member lists, ties going to the lex-smallest pair (a, b).
 
 The local search is a heuristic; completeness rests on the exact
 fallback.  Exact and constructive outputs are deterministic; heuristic
@@ -21,6 +23,7 @@ across ports.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,6 +31,7 @@ from .core import (
     Instance,
     Partition,
     _assign_width,
+    _exchange_delta,
     deviation,
     implements,
     is_equitable,
@@ -314,64 +318,80 @@ def greedy_init(inst: Instance, seed: int) -> Partition:
     return Partition.from_blocks(inst.n, blocks)
 
 
-def _best_improving_move(
-    assign: list[int], sums: list[int], n: int
-) -> tuple[int, int, int] | None:
-    """Most negative exchange delta, ties to the lex-smallest (a, b).
+def _best_move(sums: list[int], members: list[list[int]]) -> tuple[int, int, int] | None:
+    """Most negative exchange delta as (delta, a, b), ties to the lex-smallest (a, b).
 
-    Scanning pairs in lex order makes the adjacent exchange (a, a+1) win
-    any tie among pairs starting at a.
+    For a in block i and a partner block j, u = sums[j] - sums[i] is fixed
+    and delta = 2t(t - u), t = b - a, is negative only for a < b < a + u
+    and convex in t with its minimum at t = u/2.  So only the two members
+    of block j around a + u//2 can be a's best partner there: one bisect
+    per (a, j) instead of every pair.
     """
-    best: tuple[int, int, int] | None = None
-    for a in range(1, n):
-        ia = assign[a]
-        sa = sums[ia]
-        for b in range(a + 1, n + 1):
-            ib = assign[b]
-            if ib == ia:
-                continue
-            t = b - a
-            delta = 2 * t * (t - (sums[ib] - sa))
-            if delta < 0 and (best is None or delta < best[0]):
-                best = (delta, a, b)
-    return best
+    best_d, best_a, best_b = 0, 0, 0
+    for i, si in enumerate(sums):
+        for j, sj in enumerate(sums):
+            u = sj - si
+            if u < 2:
+                continue  # no integer t with 0 < t < u
+            half = u // 2
+            partners = members[j]
+            idx = 0
+            for a in members[i]:
+                idx = bisect_left(partners, a + half, idx)
+                # The nearest members below and at-or-above a + u//2.
+                for b in partners[idx - 1 if idx else 0 : idx + 1]:
+                    d = _exchange_delta(b - a, u)
+                    if d < best_d or (d == best_d < 0 and (a, b) < (best_a, best_b)):
+                        best_d, best_a, best_b = d, a, b
+    return (best_d, best_a, best_b) if best_d < 0 else None
 
 
-def _plateau_move(
-    assign: list[int], sums: list[int], s: int, n: int, cur_width: int | float
+def _plateau_step(
+    assign: list[int],
+    sums: list[int],
+    members: list[list[int]],
+    s: int,
+    n: int,
+    cur_width: int | float,
 ) -> tuple[int, int] | None:
-    """First zero-delta exchange, preferring one that shrinks the width.
+    """First zero-delta exchange in lex order, preferring one that shrinks the width.
 
-    Zero delta means b - a equals the block-sum difference, so the two
-    blocks trade sums and the multiset of block sums is unchanged.
+    Zero delta means b - a equals the block-sum difference u, so the two
+    blocks trade sums and the multiset of block sums is unchanged.  For a
+    given a the only candidates are b = a + u over the distinct positive
+    gaps u from a's block sum to the others, in ascending order.
     """
+    gaps = [sorted({t - si for t in sums if t > si}) for si in sums]
     fallback: tuple[int, int] | None = None
     for a in range(1, n):
-        ia = assign[a]
-        sa = sums[ia]
-        for b in range(a + 1, n + 1):
-            ib = assign[b]
-            if ib == ia:
-                continue
-            t = b - a
-            if t != sums[ib] - sa:
+        sa = sums[assign[a]]
+        for u in gaps[assign[a]]:
+            b = a + u
+            if b > n:
+                break
+            if sums[assign[b]] - sa != u:
                 continue
             if fallback is None:
                 fallback = (a, b)
-            _apply_exchange(assign, sums, a, b)
+            _apply_exchange(assign, sums, members, a, b)
             shrinks = _assign_width(assign, sums, s, n) < cur_width
-            _apply_exchange(assign, sums, a, b)
+            _apply_exchange(assign, sums, members, a, b)
             if shrinks:
                 return (a, b)
     return fallback
 
 
-def _apply_exchange(assign: list[int], sums: list[int], a: int, b: int) -> None:
+def _apply_exchange(
+    assign: list[int], sums: list[int], members: list[list[int]], a: int, b: int
+) -> None:
     ia, ib = assign[a], assign[b]
     t = b - a
     sums[ia] += t
     sums[ib] -= t
     assign[a], assign[b] = ib, ia
+    for block, old, new in ((members[ia], a, b), (members[ib], b, a)):
+        del block[bisect_left(block, old)]
+        insort(block, new)
 
 
 def local_search(
@@ -384,6 +404,12 @@ def local_search(
     restarts from greedy_init with the next seed.  Returns the best
     partition seen: minimum deviation, ties by minimum width.  Deviation
     never increases within a restart.
+
+    Each move is the lex-smallest (a, b) among the best candidates.  The
+    search keeps every block's members sorted and uses the exchange law
+    2t(t - u): the best partner of a lies next to a + u/2, so an improving
+    move costs O(k n log n), not O(n^2); a zero-delta partner is exactly
+    a + u, so a plateau step weighs at most k - 1 candidates per a.
     """
     if is_equitable(p, s):
         return p
@@ -397,6 +423,7 @@ def local_search(
         for x in block:
             assign[x] = i
     sums = list(p.sums)
+    members = [list(block) for block in p.blocks]
 
     def dev() -> int:
         return sum((t - s) ** 2 for t in sums)
@@ -418,19 +445,21 @@ def local_search(
             d = dev()
             if d == 0:
                 break
-            move = _best_improving_move(assign, sums, n)
+            move = _best_move(sums, members)
             if move is not None:
-                _apply_exchange(assign, sums, move[1], move[2])
+                _apply_exchange(assign, sums, members, move[1], move[2])
                 if stats is not None:
                     stats.swaps += 1
                 note_state()
                 continue
             if plateau_used >= max_plateau:
                 break
-            step = _plateau_move(assign, sums, s, n, _assign_width(assign, sums, s, n))
+            step = _plateau_step(
+                assign, sums, members, s, n, _assign_width(assign, sums, s, n)
+            )
             if step is None:
                 break
-            _apply_exchange(assign, sums, *step)
+            _apply_exchange(assign, sums, members, *step)
             plateau_used += 1
             if stats is not None:
                 stats.swaps += 1
@@ -445,6 +474,7 @@ def local_search(
             for x in block:
                 assign[x] = i
         sums = list(fresh.sums)
+        members = [list(block) for block in fresh.blocks]
         note_state()
 
     blocks: list[list[int]] = [[] for _ in range(k)]
@@ -470,16 +500,20 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
 
     def finish(status: SolveStatus, partition: Partition | None) -> SolveResult:
         if partition is not None:
+            # Checked with raise, not assert, so python -O keeps the check.
             partition = _match_size_slots(inst, partition)
-            assert implements(partition, inst.sizes)
-            assert verdict.s is not None and is_equitable(partition, verdict.s)
+            if not implements(partition, inst.sizes):
+                raise RuntimeError(f"solver output does not implement sizes {inst.sizes}")
+            if verdict.s is None or not is_equitable(partition, verdict.s):
+                raise RuntimeError(f"solver output is not equitable: sums {partition.sums}")
         stats.elapsed = time.perf_counter() - start_time
         return SolveResult(status=status, partition=partition, verdict=verdict, stats=stats)
 
     if verdict.infeasible:
         return finish(SolveStatus.PROVEN_INFEASIBLE, None)
     s = verdict.s
-    assert s is not None
+    if s is None:
+        raise RuntimeError(f"feasible verdict without a magic sum: {verdict}")
 
     if inst.k == 1:
         return finish(SolveStatus.SOLVED, Partition.from_blocks(inst.n, [range(1, inst.n + 1)]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from equipart.core import INFINITE_WIDTH, Instance, Partition
+from equipart.core import INFINITE_WIDTH, Instance, Partition, _assign_width
 from equipart.graphs import MagicCheck, verify_distance_magic
 
 
@@ -122,3 +122,62 @@ def naive_width(p: Partition, s: int) -> int | float:
     highs = [y for b, t in zip(p.blocks, p.sums) if t > s for y in b]
     gaps = [y - x for y in highs for x in lows if y > x]
     return min(gaps) if gaps else INFINITE_WIDTH
+
+
+def naive_best_move(
+    assign: list[int], sums: list[int], n: int
+) -> tuple[int, int, int] | None:
+    """Most negative exchange delta over all pairs a < b, ties to lex-smallest.
+
+    The descent's original O(n^2) scan, kept as the reference for its
+    sub-quadratic search.  Returns (delta, a, b) or None.
+    """
+    best: tuple[int, int, int] | None = None
+    for a in range(1, n):
+        ia = assign[a]
+        sa = sums[ia]
+        for b in range(a + 1, n + 1):
+            ib = assign[b]
+            if ib == ia:
+                continue
+            t = b - a
+            delta = 2 * t * (t - (sums[ib] - sa))
+            if delta < 0 and (best is None or delta < best[0]):
+                best = (delta, a, b)
+    return best
+
+
+def naive_plateau_move(
+    assign: list[int], sums: list[int], s: int, n: int, cur_width: int | float
+) -> tuple[int, int] | None:
+    """First zero-delta exchange in lex order, preferring one that shrinks the width.
+
+    The descent's original O(n^2) plateau scan, kept as the reference.
+    """
+
+    def exchange(a: int, b: int) -> None:
+        ia, ib = assign[a], assign[b]
+        t = b - a
+        sums[ia] += t
+        sums[ib] -= t
+        assign[a], assign[b] = ib, ia
+
+    fallback: tuple[int, int] | None = None
+    for a in range(1, n):
+        ia = assign[a]
+        sa = sums[ia]
+        for b in range(a + 1, n + 1):
+            ib = assign[b]
+            if ib == ia:
+                continue
+            t = b - a
+            if t != sums[ib] - sa:
+                continue
+            if fallback is None:
+                fallback = (a, b)
+            exchange(a, b)
+            shrinks = _assign_width(assign, sums, s, n) < cur_width
+            exchange(a, b)
+            if shrinks:
+                return (a, b)
+    return fallback

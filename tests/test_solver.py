@@ -1,26 +1,36 @@
 """Solver routes: exact search, constructions, greedy init, local search."""
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import equipart
 from equipart.core import (
     Instance,
     Partition,
+    _assign_width,
     deviation,
     implements,
     is_equitable,
     magic_sum,
 )
 from equipart.feasibility import FeasibilityStatus, necessary_condition
-from equipart.lab import enumerate_size_sequences
+from equipart.lab import _box, enumerate_size_sequences
 from equipart.solver import (
     ExactStatus,
     SearchParams,
     SolveStatus,
     XorShift64Star,
+    _best_move,
+    _plateau_step,
     greedy_init,
     local_search,
     solve,
@@ -29,9 +39,21 @@ from equipart.solver import (
     solve_p1_eq_1,
 )
 
-from helpers import k2_greedy_trace, naive_equitable_exists, random_valid_instance
+from helpers import (
+    k2_greedy_trace,
+    naive_best_move,
+    naive_equitable_exists,
+    naive_plateau_move,
+    random_valid_instance,
+)
 
 BIG_BUDGET = 10**8
+
+#: sha256 over json.dumps([n, sizes, status, blocks, swaps, restarts]) of
+#: solve(inst, SearchParams(max_restarts=4)) for every instance of
+#: _box(40, [3, 4, 5], 2), one update per instance.  It pins the descent's
+#: exact move sequence; change it only when a change of moves is intended.
+SOLVE_BOX_SHA256 = "e84b8e4288893ab1647e6067a706c7b364d3ff449445c008b3adbfb3dcd14012"
 
 
 class TestXorShift:
@@ -228,6 +250,67 @@ class TestLocalSearch:
             assert implements(out, inst.sizes)
 
 
+def _random_search_state(rng: random.Random):
+    """A random (assign, sums, s, n) state with k in 2..6 and n <= 60.
+
+    Sums are the true block sums, the true sums with some blocks forced
+    equal, or arbitrary values near s with two forced equal, so ties and
+    repeated sum gaps occur.  The searches treat sums as given data.
+    """
+    k = rng.randint(2, 6)
+    n = rng.randint(k, 60)
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    bounds = [0, *sorted(rng.sample(range(1, n), k - 1)), n]
+    assign = [0] * (n + 1)
+    sums = [0] * k
+    for i in range(k):
+        for x in labels[bounds[i] : bounds[i + 1]]:
+            assign[x] = i
+            sums[i] += x
+    s = n * (n + 1) // (2 * k)
+    mode = rng.randrange(3)
+    if mode == 1:
+        for _ in range(rng.randint(1, k - 1)):
+            i, j = rng.sample(range(k), 2)
+            sums[j] = sums[i]
+    elif mode == 2:
+        sums = [s + rng.randint(-n // 2, n // 2) for _ in range(k)]
+        sums[rng.randrange(k)] = sums[rng.randrange(k)]
+    return assign, sums, s, n
+
+
+class TestMoveSearch:
+    def test_moves_match_quadratic_reference(self):
+        rng = random.Random(20141024)
+        found = {"best": 0, "plateau": 0, "tie": 0}
+        for _ in range(2500):
+            assign, sums, s, n = _random_search_state(rng)
+            members = [[] for _ in sums]
+            for x in range(1, n + 1):
+                members[assign[x]].append(x)
+            before = (list(assign), list(sums), [list(m) for m in members])
+            move = _best_move(sums, members)
+            assert move == naive_best_move(assign, sums, n)
+            cur_width = _assign_width(assign, sums, s, n)
+            step = _plateau_step(assign, sums, members, s, n, cur_width)
+            assert (assign, sums, members) == before  # trial exchanges undone
+            assert step == naive_plateau_move(assign, sums, s, n, cur_width)
+            found["best"] += move is not None
+            found["plateau"] += step is not None
+            found["tie"] += len(set(sums)) < len(sums)
+        assert min(found.values()) > 500, found
+
+    def test_solve_output_digest(self):
+        digest = hashlib.sha256()
+        for inst in _box(40, [3, 4, 5], 2):
+            res = solve(inst, SearchParams(max_restarts=4))
+            blocks = res.partition.blocks if res.partition is not None else None
+            row = [inst.n, inst.sizes, res.status.value, blocks, res.stats.swaps, res.stats.restarts]
+            digest.update(json.dumps(row).encode())
+        assert digest.hexdigest() == SOLVE_BOX_SHA256
+
+
 class TestSolve:
     def test_balanced_four_blocks(self):
         res = solve(Instance.from_sizes(8, [2, 2, 2, 2]))
@@ -270,6 +353,34 @@ class TestSolve:
         b = solve(inst, SearchParams(seed=5))
         assert a.status == b.status
         assert a.partition == b.partition
+
+    def test_non_equitable_output_raises(self, monkeypatch):
+        # a broken route must not come back SOLVED, whatever assert does
+        monkeypatch.setattr(
+            "equipart.solver.solve_k2", lambda inst: Partition.from_blocks(4, [[1, 2], [3, 4]])
+        )
+        with pytest.raises(RuntimeError):
+            solve(Instance.from_sizes(4, [2, 2]))
+
+    def test_non_equitable_output_raises_under_optimize(self):
+        script = textwrap.dedent(
+            """
+            import equipart.solver as solver
+            from equipart.core import Instance, Partition
+            assert False  # proves asserts are stripped here
+            solver.solve_k2 = lambda inst: Partition.from_blocks(4, [[1, 2], [3, 4]])
+            try:
+                solver.solve(Instance.from_sizes(4, [2, 2]))
+            except RuntimeError:
+                raise SystemExit(7)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(equipart.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 7, proc.stderr
 
     def test_solved_results_pass_structural_checks(self):
         rng = random.Random(7)
