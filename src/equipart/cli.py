@@ -34,22 +34,16 @@ EXIT_INCONCLUSIVE = 3
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"sizes must be comma-separated integers, got {text!r}")
-    if not parts:
-        raise ValueError("at least one size is required")
-    return parts
 
 
 def _instance_from_args(args: argparse.Namespace) -> Instance:
     sizes = _parse_sizes(args.sizes)
-    if any(p < 1 for p in sizes):
-        raise ValueError(f"sizes must be positive, got {sizes}")
     if args.k is not None and args.k != len(sizes):
         raise ValueError(f"k={args.k} but {len(sizes)} sizes were given")
-    if sum(sizes) != args.n:
-        raise ValueError(f"sizes sum to {sum(sizes)}, expected n={args.n}")
+    # Instance rejects non-positive sizes and sizes not summing to n (exit 2).
     # Input order is not significant; sizes are normalized ascending.
     return Instance.from_sizes(args.n, sizes)
 

@@ -9,8 +9,10 @@ u = S(block of b) - S(block of a), independently of s.
 
 Partition is the package's one representation of such a split; read
 block i as part i, it is also the labeling of the complete multipartite
-graph that the graphs module verifies.  width() and the local search
-share one routine over the search's (assign, sums) arrays.
+graph that the graphs module verifies.  The local search's mutable view
+of a partition is _State, the one exchange kernel: swap() and width() run
+it, so the exchange law and the width are tested on the code the search
+runs.
 
 All arithmetic is exact integer arithmetic.  Ground sets are capped at
 n <= 2^31 so every quantity here stays within signed 64-bit range in
@@ -20,7 +22,7 @@ fixed-width ports of this module.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -180,28 +182,10 @@ def swap(p: Partition, a: int, b: int) -> Partition:
     Requires a < b lying in distinct blocks.  Applying the same swap twice
     returns to the original partition.
     """
-    if a >= b:
-        raise ValueError(f"expected a < b, got a={a}, b={b}")
-    ia = p.block_of(a)
-    ib = p.block_of(b)
-    if ia == ib:
-        raise ValueError(f"{a} and {b} are both in block {ia}")
-    blocks = list(p.blocks)
-    blocks[ia] = _replace(blocks[ia], a, b)
-    blocks[ib] = _replace(blocks[ib], b, a)
-    sums = list(p.sums)
-    t = b - a
-    sums[ia] += t
-    sums[ib] -= t
-    return Partition(n=p.n, blocks=tuple(blocks), sums=tuple(sums))
-
-
-def _replace(block: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
-    """Remove old from a sorted tuple and insert new, keeping order."""
-    trimmed = list(block)
-    trimmed.remove(old)
-    trimmed.insert(bisect_left(trimmed, new), new)
-    return tuple(trimmed)
+    _cross_blocks(p, a, b)
+    state = _State(p)
+    state.exchange(a, b)
+    return state.partition()
 
 
 def swap_delta(p: Partition, a: int, b: int, s: int) -> int:
@@ -212,13 +196,19 @@ def swap_delta(p: Partition, a: int, b: int, s: int) -> int:
     so the contract deviation(swap(p,a,b), s) = deviation(p, s) + delta
     reads off the signature.  Positive iff t > u, zero iff t = u.
     """
+    ia, ib = _cross_blocks(p, a, b)
+    return _exchange_delta(b - a, p.sums[ib] - p.sums[ia])
+
+
+def _cross_blocks(p: Partition, a: int, b: int) -> tuple[int, int]:
+    """Blocks of a and b, which must satisfy a < b and lie in distinct blocks."""
     if a >= b:
         raise ValueError(f"expected a < b, got a={a}, b={b}")
     ia = p.block_of(a)
     ib = p.block_of(b)
     if ia == ib:
         raise ValueError(f"{a} and {b} are both in block {ia}")
-    return _exchange_delta(b - a, p.sums[ib] - p.sums[ia])
+    return ia, ib
 
 
 def _exchange_delta(t: int, u: int) -> int:
@@ -232,30 +222,60 @@ def width(p: Partition, s: int) -> int | float:
     INFINITE_WIDTH (math.inf) when no such pair exists; in particular for
     every equitable partition.  Finite values are always >= 1.
     """
-    assign = [0] * (p.n + 1)
-    for i, block in enumerate(p.blocks):
-        for x in block:
-            assign[x] = i
-    return _assign_width(assign, list(p.sums), s, p.n)
+    return _State(p).width(s)
 
 
-def _assign_width(assign: list[int], sums: list[int], s: int, n: int) -> int | float:
-    """width() over the local search's state: label x lies in block assign[x].
+class _State:
+    """The local search's mutable view of a partition.
 
-    Labels are scanned in ascending order, so no sort is needed; the local
-    search calls this after every move and for every plateau candidate.
+    Label x lies in block assign[x]; sums are the block sums and members
+    the ascending labels of each block.  exchange() is the one exchange
+    kernel: the descent, swap() and the plateau's trial moves all run it.
     """
-    lows = [x for x in range(1, n + 1) if sums[assign[x]] < s]
-    highs = [x for x in range(1, n + 1) if sums[assign[x]] > s]
-    if not lows or not highs:
-        return INFINITE_WIDTH
-    best: int | float = INFINITE_WIDTH
-    i = 0
-    for y in highs:
-        while i < len(lows) and lows[i] < y:
-            i += 1
-        if i > 0:
-            best = min(best, y - lows[i - 1])
-        if best == 1:
-            break
-    return best
+
+    __slots__ = ("n", "assign", "sums", "members")
+
+    def __init__(self, p: Partition) -> None:
+        self.n = p.n
+        self.assign = [0] * (p.n + 1)
+        for i, block in enumerate(p.blocks):
+            for x in block:
+                self.assign[x] = i
+        self.sums = list(p.sums)
+        self.members = [list(block) for block in p.blocks]
+
+    def exchange(self, a: int, b: int) -> None:
+        """Move a into b's block and b into a's; exchanging twice undoes it."""
+        assign, sums, members = self.assign, self.sums, self.members
+        ia, ib = assign[a], assign[b]
+        t = b - a
+        sums[ia] += t
+        sums[ib] -= t
+        assign[a], assign[b] = ib, ia
+        for block, old, new in ((members[ia], a, b), (members[ib], b, a)):
+            del block[bisect_left(block, old)]
+            insort(block, new)
+
+    def width(self, s: int) -> int | float:
+        """width() of this state in one ascending pass over the labels.
+
+        The nearest low label below a high label y is the last low label
+        the pass has seen, so no list of lows or highs is built.
+        """
+        assign, sums = self.assign, self.sums
+        low = [t < s for t in sums]
+        high = [t > s for t in sums]
+        best: int | float = INFINITE_WIDTH
+        last_low = 0
+        for x in range(1, self.n + 1):
+            i = assign[x]
+            if low[i]:
+                last_low = x
+            elif high[i] and last_low and x - last_low < best:
+                best = x - last_low
+                if best == 1:
+                    break
+        return best
+
+    def partition(self) -> Partition:
+        return Partition.from_blocks(self.n, self.members)

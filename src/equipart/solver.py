@@ -23,15 +23,15 @@ across ports.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import (
     Instance,
     Partition,
-    _assign_width,
     _exchange_delta,
+    _State,
     deviation,
     implements,
     is_equitable,
@@ -74,14 +74,10 @@ class XorShift64Star:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Budgets and seeding for solve()/local_search().
-
-    max_plateau_steps None means 2n, chosen when the instance is known.
-    """
+    """Budgets and seeding for solve()/local_search()."""
 
     seed: int = 0
     max_restarts: int = 64
-    max_plateau_steps: int | None = None
     exact_node_budget: int = DEFAULT_NODE_BUDGET
     exact_cutoff_n: int = 24
 
@@ -91,8 +87,6 @@ class SearchParams:
         for name in ("max_restarts", "exact_node_budget", "exact_cutoff_n"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.max_plateau_steps is not None and self.max_plateau_steps < 0:
-            raise ValueError("max_plateau_steps must be non-negative")
 
 
 @dataclass
@@ -318,7 +312,7 @@ def greedy_init(inst: Instance, seed: int) -> Partition:
     return Partition.from_blocks(inst.n, blocks)
 
 
-def _best_move(sums: list[int], members: list[list[int]]) -> tuple[int, int, int] | None:
+def _best_move(state: _State) -> tuple[int, int, int] | None:
     """Most negative exchange delta as (delta, a, b), ties to the lex-smallest (a, b).
 
     For a in block i and a partner block j, u = sums[j] - sums[i] is fixed
@@ -327,6 +321,7 @@ def _best_move(sums: list[int], members: list[list[int]]) -> tuple[int, int, int
     of block j around a + u//2 can be a's best partner there: one bisect
     per (a, j) instead of every pair.
     """
+    sums, members = state.sums, state.members
     best_d, best_a, best_b = 0, 0, 0
     for i, si in enumerate(sums):
         for j, sj in enumerate(sums):
@@ -346,14 +341,7 @@ def _best_move(sums: list[int], members: list[list[int]]) -> tuple[int, int, int
     return (best_d, best_a, best_b) if best_d < 0 else None
 
 
-def _plateau_step(
-    assign: list[int],
-    sums: list[int],
-    members: list[list[int]],
-    s: int,
-    n: int,
-    cur_width: int | float,
-) -> tuple[int, int] | None:
+def _plateau_step(state: _State, s: int, cur_width: int | float) -> tuple[int, int] | None:
     """First zero-delta exchange in lex order, preferring one that shrinks the width.
 
     Zero delta means b - a equals the block-sum difference u, so the two
@@ -361,6 +349,7 @@ def _plateau_step(
     given a the only candidates are b = a + u over the distinct positive
     gaps u from a's block sum to the others, in ascending order.
     """
+    assign, sums, n = state.assign, state.sums, state.n
     gaps = [sorted({t - si for t in sums if t > si}) for si in sums]
     fallback: tuple[int, int] | None = None
     for a in range(1, n):
@@ -373,25 +362,12 @@ def _plateau_step(
                 continue
             if fallback is None:
                 fallback = (a, b)
-            _apply_exchange(assign, sums, members, a, b)
-            shrinks = _assign_width(assign, sums, s, n) < cur_width
-            _apply_exchange(assign, sums, members, a, b)
+            state.exchange(a, b)
+            shrinks = state.width(s) < cur_width
+            state.exchange(a, b)
             if shrinks:
                 return (a, b)
     return fallback
-
-
-def _apply_exchange(
-    assign: list[int], sums: list[int], members: list[list[int]], a: int, b: int
-) -> None:
-    ia, ib = assign[a], assign[b]
-    t = b - a
-    sums[ia] += t
-    sums[ib] -= t
-    assign[a], assign[b] = ib, ia
-    for block, old, new in ((members[ia], a, b), (members[ib], b, a)):
-        del block[bisect_left(block, old)]
-        insort(block, new)
 
 
 def local_search(
@@ -400,10 +376,10 @@ def local_search(
     """Potential descent over element exchanges with plateau drift.
 
     Applies the best strictly-improving exchange until none exists, then
-    up to max_plateau_steps zero-delta exchanges (per restart), then
-    restarts from greedy_init with the next seed.  Returns the best
-    partition seen: minimum deviation, ties by minimum width.  Deviation
-    never increases within a restart.
+    up to 2n zero-delta exchanges (per restart), then restarts from
+    greedy_init with the next seed.  Returns the best partition seen:
+    minimum deviation, ties by minimum width.  Deviation never increases
+    within a restart.
 
     Each move is the lex-smallest (a, b) among the best candidates.  The
     search keeps every block's members sorted and uses the exchange law
@@ -414,53 +390,39 @@ def local_search(
     if is_equitable(p, s):
         return p
     n = p.n
-    k = p.k
     inst = Instance.from_sizes(n, [len(b) for b in p.blocks])
-    max_plateau = params.max_plateau_steps if params.max_plateau_steps is not None else 2 * n
-
-    assign = [0] * (n + 1)
-    for i, block in enumerate(p.blocks):
-        for x in block:
-            assign[x] = i
-    sums = list(p.sums)
-    members = [list(block) for block in p.blocks]
+    max_plateau = 2 * n
+    state = _State(p)
 
     def dev() -> int:
-        return sum((t - s) ** 2 for t in sums)
+        return sum((t - s) ** 2 for t in state.sums)
 
-    best_assign = assign.copy()
-    best_key: tuple[int, int | float] = (dev(), _assign_width(assign, sums, s, n))
+    best_members = [list(m) for m in state.members]
+    best_key: tuple[int, int | float] = (dev(), state.width(s))
 
     def note_state() -> None:
-        nonlocal best_key, best_assign
-        key = (dev(), _assign_width(assign, sums, s, n))
+        nonlocal best_key, best_members
+        key = (dev(), state.width(s))
         if key < best_key:
             best_key = key
-            best_assign = assign.copy()
+            best_members = [list(m) for m in state.members]
 
     restarts = 0
     while True:
         plateau_used = 0
-        while True:
-            d = dev()
-            if d == 0:
-                break
-            move = _best_move(sums, members)
+        while dev() != 0:
+            move = _best_move(state)
             if move is not None:
-                _apply_exchange(assign, sums, members, move[1], move[2])
-                if stats is not None:
-                    stats.swaps += 1
-                note_state()
-                continue
-            if plateau_used >= max_plateau:
-                break
-            step = _plateau_step(
-                assign, sums, members, s, n, _assign_width(assign, sums, s, n)
-            )
-            if step is None:
-                break
-            _apply_exchange(assign, sums, members, *step)
-            plateau_used += 1
+                a, b = move[1], move[2]
+            else:
+                if plateau_used >= max_plateau:
+                    break
+                step = _plateau_step(state, s, state.width(s))
+                if step is None:
+                    break
+                a, b = step
+                plateau_used += 1
+            state.exchange(a, b)
             if stats is not None:
                 stats.swaps += 1
             note_state()
@@ -469,18 +431,10 @@ def local_search(
         restarts += 1
         if stats is not None:
             stats.restarts += 1
-        fresh = greedy_init(inst, params.seed + restarts)
-        for i, block in enumerate(fresh.blocks):
-            for x in block:
-                assign[x] = i
-        sums = list(fresh.sums)
-        members = [list(block) for block in fresh.blocks]
+        state = _State(greedy_init(inst, params.seed + restarts))
         note_state()
 
-    blocks: list[list[int]] = [[] for _ in range(k)]
-    for x in range(1, n + 1):
-        blocks[best_assign[x]].append(x)
-    return Partition.from_blocks(n, blocks)
+    return Partition.from_blocks(n, best_members)
 
 
 def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from equipart.core import INFINITE_WIDTH, Instance, Partition, _assign_width
+from equipart.core import INFINITE_WIDTH, Instance, Partition
 from equipart.graphs import MagicCheck, verify_distance_magic
 
 
@@ -124,6 +124,29 @@ def naive_width(p: Partition, s: int) -> int | float:
     return min(gaps) if gaps else INFINITE_WIDTH
 
 
+def assign_width(assign: list[int], sums: list[int], s: int, n: int) -> int | float:
+    """Width of the state where label x lies in block assign[x].
+
+    The library's former two-list merge, kept as the reference for the
+    one-pass _State.width: it lists the low and the high labels, then
+    pairs each high label with the largest low label below it.
+    """
+    lows = [x for x in range(1, n + 1) if sums[assign[x]] < s]
+    highs = [x for x in range(1, n + 1) if sums[assign[x]] > s]
+    if not lows or not highs:
+        return INFINITE_WIDTH
+    best: int | float = INFINITE_WIDTH
+    i = 0
+    for y in highs:
+        while i < len(lows) and lows[i] < y:
+            i += 1
+        if i > 0:
+            best = min(best, y - lows[i - 1])
+        if best == 1:
+            break
+    return best
+
+
 def naive_best_move(
     assign: list[int], sums: list[int], n: int
 ) -> tuple[int, int, int] | None:
@@ -176,7 +199,7 @@ def naive_plateau_move(
             if fallback is None:
                 fallback = (a, b)
             exchange(a, b)
-            shrinks = _assign_width(assign, sums, s, n) < cur_width
+            shrinks = assign_width(assign, sums, s, n) < cur_width
             exchange(a, b)
             if shrinks:
                 return (a, b)

@@ -16,7 +16,7 @@ import equipart
 from equipart.core import (
     Instance,
     Partition,
-    _assign_width,
+    _State,
     deviation,
     implements,
     is_equitable,
@@ -40,6 +40,7 @@ from equipart.solver import (
 )
 
 from helpers import (
+    assign_width,
     k2_greedy_trace,
     naive_best_move,
     naive_equitable_exists,
@@ -280,26 +281,54 @@ def _random_search_state(rng: random.Random):
     return assign, sums, s, n
 
 
+def _state_of(assign: list[int], n: int) -> _State:
+    members = [[] for _ in range(max(assign) + 1)]
+    for x in range(1, n + 1):
+        members[assign[x]].append(x)
+    return _State(Partition.from_blocks(n, members))
+
+
 class TestMoveSearch:
     def test_moves_match_quadratic_reference(self):
         rng = random.Random(20141024)
         found = {"best": 0, "plateau": 0, "tie": 0}
         for _ in range(2500):
             assign, sums, s, n = _random_search_state(rng)
-            members = [[] for _ in sums]
-            for x in range(1, n + 1):
-                members[assign[x]].append(x)
-            before = (list(assign), list(sums), [list(m) for m in members])
-            move = _best_move(sums, members)
+            state = _state_of(assign, n)
+            state.sums = sums  # the searches treat sums as given data
+            before = (list(assign), list(sums), [list(m) for m in state.members])
+            move = _best_move(state)
             assert move == naive_best_move(assign, sums, n)
-            cur_width = _assign_width(assign, sums, s, n)
-            step = _plateau_step(assign, sums, members, s, n, cur_width)
-            assert (assign, sums, members) == before  # trial exchanges undone
+            cur_width = state.width(s)
+            assert cur_width == assign_width(assign, sums, s, n)
+            step = _plateau_step(state, s, cur_width)
+            assert (state.assign, state.sums, state.members) == before  # trial exchanges undone
             assert step == naive_plateau_move(assign, sums, s, n, cur_width)
             found["best"] += move is not None
             found["plateau"] += step is not None
             found["tie"] += len(set(sums)) < len(sums)
         assert min(found.values()) > 500, found
+
+    def test_exchange_keeps_state_consistent(self):
+        rng = random.Random(6916)
+        for _ in range(300):
+            assign, _, _, n = _random_search_state(rng)
+            state = _state_of(assign, n)
+            sizes = [len(m) for m in state.members]
+            for _ in range(20):
+                a, b = sorted(rng.sample(range(1, n + 1), 2))
+                if state.assign[a] == state.assign[b]:
+                    continue
+                before = (list(state.assign), list(state.sums), [list(m) for m in state.members])
+                state.exchange(a, b)
+                assert state.sums == [sum(m) for m in state.members]
+                assert [len(m) for m in state.members] == sizes
+                assert all(m == sorted(m) for m in state.members)
+                assert sorted(x for m in state.members for x in m) == list(range(1, n + 1))
+                assert all(state.assign[x] == i for i, m in enumerate(state.members) for x in m)
+                state.exchange(a, b)
+                assert (state.assign, state.sums, state.members) == before
+                state.exchange(a, b)
 
     def test_solve_output_digest(self):
         digest = hashlib.sha256()
