@@ -32,8 +32,6 @@ from .core import (
     Partition,
     _exchange_delta,
     _State,
-    deviation,
-    implements,
     is_equitable,
     magic_sum,
 )
@@ -87,6 +85,11 @@ class SearchParams:
         for name in ("max_restarts", "exact_node_budget", "exact_cutoff_n"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        # Restart r seeds xorshift64* with seed + r, which must not wrap at 2^64.
+        if self.seed + self.max_restarts >= 2**64:
+            raise ValueError(
+                f"seed + max_restarts must be below 2**64, got {self.seed + self.max_restarts}"
+            )
 
 
 @dataclass
@@ -132,10 +135,6 @@ class SolveResult:
     stats: SolveStats = field(compare=False, default_factory=SolveStats)
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 def solve_exact(inst: Instance, budget: int) -> ExactResult:
     """Complete backtracking search for an equitable partition.
 
@@ -150,63 +149,61 @@ def solve_exact(inst: Instance, budget: int) -> ExactResult:
     if s is None:
         raise ValueError(f"magic sum is not integral for n={inst.n}, k={inst.k}")
     n, k, sizes = inst.n, inst.k, inst.sizes
-    counts = [0] * k
-    sums = [0] * k
-    placed: list[list[int]] = [[] for _ in range(k)]
+    # Block i still has left[i] slots to fill, whose labels must sum to need[i].
+    left = list(sizes)
+    need = [s] * k
+    tri = [j * (j + 1) // 2 for j in range(sizes[-1] + 1)]
     nodes = 0
-
-    def bounds_ok(pool_max: int) -> bool:
-        # Every block must still be completable from {1, ..., pool_max}.
-        for i in range(k):
-            slots = sizes[i] - counts[i]
-            need = s - sums[i]
-            if slots == 0:
-                if need != 0:
-                    return False
-            elif not (
-                slots * (slots + 1) // 2
-                <= need
-                <= slots * pool_max - slots * (slots - 1) // 2
+    # Depth-first with an explicit cursor, not recursion, so n is not bounded
+    # by the interpreter's stack.  tried[e] is the block holding label e, or
+    # -1 while e is unplaced; labels e + 1, ..., n are placed.
+    tried = [-1] * (n + 1)
+    e = n
+    while True:
+        # Every block must still be completable from {1, ..., e}: j labels
+        # from it sum to at least tri[j] (the j smallest) and at most
+        # j * (e + 1) - tri[j] (the j largest).
+        top = e + 1
+        for j, d in zip(left, need):
+            if not tri[j] <= d <= j * top - tri[j]:
+                e += 1  # not completable: move the last placed label on
+                break
+        else:
+            if e == 0:
+                break  # every label placed
+        # Put label e in its next block, backtracking while it has none left.
+        # Full blocks are skipped, and so is an empty block after an empty
+        # block of the same size (the two are interchangeable).
+        while e <= n:
+            i = tried[e]
+            if i >= 0:
+                left[i] += 1
+                need[i] += e
+            i += 1
+            while i < k and (
+                left[i] == 0
+                or (left[i] == sizes[i] and i > 0 and left[i - 1] == sizes[i - 1] == sizes[i])
             ):
-                return False
-        return True
-
-    def extend(e: int) -> bool:
-        nonlocal nodes
-        if e == 0:
-            return True
-        for i in range(k):
-            if counts[i] == sizes[i]:
-                continue
-            if (
-                counts[i] == 0
-                and i > 0
-                and sizes[i] == sizes[i - 1]
-                and counts[i - 1] == 0
-            ):
-                continue  # interchangeable with the previous empty block
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetHit
-            sums[i] += e
-            counts[i] += 1
-            placed[i].append(e)
-            if bounds_ok(e - 1) and extend(e - 1):
-                return True
-            sums[i] -= e
-            counts[i] -= 1
-            placed[i].pop()
-        return False
-
-    try:
-        found = bounds_ok(n) and extend(n)
-    except _BudgetHit:
-        return ExactResult(status=ExactStatus.BUDGET, partition=None, nodes=nodes)
-    if not found:
-        return ExactResult(status=ExactStatus.NOT_FOUND, partition=None, nodes=nodes)
+                i += 1
+            if i < k:
+                break
+            tried[e] = -1
+            e += 1
+        if e > n:
+            return ExactResult(status=ExactStatus.NOT_FOUND, partition=None, nodes=nodes)
+        nodes += 1
+        if nodes > budget:
+            return ExactResult(status=ExactStatus.BUDGET, partition=None, nodes=nodes)
+        left[i] -= 1
+        need[i] -= e
+        tried[e] = i
+        e -= 1
+    blocks: list[list[int]] = [[] for _ in range(k)]
+    for x in range(1, n + 1):
+        blocks[tried[x]].append(x)
     return ExactResult(
         status=ExactStatus.FOUND,
-        partition=Partition.from_blocks(n, _order_equal_size_runs(sizes, placed)),
+        partition=Partition.from_blocks(n, _order_equal_size_runs(sizes, blocks)),
         nodes=nodes,
     )
 
@@ -341,7 +338,7 @@ def _best_move(state: _State) -> tuple[int, int, int] | None:
     return (best_d, best_a, best_b) if best_d < 0 else None
 
 
-def _plateau_step(state: _State, s: int, cur_width: int | float) -> tuple[int, int] | None:
+def _plateau_step(state: _State, s: int) -> tuple[int, int] | None:
     """First zero-delta exchange in lex order, preferring one that shrinks the width.
 
     Zero delta means b - a equals the block-sum difference u, so the two
@@ -350,6 +347,7 @@ def _plateau_step(state: _State, s: int, cur_width: int | float) -> tuple[int, i
     gaps u from a's block sum to the others, in ascending order.
     """
     assign, sums, n = state.assign, state.sums, state.n
+    cur_width = state.width(s)
     gaps = [sorted({t - si for t in sums if t > si}) for si in sums]
     fallback: tuple[int, int] | None = None
     for a in range(1, n):
@@ -372,14 +370,14 @@ def _plateau_step(state: _State, s: int, cur_width: int | float) -> tuple[int, i
 
 def local_search(
     p: Partition, s: int, params: SearchParams, stats: SolveStats | None = None
-) -> Partition:
+) -> Partition | None:
     """Potential descent over element exchanges with plateau drift.
 
     Applies the best strictly-improving exchange until none exists, then
     up to 2n zero-delta exchanges (per restart), then restarts from
-    greedy_init with the next seed.  Returns the best partition seen:
-    minimum deviation, ties by minimum width.  Deviation never increases
-    within a restart.
+    greedy_init with the next seed.  Returns the first equitable partition
+    reached (p itself when p is equitable), or None when every restart
+    stalls.  Deviation never increases within a restart.
 
     Each move is the lex-smallest (a, b) among the best candidates.  The
     search keeps every block's members sorted and uses the exchange law
@@ -391,33 +389,16 @@ def local_search(
         return p
     n = p.n
     inst = Instance.from_sizes(n, [len(b) for b in p.blocks])
-    max_plateau = 2 * n
     state = _State(p)
-
-    def dev() -> int:
-        return sum((t - s) ** 2 for t in state.sums)
-
-    best_members = [list(m) for m in state.members]
-    best_key: tuple[int, int | float] = (dev(), state.width(s))
-
-    def note_state() -> None:
-        nonlocal best_key, best_members
-        key = (dev(), state.width(s))
-        if key < best_key:
-            best_key = key
-            best_members = [list(m) for m in state.members]
-
     restarts = 0
     while True:
         plateau_used = 0
-        while dev() != 0:
+        while any(t != s for t in state.sums):
             move = _best_move(state)
             if move is not None:
                 a, b = move[1], move[2]
             else:
-                if plateau_used >= max_plateau:
-                    break
-                step = _plateau_step(state, s, state.width(s))
+                step = _plateau_step(state, s) if plateau_used < 2 * n else None
                 if step is None:
                     break
                 a, b = step
@@ -425,16 +406,14 @@ def local_search(
             state.exchange(a, b)
             if stats is not None:
                 stats.swaps += 1
-            note_state()
-        if dev() == 0 or restarts >= params.max_restarts:
-            break
+        else:  # the loop ended on an equitable state, not a stall
+            return state.partition()
+        if restarts >= params.max_restarts:
+            return None
         restarts += 1
         if stats is not None:
             stats.restarts += 1
         state = _State(greedy_init(inst, params.seed + restarts))
-        note_state()
-
-    return Partition.from_blocks(n, best_members)
 
 
 def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
@@ -443,8 +422,9 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
     Constructive routes handle k = 1, the size-one rule, and k = 2; other
     instances run the local search and, if it stalls and n is within
     exact_cutoff_n, the exhaustive fallback.  A SOLVED result always
-    carries an equitable partition implementing inst.sizes, with blocks
-    matched to the size slots.
+    carries an equitable partition whose block i has size inst.sizes[i];
+    every route's answer is certified against that, and a route that
+    breaks it raises RuntimeError.
     """
     if params is None:
         params = SearchParams()
@@ -454,12 +434,13 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
 
     def finish(status: SolveStatus, partition: Partition | None) -> SolveResult:
         if partition is not None:
-            # Checked with raise, not assert, so python -O keeps the check.
-            partition = _match_size_slots(inst, partition)
-            if not implements(partition, inst.sizes):
-                raise RuntimeError(f"solver output does not implement sizes {inst.sizes}")
-            if verdict.s is None or not is_equitable(partition, verdict.s):
-                raise RuntimeError(f"solver output is not equitable: sums {partition.sums}")
+            # The certificate, checked with raise, not assert, so python -O keeps it.
+            got = tuple(len(b) for b in partition.blocks)
+            if got != inst.sizes or any(t != verdict.s for t in partition.sums):
+                raise RuntimeError(
+                    f"solver output fails its certificate: sizes {got}, sums "
+                    f"{partition.sums}; expected sizes {inst.sizes}, every sum {verdict.s}"
+                )
         stats.elapsed = time.perf_counter() - start_time
         return SolveResult(status=status, partition=partition, verdict=verdict, stats=stats)
 
@@ -477,7 +458,7 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
         return finish(SolveStatus.SOLVED, solve_k2(inst))
 
     candidate = local_search(greedy_init(inst, params.seed), s, params, stats=stats)
-    if deviation(candidate, s) == 0:
+    if candidate is not None:
         return finish(SolveStatus.SOLVED, candidate)
     if inst.n <= params.exact_cutoff_n:
         exact = solve_exact(inst, budget=params.exact_node_budget)
@@ -487,13 +468,3 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
         if exact.status is ExactStatus.NOT_FOUND:
             return finish(SolveStatus.PROVEN_INFEASIBLE, None)
     return finish(SolveStatus.BUDGET_EXHAUSTED, None)
-
-
-def _match_size_slots(inst: Instance, p: Partition) -> Partition:
-    """Reorder blocks so slot i holds a block of size inst.sizes[i]."""
-    if tuple(len(b) for b in p.blocks) == inst.sizes:
-        return p
-    ordered = sorted(p.blocks, key=len)
-    if tuple(len(b) for b in ordered) != inst.sizes:
-        raise ValueError(f"partition does not implement sizes {inst.sizes}")
-    return Partition.from_blocks(inst.n, ordered)

@@ -69,6 +69,14 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "check", "--n", "8", "--k", "2", "--sizes", "a,b")
         assert code == 2
 
+    def test_seed_beyond_64_bits(self, capsys):
+        # 2**64 + 5 would silently run as seed 5
+        code, _, err = run_cli(
+            capsys, "solve", "--n", "8", "--sizes", "2,2,2,2", "--seed", str(2**64 + 5)
+        )
+        assert code == 2
+        assert "2**64" in err
+
 
 class TestSolve:
     def test_solved_json_schema(self, capsys):

@@ -17,7 +17,6 @@ from equipart.core import (
     Instance,
     Partition,
     _State,
-    deviation,
     implements,
     is_equitable,
     magic_sum,
@@ -72,6 +71,14 @@ class TestXorShift:
         assert all(0 <= rng.next_u64() < 2**64 for _ in range(100))
 
 
+class TestSearchParams:
+    def test_restart_seeds_must_not_wrap(self):
+        # restart r seeds greedy_init with seed + r; 2**64 would wrap to 0
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            SearchParams(seed=2**64 - 1, max_restarts=1)
+        assert SearchParams(seed=2**64 - 2, max_restarts=1).seed == 2**64 - 2
+
+
 class TestSolveExact:
     def test_finds_equitable_partition(self):
         res = solve_exact(Instance.from_sizes(8, [2, 2, 2, 2]), budget=BIG_BUDGET)
@@ -116,6 +123,18 @@ class TestSolveExact:
                     if found:
                         assert is_equitable(res.partition, s)
                         assert implements(res.partition, sizes)
+
+    def test_deep_instance_without_recursion(self):
+        # one search level per element: a recursive search overflowed the stack here
+        res = solve_exact(Instance(n=1000, sizes=(500, 500)), budget=10**6)
+        assert res.status is ExactStatus.FOUND
+        assert res.nodes == 1500
+        assert res.partition.blocks == (
+            tuple(range(1, 251)) + tuple(range(751, 1001)),
+            tuple(range(251, 751)),
+        )
+        assert is_equitable(res.partition, magic_sum(1000, 2))
+        assert implements(res.partition, (500, 500))
 
     def test_equal_size_blocks_ordered_by_least_element(self):
         res = solve_exact(Instance.from_sizes(8, [2, 2, 2, 2]), budget=BIG_BUDGET)
@@ -240,15 +259,29 @@ class TestLocalSearch:
         p = Partition.from_blocks(4, [[1, 4], [2, 3]])
         assert local_search(p, 5, SearchParams()) is p
 
-    def test_deviation_never_above_start(self):
+    def test_returns_witness_or_none(self):
         rng = random.Random(99)
+        seen = {"witness": 0, "none": 0}
         for _ in range(25):
             inst = random_valid_instance(rng, n_max=20)
             s = magic_sum(inst.n, inst.k)
             start = greedy_init(inst, seed=rng.randint(1, 2**32))
             out = local_search(start, s, SearchParams(seed=3, max_restarts=4))
-            assert deviation(out, s) <= deviation(start, s)
-            assert implements(out, inst.sizes)
+            if out is None:
+                seen["none"] += 1
+            else:
+                seen["witness"] += 1
+                assert is_equitable(out, s)
+                assert tuple(len(b) for b in out.blocks) == inst.sizes
+        assert min(seen.values()) > 0, seen
+
+    def test_stalled_descent_returns_none(self):
+        inst = Instance.from_sizes(16, [3, 4, 4, 5])
+        start = greedy_init(inst, 0)
+        assert local_search(start, 34, SearchParams(max_restarts=0)) is None
+        out = local_search(start, 34, SearchParams())
+        assert is_equitable(out, 34)
+        assert implements(out, inst.sizes)
 
 
 def _random_search_state(rng: random.Random):
@@ -301,7 +334,7 @@ class TestMoveSearch:
             assert move == naive_best_move(assign, sums, n)
             cur_width = state.width(s)
             assert cur_width == assign_width(assign, sums, s, n)
-            step = _plateau_step(state, s, cur_width)
+            step = _plateau_step(state, s)
             assert (state.assign, state.sums, state.members) == before  # trial exchanges undone
             assert step == naive_plateau_move(assign, sums, s, n, cur_width)
             found["best"] += move is not None
@@ -390,6 +423,15 @@ class TestSolve:
         )
         with pytest.raises(RuntimeError):
             solve(Instance.from_sizes(4, [2, 2]))
+
+    def test_blocks_out_of_slot_order_raise(self, monkeypatch):
+        # equitable, but slot 0 holds a pair where the size-one block belongs
+        monkeypatch.setattr(
+            "equipart.solver.solve_p1_eq_1",
+            lambda inst: Partition.from_blocks(7, [[3, 4], [2, 5], [1, 6], [7]]),
+        )
+        with pytest.raises(RuntimeError):
+            solve(Instance.from_sizes(7, [1, 2, 2, 2]))
 
     def test_non_equitable_output_raises_under_optimize(self):
         script = textwrap.dedent(
