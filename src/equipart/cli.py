@@ -130,7 +130,6 @@ def _search_params(args: argparse.Namespace) -> SearchParams:
         seed=args.seed,
         max_restarts=args.max_restarts,
         exact_node_budget=args.exact_budget,
-        exact_cutoff_n=args.exact_cutoff,
     )
 
 
@@ -320,7 +319,6 @@ def _add_search_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="0 = fully deterministic path")
     parser.add_argument("--max-restarts", type=int, default=64)
     parser.add_argument("--exact-budget", type=int, default=DEFAULT_NODE_BUDGET)
-    parser.add_argument("--exact-cutoff", type=int, default=24)
 
 
 def build_parser() -> argparse.ArgumentParser:

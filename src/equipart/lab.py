@@ -141,6 +141,15 @@ def _sweep_row(task: tuple[Instance, int]) -> SweepRow:
     )
 
 
+def _check_budget_workers(budget: int, workers: int) -> None:
+    # A negative budget would report every row as unresolved, and fewer
+    # than one worker would silently run serially.
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def _run_tasks(worker, tasks, workers: int) -> list:
     processes = min(workers, len(tasks), os.cpu_count() or 1)
     if processes > 1:
@@ -181,6 +190,7 @@ def sweep(
     """
     if n_max < 1 or min_part < 1:
         raise ValueError("n_max and min_part must be >= 1")
+    _check_budget_workers(budget, workers)
     ks = sorted(set(k_set))
     tasks = [(inst, budget) for inst in _box(n_max, ks, min_part)]
     rows = _run_tasks(_sweep_row, tasks, workers)
@@ -260,6 +270,7 @@ def check_symmetric(
     """Oracle-vs-parity-rule check for all m >= 1, p >= 2 with m*p <= max_total."""
     if max_total < 2:
         raise ValueError(f"max_total must be >= 2, got {max_total}")
+    _check_budget_workers(budget, workers)
     tasks = [
         (m, p, budget)
         for m in range(1, max_total // 2 + 1)

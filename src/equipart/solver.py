@@ -15,9 +15,10 @@ Four routes, picked by the pipeline in solve():
   sorted member lists, ties going to the lex-smallest pair (a, b).
 
 The local search is a heuristic; completeness rests on the exact
-fallback.  Exact and constructive outputs are deterministic; heuristic
-outputs are deterministic for a fixed seed but not promised identical
-across ports.
+fallback, which solve() runs at any n once the descent stalls, within
+the node budget.  Exact and constructive outputs are deterministic;
+heuristic outputs are deterministic for a fixed seed but not promised
+identical across ports.
 """
 
 from __future__ import annotations
@@ -77,12 +78,11 @@ class SearchParams:
     seed: int = 0
     max_restarts: int = 64
     exact_node_budget: int = DEFAULT_NODE_BUDGET
-    exact_cutoff_n: int = 24
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        for name in ("max_restarts", "exact_node_budget", "exact_cutoff_n"):
+        for name in ("max_restarts", "exact_node_budget"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         # Restart r seeds xorshift64* with seed + r, which must not wrap at 2^64.
@@ -420,8 +420,8 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
     """Feasibility verdict, then the cheapest applicable solving route.
 
     Constructive routes handle k = 1, the size-one rule, and k = 2; other
-    instances run the local search and, if it stalls and n is within
-    exact_cutoff_n, the exhaustive fallback.  A SOLVED result always
+    instances run the local search and, if it stalls, the exhaustive
+    fallback within exact_node_budget nodes.  A SOLVED result always
     carries an equitable partition whose block i has size inst.sizes[i];
     every route's answer is certified against that, and a route that
     breaks it raises RuntimeError.
@@ -460,11 +460,10 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
     candidate = local_search(greedy_init(inst, params.seed), s, params, stats=stats)
     if candidate is not None:
         return finish(SolveStatus.SOLVED, candidate)
-    if inst.n <= params.exact_cutoff_n:
-        exact = solve_exact(inst, budget=params.exact_node_budget)
-        stats.nodes += exact.nodes
-        if exact.status is ExactStatus.FOUND:
-            return finish(SolveStatus.SOLVED, exact.partition)
-        if exact.status is ExactStatus.NOT_FOUND:
-            return finish(SolveStatus.PROVEN_INFEASIBLE, None)
+    exact = solve_exact(inst, budget=params.exact_node_budget)
+    stats.nodes += exact.nodes
+    if exact.status is ExactStatus.FOUND:
+        return finish(SolveStatus.SOLVED, exact.partition)
+    if exact.status is ExactStatus.NOT_FOUND:
+        return finish(SolveStatus.PROVEN_INFEASIBLE, None)
     return finish(SolveStatus.BUDGET_EXHAUSTED, None)

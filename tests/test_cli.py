@@ -77,6 +77,34 @@ class TestUsageErrors:
         assert code == 2
         assert "2**64" in err
 
+    def test_exact_cutoff_flag_is_gone(self, capsys):
+        # argparse rejects an unknown flag by raising SystemExit(2)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "--n", "8", "--sizes", "2,2,2,2", "--exact-cutoff", "24"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--nmax", "10", "--k", "3", "--budget", "-1"),
+            ("sweep", "--nmax", "10", "--k", "3", "--workers", "0"),
+            ("sweep", "--nmax", "10", "--k", "3", "--workers", "-4"),
+            ("symmetric", "--max-total", "8", "--budget", "-1"),
+            ("symmetric", "--max-total", "8", "--workers", "0"),
+            ("symmetric", "--max-total", "8", "--workers", "-4"),
+        ],
+        ids=[
+            "sweep-budget", "sweep-workers-0", "sweep-workers-neg",
+            "symmetric-budget", "symmetric-workers-0", "symmetric-workers-neg",
+        ],
+    )
+    def test_malformed_budget_or_workers(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestSolve:
     def test_solved_json_schema(self, capsys):
@@ -99,6 +127,14 @@ class TestSolve:
         assert code == 1
         assert payload["status"] == "proven_infeasible"
         assert payload["blocks"] is None
+
+    def test_stalled_descent_settled_by_exact_search(self, capsys):
+        code, payload = run_json(
+            capsys, "solve", "--n", "35", "--sizes", "4,4,6,8,13", "--max-restarts", "4"
+        )
+        assert code == 0
+        assert payload["status"] == "solved"
+        assert payload["stats"]["nodes"] == 73
 
     def test_text_reports_same_blocks(self, capsys):
         _, payload = run_json(capsys, "solve", "--n", "7", "--k", "2", "--sizes", "3,4")

@@ -109,6 +109,31 @@ class TestSweep:
         assert report.to_json() == sweep(10, {2, 3}, 2).to_json()
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda kw: sweep(10, {3}, 2, **kw),
+        lambda kw: check_symmetric(8, **kw),
+    ],
+    ids=["sweep", "symmetric"],
+)
+class TestBudgetAndWorkers:
+    @pytest.mark.parametrize(
+        "kw", [{"budget": -1}, {"workers": 0}, {"workers": -4}], ids=str
+    )
+    def test_rejected_before_any_row(self, monkeypatch, run, kw):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(lab, "solve_exact", no_rows)
+        with pytest.raises(ValueError):
+            run(kw)
+
+    def test_zero_budget_is_valid(self, run):
+        report = run({"budget": 0})
+        assert report.totals["budget"] > 0
+
+
 class TestCheckSymmetric:
     def test_small_box_rows(self):
         report = check_symmetric(6)

@@ -1,5 +1,6 @@
 """Solver routes: exact search, constructions, greedy init, local search."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -21,7 +22,7 @@ from equipart.core import (
     is_equitable,
     magic_sum,
 )
-from equipart.feasibility import FeasibilityStatus, necessary_condition
+from equipart.feasibility import FeasibilityStatus, feasibility, necessary_condition
 from equipart.lab import _box, enumerate_size_sequences
 from equipart.solver import (
     ExactStatus,
@@ -52,8 +53,9 @@ BIG_BUDGET = 10**8
 #: sha256 over json.dumps([n, sizes, status, blocks, swaps, restarts]) of
 #: solve(inst, SearchParams(max_restarts=4)) for every instance of
 #: _box(40, [3, 4, 5], 2), one update per instance.  It pins the descent's
-#: exact move sequence; change it only when a change of moves is intended.
-SOLVE_BOX_SHA256 = "e84b8e4288893ab1647e6067a706c7b364d3ff449445c008b3adbfb3dcd14012"
+#: exact move sequence and the exact fallback's answers; change it only when
+#: a change of moves or answers is intended.
+SOLVE_BOX_SHA256 = "c24bf4bc17a11f3d9ed1d0eaa754ce09f04cab4b6b643e1c61cbf8faa2d1d1d4"
 
 
 class TestXorShift:
@@ -77,6 +79,11 @@ class TestSearchParams:
         with pytest.raises(ValueError, match="2\\*\\*64"):
             SearchParams(seed=2**64 - 1, max_restarts=1)
         assert SearchParams(seed=2**64 - 2, max_restarts=1).seed == 2**64 - 2
+
+    def test_fields(self):
+        # the exact search is bounded by its node budget alone, not by a size cutoff
+        names = [f.name for f in dataclasses.fields(SearchParams)]
+        assert names == ["seed", "max_restarts", "exact_node_budget"]
 
 
 class TestSolveExact:
@@ -409,6 +416,22 @@ class TestSolve:
         res = solve(Instance.from_sizes(9, [2, 3, 4]))
         assert tuple(len(b) for b in res.partition.blocks) == (2, 3, 4)
 
+    def test_stalled_descent_falls_back_to_exact_search(self):
+        # the descent stalls after 4 restarts; the exact search finds a witness
+        inst = Instance.from_sizes(35, (4, 4, 6, 8, 13))
+        res = solve(inst, SearchParams(max_restarts=4))
+        assert res.status is SolveStatus.SOLVED
+        assert (res.stats.nodes, res.stats.restarts) == (73, 4)
+        assert is_equitable(res.partition, 126)
+        assert tuple(len(b) for b in res.partition.blocks) == inst.sizes
+
+    def test_stall_beyond_node_budget_is_budget_exhausted(self):
+        res = solve(Instance.from_sizes(35, (4, 4, 6, 8, 13)),
+                    SearchParams(max_restarts=4, exact_node_budget=10))
+        assert res.status is SolveStatus.BUDGET_EXHAUSTED
+        assert res.partition is None
+        assert res.stats.nodes == 11
+
     def test_deterministic_for_fixed_seed(self):
         inst = Instance.from_sizes(16, [3, 4, 4, 5])
         a = solve(inst, SearchParams(seed=5))
@@ -482,3 +505,37 @@ def test_condition_equivalent_to_oracle_for_k_le_4(n, k, data):
     inst = Instance(n=n, sizes=sizes)
     res = solve_exact(inst, budget=BIG_BUDGET)
     assert (res.status is ExactStatus.FOUND) == necessary_condition(inst)
+
+
+def _assert_solved_in_slot_order(inst: Instance) -> None:
+    res = solve(inst)
+    assert res.status is SolveStatus.SOLVED, (inst, res.status)
+    assert is_equitable(res.partition, magic_sum(inst.n, inst.k))
+    assert tuple(len(b) for b in res.partition.blocks) == inst.sizes
+
+
+def _proven_feasible(inst: Instance) -> bool:
+    return feasibility(inst).status is FeasibilityStatus.FEASIBLE_PROVEN
+
+
+def test_proven_feasible_k_le_4_solved_25_to_60():
+    # every proven-feasible k in {3, 4} instance with parts >= 2 and 25 <= n <= 60
+    box = [inst for inst in _box(60, [3, 4], 2) if inst.n >= 25 and _proven_feasible(inst)]
+    assert len(box) == 1481
+    for inst in box:
+        _assert_solved_in_slot_order(inst)
+
+
+def test_proven_feasible_k_le_4_solved_sample_61_to_200():
+    rng = random.Random(2014)
+    sample: list[Instance] = []
+    while len(sample) < 200:
+        n, k = rng.randint(61, 200), rng.choice((3, 4))
+        if magic_sum(n, k) is None:
+            continue
+        cuts = sorted(rng.sample(range(1, n), k - 1))
+        sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+        if min(sizes) >= 2 and _proven_feasible(inst := Instance.from_sizes(n, sizes)):
+            sample.append(inst)
+    for inst in sample:
+        _assert_solved_in_slot_order(inst)
