@@ -141,9 +141,10 @@ def _sweep_row(task: tuple[Instance, int]) -> SweepRow:
     )
 
 
-def _check_budget_workers(budget: int, workers: int) -> None:
-    # A negative budget would report every row as unresolved, and fewer
-    # than one worker would silently run serially.
+def _check_budget_workers(budget: int, workers: int = 1) -> None:
+    # A negative budget would report every row as unresolved (or, in
+    # descent_success, skip every row and report a rate of 1.0 over none),
+    # and fewer than one worker would silently run serially.
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     if workers < 1:
@@ -224,6 +225,7 @@ def descent_success(
     oracle-confirmed-feasible instance in the box.  Failures list the
     instances the descent missed.
     """
+    _check_budget_workers(budget)
     if params is None:
         params = SearchParams()
     ks = sorted(set(k_set))

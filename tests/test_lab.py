@@ -182,6 +182,15 @@ class TestDescentSuccess:
         assert report["rate"] == 1.0
         assert report["failures"] == []
 
+    def test_negative_budget_rejected(self, monkeypatch):
+        # every oracle call would end on budget, so no row would be attempted
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(lab, "solve_exact", no_rows)
+        with pytest.raises(ValueError, match="budget"):
+            descent_success(16, {3, 4}, 2, budget=-1)
+
     def test_counts_only_oracle_feasible_instances(self):
         report = descent_success(12, {3}, 2)
         assert report["attempted"] <= 13  # sequences for n in {6,8,9,11,12}
