@@ -10,9 +10,11 @@ u = S(block of b) - S(block of a), independently of s.
 Partition is the package's one representation of such a split; read
 block i as part i, it is also the labeling of the complete multipartite
 graph that the graphs module verifies.  The local search's mutable view
-of a partition is _State, the one exchange kernel: swap() and width() run
-it, so the exchange law and the width are tested on the code the search
-runs.
+of a partition is _State, the one exchange kernel: swap() runs it, so the
+exchange law is tested on the code the search runs.  The width is read
+off a class string, one low/exact/high byte per label (_State.classes);
+width() and the plateau's weighing of a candidate share that routine
+(_class_width).
 
 All arithmetic is exact integer arithmetic.  Ground sets are capped at
 n <= 2^31 so every quantity here stays within signed 64-bit range in
@@ -22,6 +24,7 @@ fixed-width ports of this module.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,6 +33,12 @@ MAX_N = 2**31
 
 #: Distinguished width value when no high/low element pair exists.
 INFINITE_WIDTH = math.inf
+
+#: A label's class byte: its block sums below, at or above the target.
+_LOW, _EXACT, _HIGH = b"LEH"
+
+#: A low label, then only exact labels, then a high label.
+_GAP = re.compile(rb"LE*H")
 
 
 def magic_sum(n: int, k: int) -> int | None:
@@ -230,7 +239,7 @@ class _State:
 
     Label x lies in block assign[x]; sums are the block sums and members
     the ascending labels of each block.  exchange() is the one exchange
-    kernel: the descent, swap() and the plateau's trial moves all run it.
+    kernel: the descent and swap() run it.
     """
 
     __slots__ = ("n", "assign", "sums", "members")
@@ -256,26 +265,42 @@ class _State:
             del block[bisect_left(block, old)]
             insort(block, new)
 
-    def width(self, s: int) -> int | float:
-        """width() of this state in one ascending pass over the labels.
+    def classes(self, s: int) -> bytearray:
+        """Byte x is L, E or H as label x's block sums below, at or above s (byte 0: E)."""
+        out = bytearray(b"E") * (self.n + 1)
+        for block, t in zip(self.members, self.sums):
+            c = _LOW if t < s else _HIGH if t > s else _EXACT
+            for x in block:
+                out[x] = c
+        return out
 
-        The nearest low label below a high label y is the last low label
-        the pass has seen, so no list of lows or highs is built.
-        """
-        assign, sums = self.assign, self.sums
-        low = [t < s for t in sums]
-        high = [t > s for t in sums]
-        best: int | float = INFINITE_WIDTH
-        last_low = 0
-        for x in range(1, self.n + 1):
-            i = assign[x]
-            if low[i]:
-                last_low = x
-            elif high[i] and last_low and x - last_low < best:
-                best = x - last_low
-                if best == 1:
-                    break
-        return best
+    def width(self, s: int) -> int | float:
+        return _class_width(self.classes(s))
 
     def partition(self) -> Partition:
         return Partition.from_blocks(self.n, self.members)
+
+
+def _class_width(classes: bytes | bytearray, below: int | float = INFINITE_WIDTH) -> int | float:
+    """The width of a class string when it is less than `below`, else `below`.
+
+    The width is the least y - x over a low label x and a high label y > x.
+    The nearest such pair has no low or high label between them, so it is a
+    match of L E* H, one byte longer than its gap.  The search for a match
+    shorter than `below` stops at the first one (at infinite `below`: the
+    first L against the last H); only a hit goes on to find the least.
+    """
+    if below == INFINITE_WIDTH:
+        start = classes.find(_LOW)
+        if start < 0 or classes.rfind(_HIGH) < start:
+            return below
+        gap = _GAP
+    else:
+        if below <= 1:
+            return below  # a finite width is at least 1
+        gap = re.compile(b"LE{0,%d}H" % (below - 2))
+        hit = gap.search(classes)
+        if hit is None:
+            return below
+        start = hit.start()
+    return min(m.end() - m.start() for m in gap.finditer(classes, start)) - 1

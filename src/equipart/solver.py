@@ -15,7 +15,9 @@ Four routes, picked by the pipeline in solve():
 * a potential-descent local search over element exchanges, restarted
   from a randomized greedy initializer.  It finds each improving move
   from the exchange law delta = 2t(t - u) in O(k n log n) over per-block
-  sorted member lists, ties going to the lex-smallest pair (a, b).
+  sorted member lists, ties going to the lex-smallest pair (a, b).  On a
+  plateau it weighs the zero-delta exchanges on the labels' class string
+  (core._class_width), not by trying them.
 
 The local search is a heuristic; completeness rests on the exact
 fallback, which solve() runs at any n once the descent stalls, within
@@ -34,6 +36,7 @@ from enum import Enum
 from .core import (
     Instance,
     Partition,
+    _class_width,
     _exchange_delta,
     _State,
     is_equitable,
@@ -151,8 +154,11 @@ def solve_exact(inst: Instance, budget: int) -> ExactResult:
 
     The child order steers the search but prunes nothing, so NOT_FOUND is
     still a proof of absence, and it costs the same nodes in either order.
-    `nodes` is the total over both stages: budget + 1 on BUDGET.
+    `nodes` is the total over both stages: budget + 1 on BUDGET.  Raises
+    ValueError for a negative budget.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     # Measured on the oracle_sweep box (5,153 rows at 250,000 nodes): the
     # index order alone leaves 8 rows on budget and the need order alone 43;
     # the two stages leave none, the dive finding each of the 8 within 22 n
@@ -395,31 +401,51 @@ def _best_move(state: _State) -> tuple[int, int, int] | None:
 def _plateau_step(state: _State, s: int) -> tuple[int, int] | None:
     """First zero-delta exchange in lex order, preferring one that shrinks the width.
 
-    Zero delta means b - a equals the block-sum difference u, so the two
-    blocks trade sums and the multiset of block sums is unchanged.  For a
-    given a the only candidates are b = a + u over the distinct positive
-    gaps u from a's block sum to the others, in ascending order.
+    Zero delta means b - a equals the sum gap u from a's block i up to b's
+    block j, so the exchange makes i and j trade sums: every other label of
+    i and j trades its low/exact/high class, while a and b keep theirs.  So
+    each pair (i, j) weighs its candidates on one copy of the class string
+    with the classes of i and j swapped, putting back the bytes of a and b
+    for each; the state is not changed, and one copy at a time keeps memory
+    O(n) at any k.  Pairs go by their first candidate and stop once past a
+    shrinking one, so the answer is the lex-first shrinking candidate, else
+    the lex-first candidate.
     """
-    assign, sums, n = state.assign, state.sums, state.n
-    cur_width = state.width(s)
-    gaps = [sorted({t - si for t in sums if t > si}) for si in sums]
-    fallback: tuple[int, int] | None = None
-    for a in range(1, n):
-        sa = sums[assign[a]]
-        for u in gaps[assign[a]]:
+    assign, sums, members, n = state.assign, state.sums, state.members, state.n
+    classes = state.classes(s)
+    cur_width = _class_width(classes)
+    pairs = []  # (first a, u, i, j, every a) per block pair with a candidate
+    for i, si in enumerate(sums):
+        for j, sj in enumerate(sums):
+            u = sj - si
+            if u > 0:
+                starts = [a for a in members[i] if a + u <= n and assign[a + u] == j]
+                if starts:
+                    pairs.append((starts[0], u, i, j, starts))
+    if not pairs:
+        return None
+    pairs.sort()  # by first candidate (a, a + u), distinct per pair
+    best: tuple[int, int] | None = None
+    for first, u, i, j, starts in pairs:
+        if best is not None and (first, first + u) > best:
+            break
+        ci, cj = classes[members[i][0]], classes[members[j][0]]
+        trial = bytearray(classes)
+        for x in members[i]:
+            trial[x] = cj
+        for x in members[j]:
+            trial[x] = ci
+        for a in starts:
             b = a + u
-            if b > n:
+            if best is not None and (a, b) > best:
                 break
-            if sums[assign[b]] - sa != u:
-                continue
-            if fallback is None:
-                fallback = (a, b)
-            state.exchange(a, b)
-            shrinks = state.width(s) < cur_width
-            state.exchange(a, b)
-            if shrinks:
-                return (a, b)
-    return fallback
+            trial[a], trial[b] = trial[b], trial[a]  # a and b keep their classes
+            if _class_width(trial, cur_width) < cur_width:
+                best = (a, b)
+                break
+            trial[a], trial[b] = trial[b], trial[a]
+    first, u = pairs[0][:2]
+    return best or (first, first + u)
 
 
 def local_search(
@@ -437,7 +463,10 @@ def local_search(
     search keeps every block's members sorted and uses the exchange law
     2t(t - u): the best partner of a lies next to a + u/2, so an improving
     move costs O(k n log n), not O(n^2); a zero-delta partner is exactly
-    a + u, so a plateau step weighs at most k - 1 candidates per a.
+    a + u, so a plateau step has at most k - 1 candidates per a.  A plateau
+    step weighs them on one class string per block pair, without trial
+    exchanges: a candidate costs two byte swaps and a width test that stops
+    at its first hit.
     """
     if is_equitable(p, s):
         return p

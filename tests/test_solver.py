@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import equipart
 from equipart.core import (
+    INFINITE_WIDTH,
     Instance,
     Partition,
     _State,
@@ -57,6 +58,39 @@ BIG_BUDGET = 10**8
 #: exact move sequence and the exact fallback's answers; change it only when
 #: a change of moves or answers is intended.
 SOLVE_BOX_SHA256 = "e7c89abfb8ed9e6becdad66cd08c659007d167bca721809695edbca0ebfc04df"
+
+#: The descent_stall benchmark instances: k >= 5, n > 100, where the descent
+#: stalls and its plateau moves run thousands of times.
+STALL_CORPUS = (
+    (150, (16, 18, 23, 40, 53)),
+    (119, (11, 11, 13, 16, 32, 36)),
+    (159, (17, 19, 30, 44, 49)),
+)
+
+#: sha256 over json.dumps([n, sizes, status, blocks, swaps, restarts, nodes])
+#: of solve(inst, SearchParams(seed=s, max_restarts=2)) for s in (4, 5) and
+#: every instance of STALL_CORPUS, one update per solve.  It pins the plateau
+#: moves at n > 100, beyond SOLVE_BOX_SHA256's n <= 40.
+STALL_CORPUS_SHA256 = "9a6bd11ece2f65aee29e8178393e5a072baf17c0c0b455a9e2db5fcff293ab3e"
+
+#: The rows of _box(40, [5, 6, 7, 8], 2) with n >= 16 whose descent,
+#: local_search(greedy_init(inst, 0), s, SearchParams(max_restarts=2)), takes
+#: a shrinking plateau candidate other than the first at least 3 times.  They
+#: hold 109 of the box's 149 such steps at infinite width and 142 of its 441
+#: at finite width, in 1,781 plateau steps; the whole box takes 658,937.
+SHRINKING_PLATEAU_ROWS = (
+    (27, (2, 3, 3, 3, 3, 3, 10)), (27, (3, 3, 3, 3, 3, 3, 9)),
+    (31, (2, 3, 3, 3, 3, 3, 4, 10)), (31, (2, 3, 3, 3, 3, 3, 7, 7)),
+    (31, (2, 3, 3, 3, 4, 4, 6, 6)), (31, (2, 3, 3, 4, 4, 4, 5, 6)),
+    (32, (3, 3, 4, 4, 6, 12)), (32, (3, 3, 4, 7, 7, 8)), (32, (3, 4, 4, 4, 5, 12)),
+    (32, (3, 4, 4, 4, 7, 10)), (32, (3, 3, 3, 3, 3, 3, 3, 11)),
+    (32, (3, 3, 3, 3, 4, 4, 6, 6)), (32, (3, 3, 3, 4, 4, 5, 5, 5)),
+    (32, (3, 3, 4, 4, 4, 4, 5, 5)), (34, (3, 3, 3, 3, 4, 6, 12)),
+    (34, (3, 3, 3, 3, 4, 9, 9)), (34, (3, 3, 3, 3, 5, 8, 9)), (34, (3, 3, 3, 3, 7, 7, 8)),
+    (34, (3, 3, 3, 4, 7, 7, 7)), (34, (4, 5, 5, 5, 5, 5, 5)),
+    (35, (3, 3, 3, 4, 4, 8, 10)), (35, (3, 3, 3, 4, 5, 7, 10)), (35, (3, 3, 4, 5, 6, 6, 8)),
+    (39, (4, 4, 4, 6, 6, 15)),
+)
 
 
 class TestXorShift:
@@ -170,6 +204,12 @@ class TestSolveExact:
         assert solve_exact(inst, budget=0).nodes == 1
         assert solve_exact(inst, budget=1432).status is ExactStatus.FOUND
         assert solve_exact(inst, budget=1431).status is ExactStatus.BUDGET
+
+    @pytest.mark.parametrize("budget", [-1, -5])
+    def test_negative_budget_rejected(self, budget):
+        # BUDGET reports budget + 1 nodes, which a negative budget would break
+        with pytest.raises(ValueError, match="budget"):
+            solve_exact(Instance.from_sizes(12, (3, 4, 5)), budget)
 
     def test_child_order_does_not_change_proofs_of_absence(self):
         # the pruned tree does not depend on the order its children are tried in
@@ -421,6 +461,49 @@ class TestMoveSearch:
             row = [inst.n, inst.sizes, res.status.value, blocks, res.stats.swaps, res.stats.restarts]
             digest.update(json.dumps(row).encode())
         assert digest.hexdigest() == SOLVE_BOX_SHA256
+
+    def test_stall_corpus_digest(self):
+        digest = hashlib.sha256()
+        for seed in (4, 5):
+            for n, sizes in STALL_CORPUS:
+                res = solve(Instance.from_sizes(n, sizes), SearchParams(seed=seed, max_restarts=2))
+                blocks = res.partition.blocks if res.partition is not None else None
+                stats = res.stats
+                row = [n, sizes, res.status.value, blocks, stats.swaps, stats.restarts, stats.nodes]
+                digest.update(json.dumps(row).encode())
+        assert digest.hexdigest() == STALL_CORPUS_SHA256
+
+    def test_plateau_steps_of_real_descents_match_reference(self, monkeypatch):
+        # Random states reach the shrink branch in 2 of 2,500 and never at
+        # infinite width, the only width the stall corpus produces; the
+        # descent's own plateau states reach it at both.
+        steps = []
+
+        def record(state, s):
+            before = (list(state.assign), list(state.sums), s, state.n)
+            steps.append((*before, _plateau_step(state, s)))
+            return steps[-1][-1]
+
+        monkeypatch.setattr("equipart.solver._plateau_step", record)
+        for n, sizes in SHRINKING_PLATEAU_ROWS:
+            inst = Instance(n=n, sizes=sizes)
+            local_search(greedy_init(inst, 0), magic_sum(n, inst.k), SearchParams(max_restarts=2))
+        shrunk = {"infinite": 0, "finite": 0}  # steps not taking the first candidate
+        for assign, sums, s, n, step in steps:
+            cur_width = assign_width(assign, sums, s, n)
+            assert step == naive_plateau_move(assign, sums, s, n, cur_width)
+            first = next(
+                (
+                    (a, b)
+                    for a in range(1, n)
+                    for b in range(a + 1, n + 1)
+                    if b - a == sums[assign[b]] - sums[assign[a]]
+                ),
+                None,
+            )
+            if step != first:
+                shrunk["infinite" if cur_width == INFINITE_WIDTH else "finite"] += 1
+        assert min(shrunk.values()) >= 100, shrunk
 
 
 class TestSolve:
