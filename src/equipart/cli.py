@@ -212,14 +212,9 @@ def _read_partition(args: argparse.Namespace) -> Partition:
     n, blocks = data["n"], data["blocks"]
     if blocks is None:
         raise ValueError("input has no blocks (was the instance infeasible?)")
-    # JSON numbers may arrive as floats and true/false as bools (an int
-    # subclass); only genuine integers are labels.
-    if type(n) is not int:
-        raise ValueError(f'"n" must be an integer, got {n!r}')
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise ValueError('"blocks" must be a list of lists of labels')
-    if not all(type(x) is int for b in blocks for x in b):
-        raise ValueError("labels must be integers")
+    # Partition rejects a float or bool n or label (JSON 1.0, 1e400, true).
     return Partition.from_blocks(n, blocks)
 
 
@@ -237,7 +232,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "sizes": sorted(len(b) for b in p.blocks),
         "status": "magic" if check.is_magic else "not_magic",
         "magic_sum": magic_sum(p.n, p.k),
-        "blocks": [list(b) for b in p.blocks],
+        "blocks": None,
         "graph_constant": check.constant,
         "stats": None,
         "detail": {

@@ -9,12 +9,14 @@ u = S(block of b) - S(block of a), independently of s.
 
 Partition is the package's one representation of such a split; read
 block i as part i, it is also the labeling of the complete multipartite
-graph that the graphs module verifies.  The local search's mutable view
-of a partition is _State, the one exchange kernel: swap() runs it, so the
-exchange law is tested on the code the search runs.  The width is read
-off a class string, one low/exact/high byte per label (_State.classes);
-width() and the plateau's weighing of a candidate share that routine
-(_class_width).
+graph that the graphs module verifies.  Its constructor is the one place
+a partition is built and checked (integer labels, a disjoint cover of
+[n]), and the block sums are derived there, never passed in.  The local
+search's mutable view of a partition is _State, the one exchange kernel:
+swap() runs it, so the exchange law is tested on the code the search
+runs.  The width is read off a class string, one low/exact/high byte per
+label (_State.classes); width() and the plateau's weighing of a candidate
+share that routine (_class_width).
 
 All arithmetic is exact integer arithmetic.  Ground sets are capped at
 n <= 2^31 so every quantity here stays within signed 64-bit range in
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 MAX_N = 2**31
@@ -45,10 +47,9 @@ def magic_sum(n: int, k: int) -> int | None:
     """Return n(n+1)/(2k) when 2k divides n(n+1), else None.
 
     This is the sum every block of an equitable k-partition of [n] must
-    attain.  Rejects n outside [1, 2^31] and k < 1.
+    attain.  Rejects an n that is not an int in [1, 2^31], and k < 1.
     """
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be in [1, {MAX_N}], got {n}")
+    _check_n(n)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     total = n * (n + 1) // 2
@@ -57,20 +58,33 @@ def magic_sum(n: int, k: int) -> int | None:
     return total // k
 
 
+def _check_n(n) -> None:
+    """Reject an n that is not a genuine int (a bool is not) in [1, MAX_N]."""
+    if type(n) is not int or not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be an integer in [1, {MAX_N}], got {n!r}")
+
+
+def _all_ints(values) -> bool:
+    """True when every value is a genuine int; a float or a bool (an int subclass) is not."""
+    return set(map(type, values)) <= {int}
+
+
 @dataclass(frozen=True)
 class Instance:
     """A partition problem: split [n] into blocks of the given sizes.
 
-    sizes must be non-decreasing, positive, and sum to n; k = len(sizes).
+    n and the sizes must be genuine ints (not floats or bools); sizes must
+    be non-decreasing, positive, and sum to n; k = len(sizes).
     """
 
     n: int
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_N:
-            raise ValueError(f"n must be in [1, {MAX_N}], got {self.n}")
+        _check_n(self.n)
         object.__setattr__(self, "sizes", tuple(self.sizes))
+        if not _all_ints(self.sizes):
+            raise ValueError(f"sizes must be integers, got {self.sizes}")
         if any(p < 1 for p in self.sizes):
             raise ValueError(f"sizes must be positive, got {self.sizes}")
         if any(a > b for a, b in zip(self.sizes, self.sizes[1:])):
@@ -100,57 +114,47 @@ class Instance:
 
 @dataclass(frozen=True)
 class Partition:
-    """A labeled set-partition of [n] with cached block sums.
+    """A labeled set-partition of [n] with its block sums.
 
-    Blocks are ascending tuples; the block sequence keeps its given
-    (input-size) order.  Values are immutable: every operation returns a
-    new partition, so instances may be shared freely between workers.
+    The constructor is the one way in, and it checks every partition: n
+    and every label must be a genuine int (not a float or bool), and the
+    non-empty blocks must cover [n] disjointly.  It stores each block as
+    an ascending tuple, keeps the block sequence in its given (input-size)
+    order, and derives sums; they cannot be passed in.  Values are
+    immutable: every operation returns a new partition, so instances may
+    be shared freely between workers.
     """
 
     n: int
     blocks: tuple[tuple[int, ...], ...]
-    sums: tuple[int, ...]
+    sums: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_N:
-            raise ValueError(f"n must be in [1, {MAX_N}], got {self.n}")
-        if not self.blocks:
+        n = self.n
+        _check_n(n)
+        # Types first: a string label would make sorted() or sum() raise
+        # TypeError, and a float or bool would pass both.
+        blocks = tuple(map(tuple, self.blocks))
+        if not blocks:
             raise ValueError("a partition needs at least one block")
-        if len(self.sums) != len(self.blocks):
-            raise ValueError("one cached sum per block required")
-        count = 0
-        for block, cached in zip(self.blocks, self.sums):
+        for block in blocks:
             if not block:
                 raise ValueError("blocks must be non-empty")
-            if block[0] < 1 or block[-1] > self.n:
-                raise ValueError(f"block {block} leaves [1, {self.n}]")
-            if any(x >= y for x, y in zip(block, block[1:])):
-                raise ValueError(f"block {block} must be strictly ascending")
-            if sum(block) != cached:
-                raise ValueError(f"cached sum {cached} != recomputed {sum(block)}")
-            count += len(block)
-        if count != self.n or len(set().union(*self.blocks)) != self.n:
+            if not _all_ints(block):
+                raise ValueError("labels must be integers")
+        blocks = tuple(tuple(sorted(b)) for b in blocks)
+        if any(b[0] < 1 or b[-1] > n for b in blocks):
+            raise ValueError(f"labels must lie in [1, {n}]")
+        # n labels from [1, n] are exactly [n] when no two are equal.
+        if sum(map(len, blocks)) != n or len(set().union(*blocks)) != n:
             raise ValueError("blocks must be disjoint with union exactly [n]")
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "sums", tuple(map(sum, blocks)))
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "Partition":
-        """Build a partition from iterables of labels, sorting each block."""
-        normalized = tuple(tuple(sorted(b)) for b in blocks)
-        return cls(n=n, blocks=normalized, sums=tuple(sum(b) for b in normalized))
-
-    @classmethod
-    def _from_trusted(cls, n: int, blocks: tuple, sums: tuple) -> "Partition":
-        """Skip validation for blocks proven disjoint by construction.
-
-        Only for callers that assemble blocks from arithmetic ranges (the
-        validation pass is O(n) and dominates at n near 10^6).  The caller
-        owns the invariants.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "sums", sums)
-        return self
+        """Build a partition from iterables of labels, in any order within a block."""
+        return cls(n=n, blocks=blocks)
 
     @property
     def k(self) -> int:

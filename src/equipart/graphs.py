@@ -3,7 +3,7 @@
 Graphs are never stored as edge lists: a complete multipartite graph is
 determined by its parts, and vertices are identified with their labels,
 so a labeling is just a core.Partition read with block i as part i.
-The verifiers work from the cached block sums alone, which keeps the
+The verifiers work from the partition's block sums alone, which keeps the
 k = 2 constructive path viable up to n around 10^6; the explicit
 neighbor-by-neighbor summation lives in the tests as an independent
 oracle.

@@ -289,7 +289,8 @@ def solve_k2(inst: Instance) -> Partition:
     n - p_1 per fully raised position.  The remaining deficit lands on a
     single middle element, so the small block is a prefix of [n], at most
     one middle value, and a suffix of top values.  This closed form equals
-    the position-by-position greedy raise.
+    the position-by-position greedy raise.  The answer goes through
+    Partition's checking constructor, like every other route's.
     """
     if inst.k != 2:
         raise ValueError(f"solve_k2 requires k=2, got k={inst.k}")
@@ -317,12 +318,9 @@ def solve_k2(inst: Instance) -> Partition:
             tuple(range(1, prefix_len)) + (mid,) + tuple(range(n - full + 1, n + 1))
         )
         rest = tuple(range(prefix_len, mid)) + tuple(range(mid + 1, n - full + 1))
-    # The two blocks are unions of disjoint sub-ranges of [n] covering it,
-    # so the validation pass is skipped; sums follow from the construction.
-    total = n * (n + 1) // 2
     if len(small) != p1 or len(rest) != n - p1:
         raise AssertionError("two-block construction produced wrong sizes")
-    return Partition._from_trusted(n, (small, rest), (s, total - s))
+    return Partition(n=n, blocks=(small, rest))
 
 
 def solve_p1_eq_1(inst: Instance) -> Partition:

@@ -210,6 +210,36 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "text,flags,expected",
+        [
+            (
+                '{"n": 8, "blocks": [[4, 5], [8, 1], [2, 7], [3, 6]]}', [],
+                {"n": 8, "k": 4, "sizes": [2, 2, 2, 2], "status": "magic", "magic_sum": 9,
+                 "graph_constant": 27, "stats": None,
+                 "detail": {"mode": "open", "witness": None, "degenerate": False}},
+            ),
+            (
+                '{"n": 6, "blocks": [[6, 1, 2], [3, 4], [5]]}', [],
+                {"n": 6, "k": 3, "sizes": [1, 2, 3], "status": "not_magic", "magic_sum": 7,
+                 "graph_constant": None, "stats": None,
+                 "detail": {"mode": "open", "witness": [1, 3], "degenerate": False}},
+            ),
+            (
+                '{"n": 6, "blocks": [[6, 1, 2], [3, 4], [5]]}', ["--closed"],
+                {"n": 6, "k": 3, "sizes": [1, 2, 3], "status": "magic", "magic_sum": 7,
+                 "graph_constant": 21, "stats": None,
+                 "detail": {"mode": "closed", "witness": None, "degenerate": True}},
+            ),
+        ],
+        ids=["magic", "not-magic", "closed"],
+    )
+    def test_json_payload_has_no_blocks(self, capsys, monkeypatch, text, flags, expected):
+        # verify has no partition of its own to report; it does not echo its input
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        _, payload = run_json(capsys, "verify", *flags)
+        assert payload == {**expected, "blocks": None}
+
     def test_closed_mode_needs_three_blocks(self, capsys, monkeypatch):
         data = json.dumps({"n": 4, "blocks": [[1, 4], [2, 3]]})
         monkeypatch.setattr("sys.stdin", io.StringIO(data))

@@ -50,6 +50,8 @@ class TestMagicSum:
             magic_sum(2**31 + 1, 2)
         with pytest.raises(ValueError):
             magic_sum(10, 0)
+        with pytest.raises(ValueError):
+            magic_sum(3.0, 2)
 
 
 class TestInstance:
@@ -69,6 +71,10 @@ class TestInstance:
             (8, (3, 2, 2, 1)),  # decreasing
             (8, (0, 2, 2, 4)),  # non-positive part
             (0, (0,)),
+            (3, (1.5, 1.5)),  # float sizes
+            (3.0, (1, 2)),  # float n
+            (True, (True,)),  # bools are not ints here
+            (2, (True, 1)),
         ],
     )
     def test_invalid(self, n, sizes):
@@ -91,14 +97,27 @@ class TestPartition:
             (4, [[1, 2], [2, 3, 4]]),  # overlap
             (4, [[1, 2], [3, 4, 5]]),  # out of range
             (4, [[1, 2, 3, 4], []]),  # empty block
+            (3, [[1.0, 2.0], [3]]),  # float labels
+            (3, [[True, 2], [3]]),  # bool label
+            (3, [["a", "b"], ["c"]]),  # string labels
+            (3, [[2, "a"], [1, 3]]),  # mixed block: no TypeError from sorting
+            (3.0, [[1, 2], [3]]),  # float n
+            (True, [[1]]),  # bool n
+            (4, [[1, 1, 2], [3, 4]]),  # repeat within a block
+            (4, []),  # no block
         ],
     )
     def test_invalid_blocks(self, n, blocks):
         with pytest.raises(ValueError):
             Partition.from_blocks(n, blocks)
-
-    def test_tampered_sum_rejected(self):
         with pytest.raises(ValueError):
+            Partition(n=n, blocks=blocks)
+
+    def test_sums_are_derived(self):
+        p = Partition(n=5, blocks=((5, 1), (2, 3, 4)))
+        assert p.blocks == ((1, 5), (2, 3, 4))
+        assert p.sums == tuple(sum(b) for b in p.blocks) == (6, 9)
+        with pytest.raises(TypeError):
             Partition(n=4, blocks=((1, 2), (3, 4)), sums=(3, 8))
 
     def test_implements(self):

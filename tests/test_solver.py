@@ -59,6 +59,14 @@ BIG_BUDGET = 10**8
 #: a change of moves or answers is intended.
 SOLVE_BOX_SHA256 = "e7c89abfb8ed9e6becdad66cd08c659007d167bca721809695edbca0ebfc04df"
 
+#: sha256 over json.dumps([n, sizes, blocks]) of solve_k2(inst) for every
+#: k = 2 instance that passes necessary_condition with p_1 >= 2 and n <= 300,
+#: then for four p_1 at each of n = 99,999, 100,000, 100,003 (the two
+#: smallest feasible, n // 3 and n // 2), one update per instance.  It pins
+#: the construction's blocks; change it only when a change of blocks is
+#: intended.
+K2_BOX_SHA256 = "94070b6daeedbf29bf430d12ec062ec6e41b9d8f711056cea7150f266b1a68ae"
+
 #: The descent_stall benchmark instances: k >= 5, n > 100, where the descent
 #: stalls and its plateau moves run thousands of times.
 STALL_CORPUS = (
@@ -277,9 +285,30 @@ class TestSolveK2:
         assert p.sums == (s, s)
         assert len(p.blocks[0]) == n // 3
 
+    def test_blocks_digest(self):
+        def box():
+            for n in range(4, 301):
+                for p1 in range(2, n // 2 + 1):
+                    yield n, p1
+            for n in (99_999, 100_000, 100_003):
+                feasible = [p1 for p1 in range(2, n // 2 + 1)
+                            if necessary_condition(Instance.from_sizes(n, [p1, n - p1]))]
+                yield from ((n, p1) for p1 in (feasible[0], feasible[1], n // 3, n // 2))
+
+        digest = hashlib.sha256()
+        rows = 0
+        for n, p1 in box():
+            inst = Instance.from_sizes(n, [p1, n - p1])
+            if magic_sum(n, 2) is None or not necessary_condition(inst):
+                continue
+            digest.update(json.dumps([n, inst.sizes, solve_k2(inst).blocks]).encode())
+            rows += 1
+        assert rows == 4734
+        assert digest.hexdigest() == K2_BOX_SHA256
+
     def test_output_survives_full_validation(self):
-        # solve_k2 skips the O(n) validation pass; re-validate its output
-        # through the checking constructor across a spread of shapes
+        # rebuilding solve_k2's answer from its blocks gives the same
+        # partition, across a spread of shapes
         for n in range(10, 2000, 37):
             if magic_sum(n, 2) is None:
                 continue
@@ -288,7 +317,7 @@ class TestSolveK2:
                 if not necessary_condition(inst):
                     continue
                 p = solve_k2(inst)
-                assert Partition.from_blocks(n, p.blocks).sums == p.sums
+                assert Partition.from_blocks(n, p.blocks) == p
 
 
 class TestSolveP1Eq1:
