@@ -95,7 +95,8 @@ class Instance:
     @classmethod
     def from_sizes(cls, n: int, sizes) -> "Instance":
         """Build an instance, normalizing sizes to non-decreasing order."""
-        return cls(n=n, sizes=tuple(sorted(sizes)))
+        sizes = tuple(sizes)  # non-ints go unsorted, for the constructor's ValueError
+        return cls(n=n, sizes=tuple(sorted(sizes)) if _all_ints(sizes) else sizes)
 
     @property
     def k(self) -> int:

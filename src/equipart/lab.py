@@ -31,7 +31,6 @@ from .solver import (
     DEFAULT_NODE_BUDGET,
     ExactStatus,
     SearchParams,
-    greedy_init,
     local_search,
     solve_exact,
 )
@@ -236,8 +235,7 @@ def descent_success(
         if solve_exact(inst, budget=budget).status is not ExactStatus.FOUND:
             continue
         attempted += 1
-        s = magic_sum(inst.n, inst.k)
-        if local_search(greedy_init(inst, params.seed), s, params) is not None:
+        if local_search(inst, params) is not None:
             solved += 1
         else:
             failures.append({"n": inst.n, "k": inst.k, "sizes": list(inst.sizes)})

@@ -1,6 +1,7 @@
 """Solvers producing equitable partitions of [n].
 
-Four routes, picked by the pipeline in solve():
+Four routes, picked by the pipeline in solve().  Each takes the Instance
+and answers in its size slots, block i of size inst.sizes[i]:
 
 * a complete backtracking oracle (solve_exact) assigning elements from n
   down to 1 with completion-sum pruning and symmetry breaking between
@@ -12,12 +13,13 @@ Four routes, picked by the pipeline in solve():
   of the adjacent-exchange sliding sequence;
 * the size-one constructor ({n} plus pairs {i, n-i}) for sizes
   (1, 2, ..., 2);
-* a potential-descent local search over element exchanges, restarted
-  from a randomized greedy initializer.  It finds each improving move
-  from the exchange law delta = 2t(t - u) in O(k n log n) over per-block
-  sorted member lists, ties going to the lex-smallest pair (a, b).  On a
-  plateau it weighs the zero-delta exchanges on the labels' class string
-  (core._class_width), not by trying them.
+* a potential-descent local search (local_search) over element
+  exchanges, each start from a randomized greedy initializer.  It finds
+  each improving move from the exchange law delta = 2t(t - u) in
+  O(k n log n) over per-block sorted member lists, ties going to the
+  lex-smallest pair (a, b).  On a plateau it weighs the zero-delta
+  exchanges on the labels' class string (core._class_width), not by
+  trying them.
 
 The local search is a heuristic; completeness rests on the exact
 fallback, which solve() runs at any n once the descent stalls, within
@@ -39,7 +41,6 @@ from .core import (
     _class_width,
     _exchange_delta,
     _State,
-    is_equitable,
     magic_sum,
 )
 from .feasibility import Verdict, feasibility, necessary_condition
@@ -79,7 +80,10 @@ class XorShift64Star:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Budgets and seeding for solve()/local_search()."""
+    """Budgets and seeding for solve() and local_search().
+
+    Descent start r = 0, ..., max_restarts is greedy_init(inst, seed + r).
+    """
 
     seed: int = 0
     max_restarts: int = 64
@@ -320,7 +324,7 @@ def solve_k2(inst: Instance) -> Partition:
         rest = tuple(range(prefix_len, mid)) + tuple(range(mid + 1, n - full + 1))
     if len(small) != p1 or len(rest) != n - p1:
         raise AssertionError("two-block construction produced wrong sizes")
-    return Partition(n=n, blocks=(small, rest))
+    return Partition.from_blocks(n, (small, rest))
 
 
 def solve_p1_eq_1(inst: Instance) -> Partition:
@@ -447,15 +451,17 @@ def _plateau_step(state: _State, s: int) -> tuple[int, int] | None:
 
 
 def local_search(
-    p: Partition, s: int, params: SearchParams, stats: SolveStats | None = None
+    inst: Instance, params: SearchParams, stats: SolveStats | None = None
 ) -> Partition | None:
     """Potential descent over element exchanges with plateau drift.
 
-    Applies the best strictly-improving exchange until none exists, then
-    up to 2n zero-delta exchanges (per restart), then restarts from
-    greedy_init with the next seed.  Returns the first equitable partition
-    reached (p itself when p is equitable), or None when every restart
-    stalls.  Deviation never increases within a restart.
+    Runs starts r = 0, 1, ..., params.max_restarts, each from
+    greedy_init(inst, params.seed + r): the best strictly-improving
+    exchange until none exists, then up to 2n zero-delta exchanges, then
+    the next start.  Returns the first equitable partition reached, its
+    block i of size inst.sizes[i], or None when every start stalls.
+    Deviation never increases within a start; stats.restarts counts each
+    start after the first.
 
     Each move is the lex-smallest (a, b) among the best candidates.  The
     search keeps every block's members sorted and uses the exchange law
@@ -466,13 +472,11 @@ def local_search(
     exchanges: a candidate costs two byte swaps and a width test that stops
     at its first hit.
     """
-    if is_equitable(p, s):
-        return p
-    n = p.n
-    inst = Instance.from_sizes(n, [len(b) for b in p.blocks])
-    state = _State(p)
-    restarts = 0
-    while True:
+    n, s = inst.n, magic_sum(inst.n, inst.k)
+    for r in range(params.max_restarts + 1):
+        if r and stats is not None:
+            stats.restarts += 1
+        state = _State(greedy_init(inst, params.seed + r))
         plateau_used = 0
         while any(t != s for t in state.sums):
             move = _best_move(state)
@@ -489,23 +493,18 @@ def local_search(
                 stats.swaps += 1
         else:  # the loop ended on an equitable state, not a stall
             return state.partition()
-        if restarts >= params.max_restarts:
-            return None
-        restarts += 1
-        if stats is not None:
-            stats.restarts += 1
-        state = _State(greedy_init(inst, params.seed + restarts))
+    return None
 
 
 def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
     """Feasibility verdict, then the cheapest applicable solving route.
 
     Constructive routes handle k = 1, the size-one rule, and k = 2; other
-    instances run the local search and, if it stalls, the exhaustive
-    fallback within exact_node_budget nodes.  A SOLVED result always
-    carries an equitable partition whose block i has size inst.sizes[i];
-    every route's answer is certified against that, and a route that
-    breaks it raises RuntimeError.
+    instances run local_search(inst, params) and, if every start stalls,
+    the exhaustive fallback within exact_node_budget nodes.  A SOLVED
+    result always carries an equitable partition whose block i has size
+    inst.sizes[i]; every route's answer is certified against that, and a
+    route that breaks it raises RuntimeError.
     """
     if params is None:
         params = SearchParams()
@@ -527,8 +526,7 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
 
     if verdict.infeasible:
         return finish(SolveStatus.PROVEN_INFEASIBLE, None)
-    s = verdict.s
-    if s is None:
+    if verdict.s is None:
         raise RuntimeError(f"feasible verdict without a magic sum: {verdict}")
 
     if inst.k == 1:
@@ -538,7 +536,8 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
     if inst.k == 2:
         return finish(SolveStatus.SOLVED, solve_k2(inst))
 
-    candidate = local_search(greedy_init(inst, params.seed), s, params, stats=stats)
+    # stats by keyword: the benchmark tracer reads it from there.
+    candidate = local_search(inst, params, stats=stats)
     if candidate is not None:
         return finish(SolveStatus.SOLVED, candidate)
     exact = solve_exact(inst, budget=params.exact_node_budget)

@@ -75,11 +75,15 @@ class TestInstance:
             (3.0, (1, 2)),  # float n
             (True, (True,)),  # bools are not ints here
             (2, (True, 1)),
+            (3, (1, "a")),  # a string size: ValueError, not sorted()'s TypeError
         ],
     )
     def test_invalid(self, n, sizes):
         with pytest.raises(ValueError):
             Instance(n=n, sizes=sizes)
+        if sizes != (3, 2, 2, 1):  # the one input from_sizes repairs, by sorting
+            with pytest.raises(ValueError):
+                Instance.from_sizes(n, sizes)
 
 
 class TestPartition:

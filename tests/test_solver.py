@@ -28,6 +28,7 @@ from equipart.lab import _box, enumerate_size_sequences
 from equipart.solver import (
     ExactStatus,
     SearchParams,
+    SolveStats,
     SolveStatus,
     XorShift64Star,
     _best_move,
@@ -82,10 +83,10 @@ STALL_CORPUS = (
 STALL_CORPUS_SHA256 = "9a6bd11ece2f65aee29e8178393e5a072baf17c0c0b455a9e2db5fcff293ab3e"
 
 #: The rows of _box(40, [5, 6, 7, 8], 2) with n >= 16 whose descent,
-#: local_search(greedy_init(inst, 0), s, SearchParams(max_restarts=2)), takes
-#: a shrinking plateau candidate other than the first at least 3 times.  They
-#: hold 109 of the box's 149 such steps at infinite width and 142 of its 441
-#: at finite width, in 1,781 plateau steps; the whole box takes 658,937.
+#: local_search(inst, SearchParams(max_restarts=2)), takes a shrinking plateau
+#: candidate other than the first at least 3 times.  They hold 109 of the box's
+#: 149 such steps at infinite width and 142 of its 441 at finite width, in
+#: 1,781 plateau steps; the whole box takes 658,937.
 SHRINKING_PLATEAU_ROWS = (
     (27, (2, 3, 3, 3, 3, 3, 10)), (27, (3, 3, 3, 3, 3, 3, 9)),
     (31, (2, 3, 3, 3, 3, 3, 4, 10)), (31, (2, 3, 3, 3, 3, 3, 7, 7)),
@@ -371,12 +372,15 @@ class TestLocalSearch:
     def test_first_move_is_lex_smallest_best_delta(self):
         # both (1,3) and (2,4) improve by -8; lexicographic order picks (1,3)
         p = Partition.from_blocks(4, [[1, 2], [3, 4]])
-        out = local_search(p, 5, SearchParams())
-        assert out.blocks == ((2, 3), (1, 4))
+        assert _best_move(_State(p)) == (-8, 1, 3)
 
     def test_equitable_input_returned_unchanged(self):
-        p = Partition.from_blocks(4, [[1, 4], [2, 3]])
-        assert local_search(p, 5, SearchParams()) is p
+        # the greedy start ((1, 8), (2, 7), (3, 6), (4, 5)) is already equitable
+        inst = Instance(n=8, sizes=(2, 2, 2, 2))
+        stats = SolveStats()
+        out = local_search(inst, SearchParams(), stats=stats)
+        assert out == greedy_init(inst, 0)
+        assert (stats.swaps, stats.restarts) == (0, 0)
 
     def test_returns_witness_or_none(self):
         rng = random.Random(99)
@@ -384,8 +388,8 @@ class TestLocalSearch:
         for _ in range(25):
             inst = random_valid_instance(rng, n_max=20)
             s = magic_sum(inst.n, inst.k)
-            start = greedy_init(inst, seed=rng.randint(1, 2**32))
-            out = local_search(start, s, SearchParams(seed=3, max_restarts=4))
+            params = SearchParams(seed=rng.randint(1, 2**32), max_restarts=4)
+            out = local_search(inst, params)
             if out is None:
                 seen["none"] += 1
             else:
@@ -395,12 +399,14 @@ class TestLocalSearch:
         assert min(seen.values()) > 0, seen
 
     def test_stalled_descent_returns_none(self):
-        inst = Instance.from_sizes(16, [3, 4, 4, 5])
-        start = greedy_init(inst, 0)
-        assert local_search(start, 34, SearchParams(max_restarts=0)) is None
-        out = local_search(start, 34, SearchParams())
+        # the first start stalls; the second is solved, its blocks in slot order
+        inst = Instance(n=16, sizes=(3, 4, 4, 5))
+        assert local_search(inst, SearchParams(max_restarts=0)) is None
+        stats = SolveStats()
+        out = local_search(inst, SearchParams(), stats=stats)
+        assert stats.restarts == 1
         assert is_equitable(out, 34)
-        assert implements(out, inst.sizes)
+        assert tuple(len(b) for b in out.blocks) == inst.sizes
 
 
 def _random_search_state(rng: random.Random):
@@ -516,7 +522,7 @@ class TestMoveSearch:
         monkeypatch.setattr("equipart.solver._plateau_step", record)
         for n, sizes in SHRINKING_PLATEAU_ROWS:
             inst = Instance(n=n, sizes=sizes)
-            local_search(greedy_init(inst, 0), magic_sum(n, inst.k), SearchParams(max_restarts=2))
+            local_search(inst, SearchParams(max_restarts=2))
         shrunk = {"infinite": 0, "finite": 0}  # steps not taking the first candidate
         for assign, sums, s, n, step in steps:
             cur_width = assign_width(assign, sums, s, n)
