@@ -12,10 +12,15 @@ The decision pipeline, in order:
 
 Verdicts are deterministic: a failing prefix condition reports the
 smallest failing index j.
+
+The prefix condition is checked by _failing_prefix, the bound on unions
+of blocks that the exact search in solver runs at every node: the
+condition is that bound at the root, where no label is placed yet.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,21 +72,48 @@ def prefix_top_sum(n: int, P: int) -> int:
     return P * n - P * (P - 1) // 2
 
 
+def _failing_prefix(left: Sequence[int], need: Sequence[int], e: int) -> int | None:
+    """Smallest j such that the j open blocks of largest need / left overflow.
+
+    The labels {1, ..., e} are still to place; open block i has left[i] > 0
+    slots whose labels must sum to need[i].  Any L of those labels sum to
+    at most L(e + 1) - tri(L), so a union of open blocks with L slots and
+    summed need D above that has no completion.  The unions checked are the
+    prefixes of the open blocks by largest need per slot (ties to fewer
+    slots).  When sum(left) = e and sum(need) = tri(e), as in a search
+    state, this bound on a union is the lower bound on its complement, so
+    it covers the prefixes of the opposite order too.  Full blocks are
+    skipped; the last prefix is then an identity, kept as a self-test.
+    """
+    L = D = 0
+    top2 = 2 * e + 1
+    # need / left orders the blocks; a float keeps the key cheap, and -left
+    # breaks a tie (also one of rounding) towards the smaller block.
+    order = sorted([(d / slots, -slots, d) for slots, d in zip(left, need) if slots], reverse=True)
+    for j, (_, minus_slots, d) in enumerate(order, start=1):
+        L -= minus_slots
+        D += d
+        if 2 * D > L * (top2 - L):  # L(e + 1) - tri(L) = L(2e + 1 - L) / 2
+            return j
+    return None
+
+
 def condition_failing_index(inst: Instance) -> int | None:
     """Smallest j in 1..k violating prefix_top_sum(n, P_j) >= j*s, or None.
 
-    The j = k case is an identity (both sides equal n(n+1)/2) but is kept
-    in the loop as a self-test.  Requires the magic sum to be integral.
+    This is _failing_prefix at the root search state: every block open with
+    need s, and the pool all of [n].  There need / left = s / p_i orders the
+    blocks by size, so its j-th union is the j smallest blocks and its
+    bound is the inequality above.  The j = k case is an identity (both
+    sides equal n(n+1)/2) but is kept in the loop as a self-test.  Requires
+    the magic sum to be integral.
     """
     s = magic_sum(inst.n, inst.k)
     if s is None:
         raise ValueError(
             f"magic sum is not integral for n={inst.n}, k={inst.k}"
         )
-    for j, P in enumerate(inst.prefix_sums, start=1):
-        if prefix_top_sum(inst.n, P) < j * s:
-            return j
-    return None
+    return _failing_prefix(inst.sizes, [s] * inst.k, inst.n)
 
 
 def necessary_condition(inst: Instance) -> bool:

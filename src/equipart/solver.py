@@ -4,11 +4,11 @@ Four routes, picked by the pipeline in solve().  Each takes the Instance
 and answers in its size slots, block i of size inst.sizes[i]:
 
 * a complete backtracking oracle (solve_exact) assigning elements from n
-  down to 1 with completion-sum pruning and symmetry breaking between
-  equal-size blocks.  It dives first, each label trying the blocks with
-  the largest remaining need per open slot first, on min(32 n, budget // 2)
-  nodes; only if that runs out does it search in block-index order on the
-  nodes that remain;
+  down to 1 in block-index order, with symmetry breaking between
+  equal-size blocks.  Every node is pruned by completion sums, per block
+  and over unions of blocks; the union bound is the paper's prefix
+  condition applied to the search state, and the feasibility verdict is
+  its root case;
 * a closed-form constructor for k = 2 (solve_k2) realizing the endpoint
   of the adjacent-exchange sliding sequence;
 * the size-one constructor ({n} plus pairs {i, n-i}) for sizes
@@ -43,7 +43,7 @@ from .core import (
     _State,
     magic_sum,
 )
-from .feasibility import Verdict, feasibility, necessary_condition
+from .feasibility import Verdict, _failing_prefix, feasibility, necessary_condition
 
 #: Exact-search node budget used when callers do not supply one.
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -146,49 +146,25 @@ class SolveResult:
 
 
 def solve_exact(inst: Instance, budget: int) -> ExactResult:
-    """Complete backtracking search for an equitable partition, witness first.
+    """Complete backtracking search for an equitable partition.
 
-    Two stages of one search (_search), within `budget` nodes in all:
+    Elements are assigned from n down to 1, so after placing e the
+    unassigned pool is exactly {1, ..., e-1}.  A state is pruned when a
+    block, or a union of blocks, cannot be completed from that pool: each
+    block's remaining sum must lie between the smallest and largest
+    completions, and so must the summed need of the open blocks taken by
+    largest need per slot (feasibility._failing_prefix; at the root this is
+    the prefix condition).  Both bounds prune only states with no
+    completion, so NOT_FOUND is a proof of absence.  Equal-size blocks are
+    interchangeable, so an element may open only the first empty block of
+    each size class; blocks within an equal-size run are re-ordered by
+    least element on output.  Blocks are tried in index order.
 
-    1. a dive that tries each label's blocks by largest remaining need
-       per open slot, need / left (ties to the lower index), on
-       min(32 n, budget // 2) nodes;
-    2. only if the dive runs out: the index-order search from scratch, on
-       the nodes that remain.
-
-    The child order steers the search but prunes nothing, so NOT_FOUND is
-    still a proof of absence, and it costs the same nodes in either order.
-    `nodes` is the total over both stages: budget + 1 on BUDGET.  Raises
-    ValueError for a negative budget.
+    At most `budget` nodes are placed; BUDGET reports budget + 1, the node
+    it did not place.  Raises ValueError for a negative budget.
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    # Measured on the oracle_sweep box (5,153 rows at 250,000 nodes): the
-    # index order alone leaves 8 rows on budget and the need order alone 43;
-    # the two stages leave none, the dive finding each of the 8 within 22 n
-    # nodes.  Half the budget, not all, keeps the dive from starving the
-    # index order at small budgets: at 1,000 nodes, 6 rows the index order
-    # alone finds go to budget, against 70 with a dive of min(32 n, budget).
-    dive = min(32 * inst.n, budget // 2)
-    first = _search(inst, dive, by_need=True)
-    if first.status is not ExactStatus.BUDGET:
-        return first
-    # The dive counted one node past its share, the one it did not place.
-    rest = _search(inst, budget - dive, by_need=False)
-    return ExactResult(status=rest.status, partition=rest.partition, nodes=dive + rest.nodes)
-
-
-def _search(inst: Instance, budget: int, by_need: bool) -> ExactResult:
-    """Depth-first search over label placements within `budget` nodes.
-
-    Elements are assigned from n down to 1, so after placing e the
-    unassigned pool is exactly {1, ..., e-1} and each block's remaining
-    sum must lie between the smallest and largest possible completions
-    from that pool.  Equal-size blocks are interchangeable, so an element
-    may open only the first empty block of each size class; blocks within
-    an equal-size run are re-ordered by least element on output.  Blocks
-    are tried in index order, or with `by_need` as solve_exact's dive does.
-    """
     s = magic_sum(inst.n, inst.k)
     if s is None:
         raise ValueError(f"magic sum is not integral for n={inst.n}, k={inst.k}")
@@ -197,20 +173,11 @@ def _search(inst: Instance, budget: int, by_need: bool) -> ExactResult:
     left = list(sizes)
     need = [s] * k
     tri = [j * (j + 1) // 2 for j in range(sizes[-1] + 1)]
-    # Blocks are tried in a chain: after block i comes block after[i], and
-    # after[k] (also after[-1], for "none tried yet") is the first; k ends
-    # it.  The index order is 0, 1, ..., k - 1 for every label.
-    index_order = list(range(1, k + 1)) + [0]
-    # Two ratios need / left with left <= m = sizes[-1] differ by at least
-    # 1 / m**2 when they differ, so need * m**2 // left orders them exactly.
-    scale = sizes[-1] ** 2
     nodes = 0
     # Depth-first with an explicit cursor, not recursion, so n is not bounded
     # by the interpreter's stack.  tried[e] is the block holding label e, or
-    # -1 while e is unplaced; labels e + 1, ..., n are placed.  chains[e] is
-    # the order label e tries its blocks in.
+    # -1 while e is unplaced; labels e + 1, ..., n are placed.
     tried = [-1] * (n + 1)
-    chains = [index_order] * (n + 1)
     e = n
     while True:
         # Every block must still be completable from {1, ..., e}: j labels
@@ -224,31 +191,25 @@ def _search(inst: Instance, budget: int, by_need: bool) -> ExactResult:
         else:
             if e == 0:
                 break  # every label placed
-            if by_need:
-                # Open blocks by largest need / left, ties to the lower index
-                # (the sort is stable); full blocks go last.
-                key = [need[j] * scale // left[j] if left[j] else -1 for j in range(k)]
-                after = [k] * (k + 1)
-                i = k
-                for j in sorted(range(k), key=key.__getitem__, reverse=True):
-                    after[i] = j
-                    i = j
-                chains[e] = after
+            # So must the unions of open blocks that _failing_prefix checks.
+            # With three open blocks or fewer each such union is one block or
+            # the complement of one, which the loop above has covered.
+            if k - left.count(0) > 3 and _failing_prefix(left, need, e) is not None:
+                e += 1  # a union is not completable
         # Put label e in its next block, backtracking while it has none left.
         # Full blocks are skipped, and so is an empty block after an empty
         # block of the same size (the two are interchangeable).
         while e <= n:
-            after = chains[e]
             i = tried[e]
             if i >= 0:
                 left[i] += 1
                 need[i] += e
-            i = after[i]
+            i += 1
             while i < k and (
                 left[i] == 0
                 or (left[i] == sizes[i] and i > 0 and left[i - 1] == sizes[i - 1] == sizes[i])
             ):
-                i = after[i]
+                i += 1
             if i < k:
                 break
             tried[e] = -1

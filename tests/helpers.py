@@ -45,6 +45,26 @@ def naive_equitable_exists(n: int, sizes, s: int) -> bool:
     return rec(list(range(1, n + 1)), list(sizes))
 
 
+def naive_completion_exists(e: int, left, need) -> bool:
+    """Whether {1, ..., e} splits into blocks of left[i] labels summing to need[i].
+
+    Chooses each block's labels in turn among every combination of the
+    labels still free; no bound prunes the enumeration.
+    """
+
+    def rec(pool: list[int], i: int) -> bool:
+        if i == len(left):
+            return not pool
+        for combo in combinations(pool, left[i]):
+            if sum(combo) == need[i]:
+                chosen = set(combo)
+                if rec([x for x in pool if x not in chosen], i + 1):
+                    return True
+        return False
+
+    return rec(list(range(1, e + 1)), 0)
+
+
 def k2_greedy_trace(n: int, p1: int, s: int) -> list[int]:
     """Literal position-by-position raise for the two-block construction."""
     block = list(range(1, p1 + 1))

@@ -134,7 +134,7 @@ class TestSolve:
         )
         assert code == 0
         assert payload["status"] == "solved"
-        assert payload["stats"]["nodes"] == 38
+        assert payload["stats"]["nodes"] == 73
 
     def test_text_reports_same_blocks(self, capsys):
         _, payload = run_json(capsys, "solve", "--n", "7", "--k", "2", "--sizes", "3,4")

@@ -1,5 +1,7 @@
 """Feasibility pipeline: divisibility, size-one rule, prefix condition."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,14 +9,15 @@ from hypothesis import strategies as st
 from equipart.core import Instance, magic_sum
 from equipart.feasibility import (
     FeasibilityStatus,
+    _failing_prefix,
     condition_failing_index,
     feasibility,
     necessary_condition,
     prefix_top_sum,
 )
-from equipart.lab import enumerate_size_sequences
+from equipart.lab import _box, enumerate_size_sequences
 
-from helpers import naive_equitable_exists
+from helpers import naive_completion_exists, naive_equitable_exists
 
 
 class TestPrefixTopSum:
@@ -75,6 +78,55 @@ class TestNecessaryCondition:
                 for j, P in enumerate(inst.prefix_sums, start=1)
             )
             assert by_prefix == necessary_condition(inst)
+
+
+class TestUnionBound:
+    """_failing_prefix, the bound the exact search runs at every node."""
+
+    def test_root_case_is_the_papers_inequality(self):
+        # PAPER.md: sum_{i=1}^{P_j} (n - i + 1) >= j * C(n + 1, 2) / k for every
+        # j, written here times k so that both sides stay integers
+        failing = 0
+        for inst in _box(40, range(3, 9), 1):
+            n, k = inst.n, inst.k
+            expected, top, P = None, 0, 0
+            for j, p in enumerate(inst.sizes, start=1):
+                top += sum(n - i + 1 for i in range(P + 1, P + p + 1))
+                P += p
+                if k * top < j * n * (n + 1) // 2:
+                    expected = j
+                    break
+            assert condition_failing_index(inst) == expected, inst
+            failing += expected is not None
+        assert failing > 0
+
+    def test_dead_states_have_no_completion(self):
+        # random partial states: labels n, ..., e + 1 placed at random
+        rng = random.Random(3)
+        states = dead = beyond_single_blocks = 0
+        while states < 5000:
+            n, k = rng.randint(6, 14), rng.randint(3, 5)
+            s = magic_sum(n, k)
+            if s is None:
+                continue
+            sizes = [1] * k
+            for _ in range(n - k):
+                sizes[rng.randrange(k)] += 1
+            left, need = sizes[:], [s] * k
+            e = rng.randint(0, n)
+            for x in range(n, e, -1):
+                i = rng.choice([i for i in range(k) if left[i]])
+                left[i] -= 1
+                need[i] -= x
+            states += 1
+            if _failing_prefix(left, need, e) is None:
+                continue
+            dead += 1
+            assert not naive_completion_exists(e, left, need), (e, left, need)
+            # a state every single block of which could still be completed
+            if all(j * (j + 1) // 2 <= d <= j * (2 * e + 1 - j) // 2 for j, d in zip(left, need)):
+                beyond_single_blocks += 1
+        assert dead > 1000 and beyond_single_blocks > 20
 
 
 class TestFeasibility:

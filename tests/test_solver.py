@@ -33,7 +33,6 @@ from equipart.solver import (
     XorShift64Star,
     _best_move,
     _plateau_step,
-    _search,
     greedy_init,
     local_search,
     solve,
@@ -58,7 +57,7 @@ BIG_BUDGET = 10**8
 #: _box(40, [3, 4, 5], 2), one update per instance.  It pins the descent's
 #: exact move sequence and the exact fallback's answers; change it only when
 #: a change of moves or answers is intended.
-SOLVE_BOX_SHA256 = "e7c89abfb8ed9e6becdad66cd08c659007d167bca721809695edbca0ebfc04df"
+SOLVE_BOX_SHA256 = "c24bf4bc17a11f3d9ed1d0eaa754ce09f04cab4b6b643e1c61cbf8faa2d1d1d4"
 
 #: sha256 over json.dumps([n, sizes, blocks]) of solve_k2(inst) for every
 #: k = 2 instance that passes necessary_condition with p_1 >= 2 and n <= 300,
@@ -80,7 +79,7 @@ STALL_CORPUS = (
 #: of solve(inst, SearchParams(seed=s, max_restarts=2)) for s in (4, 5) and
 #: every instance of STALL_CORPUS, one update per solve.  It pins the plateau
 #: moves at n > 100, beyond SOLVE_BOX_SHA256's n <= 40.
-STALL_CORPUS_SHA256 = "9a6bd11ece2f65aee29e8178393e5a072baf17c0c0b455a9e2db5fcff293ab3e"
+STALL_CORPUS_SHA256 = "d8bda5a8875e5d809fd60110a0ea8c3e23ff7a4569b256f7788ba1d1ac8295d9"
 
 #: The rows of _box(40, [5, 6, 7, 8], 2) with n >= 16 whose descent,
 #: local_search(inst, SearchParams(max_restarts=2)), takes a shrinking plateau
@@ -177,7 +176,7 @@ class TestSolveExact:
 
     def test_deep_instance_without_recursion(self):
         # one search level per element: a recursive search overflowed the stack here
-        res = _search(Instance(n=1000, sizes=(500, 500)), 10**6, by_need=False)
+        res = solve_exact(Instance(n=1000, sizes=(500, 500)), 10**6)
         assert res.status is ExactStatus.FOUND
         assert res.nodes == 1500
         assert res.partition.blocks == (
@@ -187,53 +186,41 @@ class TestSolveExact:
         assert is_equitable(res.partition, magic_sum(1000, 2))
         assert implements(res.partition, (500, 500))
 
-    def test_deep_instance_through_both_stages(self):
-        res = solve_exact(Instance(n=1000, sizes=(500, 500)), budget=10**6)
-        assert res.status is ExactStatus.FOUND
-        assert is_equitable(res.partition, magic_sum(1000, 2))
-        assert implements(res.partition, (500, 500))
-
     @pytest.mark.parametrize("sizes", [
         (4, 4, 4, 5, 6, 9), (4, 4, 4, 5, 7, 8), (4, 4, 4, 6, 6, 8), (4, 4, 4, 6, 7, 7),
         (4, 4, 5, 5, 6, 8), (4, 4, 5, 5, 7, 7), (4, 4, 5, 6, 6, 7), (4, 5, 5, 5, 6, 7),
     ])
     def test_need_ordered_dive_finds_what_index_order_misses(self, sizes):
-        # the index order alone spends all 250,000 nodes on each of these
+        # The name is from the two-stage search that first found these rows.
+        # The index order with the per-block bound alone spends all 250,000
+        # nodes on each of them; with the union bound it finds each in 32 n.
         inst = Instance(n=32, sizes=sizes)
-        res = solve_exact(inst, budget=250_000)
+        res = solve_exact(inst, budget=32 * 32)
         assert res.status is ExactStatus.FOUND
-        assert res.nodes <= 32 * 32
         assert is_equitable(res.partition, magic_sum(32, 6))
         assert implements(res.partition, sizes)
 
-    def test_budget_split_between_stages(self):
-        # the dive takes min(32 n, budget // 2) nodes, the index order the rest
-        inst = Instance(n=32, sizes=(4, 4, 5, 5, 7, 7))
-        assert solve_exact(inst, budget=1000).nodes == 1001
-        assert solve_exact(inst, budget=0).nodes == 1
-        assert solve_exact(inst, budget=1432).status is ExactStatus.FOUND
-        assert solve_exact(inst, budget=1431).status is ExactStatus.BUDGET
+    def test_oracle_box_absence_settled_at_the_root(self):
+        # The union bound at the root is the prefix condition, so every proof
+        # of absence costs no node, also at budget 0.  For k <= 4 the condition
+        # is sufficient, so NOT_FOUND holds exactly when the verdict is infeasible.
+        total = 0
+        for inst in [*_box(40, [3, 4, 5], 2), *_box(32, [6], 2)]:
+            res = solve_exact(inst, budget=250_000)
+            assert res.status is not ExactStatus.BUDGET, inst
+            total += res.nodes
+            if res.status is ExactStatus.NOT_FOUND:
+                assert res.nodes == 0, inst
+                assert solve_exact(inst, budget=0) == res, inst
+            if inst.k <= 4:
+                assert (res.status is ExactStatus.NOT_FOUND) == feasibility(inst).infeasible, inst
+        assert total <= 250_000
 
     @pytest.mark.parametrize("budget", [-1, -5])
     def test_negative_budget_rejected(self, budget):
         # BUDGET reports budget + 1 nodes, which a negative budget would break
         with pytest.raises(ValueError, match="budget"):
             solve_exact(Instance.from_sizes(12, (3, 4, 5)), budget)
-
-    def test_child_order_does_not_change_proofs_of_absence(self):
-        # the pruned tree does not depend on the order its children are tried in
-        # and that tree fits in the budget whenever either order proves absence
-        proofs = 0
-        for inst in _box(26, [3, 4, 5, 6], 2):
-            by_index = _search(inst, 10**5, by_need=False)
-            by_need = _search(inst, 10**5, by_need=True)
-            assert (by_index.status is ExactStatus.NOT_FOUND) == (
-                by_need.status is ExactStatus.NOT_FOUND
-            ), inst
-            if by_index.status is ExactStatus.NOT_FOUND:
-                assert by_index.nodes == by_need.nodes, inst
-                proofs += 1
-        assert proofs == 506
 
     def test_equal_size_blocks_ordered_by_least_element(self):
         res = solve_exact(Instance.from_sizes(8, [2, 2, 2, 2]), budget=BIG_BUDGET)
@@ -582,7 +569,7 @@ class TestSolve:
         inst = Instance.from_sizes(35, (4, 4, 6, 8, 13))
         res = solve(inst, SearchParams(max_restarts=4))
         assert res.status is SolveStatus.SOLVED
-        assert (res.stats.nodes, res.stats.restarts) == (38, 4)
+        assert (res.stats.nodes, res.stats.restarts) == (73, 4)
         assert is_equitable(res.partition, 126)
         assert tuple(len(b) for b in res.partition.blocks) == inst.sizes
 
