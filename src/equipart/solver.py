@@ -14,22 +14,26 @@ and answers in its size slots, block i of size inst.sizes[i]:
 * the size-one constructor ({n} plus pairs {i, n-i}) for sizes
   (1, 2, ..., 2);
 * a potential-descent local search (local_search) over element
-  exchanges, each start from a randomized greedy initializer.  It finds
-  each improving move from the exchange law delta = 2t(t - u) in
-  O(k n log n) over per-block sorted member lists, ties going to the
-  lex-smallest pair (a, b).  On a plateau it weighs the zero-delta
-  exchanges on the labels' class string (core._class_width), not by
-  trying them.
+  exchanges, each start from a greedy initializer randomized by the
+  standard library's random.Random.  It finds each improving move from
+  the exchange law delta = 2t(t - u) in O(k n log n) over per-block
+  sorted member lists, ties going to the lex-smallest pair (a, b).  On a
+  plateau it weighs the zero-delta exchanges on the labels' class string
+  (core._class_width), not by trying them, and stops at the first step
+  that would undo the last.
 
 The local search is a heuristic; completeness rests on the exact
 fallback, which solve() runs at any n once the descent stalls, within
 the node budget.  Exact and constructive outputs are deterministic;
-heuristic outputs are deterministic for a fixed seed but not promised
-identical across ports.
+heuristic outputs are deterministic for a fixed seed.  Across Python
+versions the random module promises only random()'s stream, not
+choice()'s; the latter is the same on CPython 3.10 to 3.13, where CI runs
+the tests that pin it.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -49,40 +53,12 @@ from .feasibility import Verdict, _failing_prefix, feasibility, necessary_condit
 DEFAULT_NODE_BUDGET = 100_000_000
 
 
-class XorShift64Star:
-    """xorshift64* PRNG: tiny, fast, and identical on every platform.
-
-    The state must be non-zero; it is seeded directly with the given
-    64-bit seed.
-    """
-
-    _MASK = (1 << 64) - 1
-    _MULT = 0x2545F4914F6CDD1D
-
-    def __init__(self, seed: int):
-        state = seed & self._MASK
-        if state == 0:
-            raise ValueError("xorshift64* requires a non-zero seed")
-        self._state = state
-
-    def next_u64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & self._MASK
-        x ^= x >> 27
-        self._state = x
-        return (x * self._MULT) & self._MASK
-
-    def randrange(self, bound: int) -> int:
-        # Modulo bias is irrelevant here: we only need determinism.
-        return self.next_u64() % bound
-
-
 @dataclass(frozen=True)
 class SearchParams:
     """Budgets and seeding for solve() and local_search().
 
-    Descent start r = 0, ..., max_restarts is greedy_init(inst, seed + r).
+    Descent start r = 0, ..., max_restarts is greedy_init(inst, seed + r),
+    and random.Random takes a seed of any size.
     """
 
     seed: int = 0
@@ -95,11 +71,6 @@ class SearchParams:
         for name in ("max_restarts", "exact_node_budget"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        # Restart r seeds xorshift64* with seed + r, which must not wrap at 2^64.
-        if self.seed + self.max_restarts >= 2**64:
-            raise ValueError(
-                f"seed + max_restarts must be below 2**64, got {self.seed + self.max_restarts}"
-            )
 
 
 @dataclass
@@ -305,14 +276,15 @@ def greedy_init(inst: Instance, seed: int) -> Partition:
     """Assign n, n-1, ..., 1, each to the open block with largest deficit.
 
     Ties go to the lowest block index.  With a non-zero seed, the first
-    ceil(k/2) placements pick a uniformly random open block and later
-    ties are broken at random, so restarts explore distinct starts while
-    staying reproducible.
+    ceil(k/2) placements pick an open block with random.Random(seed).choice
+    and later ties are broken the same way, so restarts explore distinct
+    starts while staying reproducible.  Seed 0 draws no random number: it is
+    the fully deterministic start.
     """
     s = magic_sum(inst.n, inst.k)
     if s is None:
         raise ValueError(f"magic sum is not integral for n={inst.n}, k={inst.k}")
-    rng = XorShift64Star(seed) if seed != 0 else None
+    rng = random.Random(seed) if seed != 0 else None
     k, sizes = inst.k, inst.sizes
     counts = [0] * k
     sums = [0] * k
@@ -321,11 +293,11 @@ def greedy_init(inst: Instance, seed: int) -> Partition:
     for step, e in enumerate(range(inst.n, 0, -1)):
         open_blocks = [i for i in range(k) if counts[i] < sizes[i]]
         if rng is not None and step < random_head:
-            i = open_blocks[rng.randrange(len(open_blocks))]
+            i = rng.choice(open_blocks)
         else:
             best = max(s - sums[i] for i in open_blocks)
             ties = [i for i in open_blocks if s - sums[i] == best]
-            i = ties[rng.randrange(len(ties))] if rng is not None and len(ties) > 1 else ties[0]
+            i = rng.choice(ties) if rng is not None and len(ties) > 1 else ties[0]
         blocks[i].append(e)
         counts[i] += 1
         sums[i] += e
@@ -419,7 +391,10 @@ def local_search(
     Runs starts r = 0, 1, ..., params.max_restarts, each from
     greedy_init(inst, params.seed + r): the best strictly-improving
     exchange until none exists, then up to 2n zero-delta exchanges, then
-    the next start.  Returns the first equitable partition reached, its
+    the next start.  A plateau step that equals the one before it would
+    undo it; both step rules read only the state, so the walk could then
+    only oscillate, and the start ends there.  The 2n allowance bounds
+    longer cycles.  Returns the first equitable partition reached, its
     block i of size inst.sizes[i], or None when every start stalls.
     Deviation never increases within a start; stats.restarts counts each
     start after the first.
@@ -439,15 +414,17 @@ def local_search(
             stats.restarts += 1
         state = _State(greedy_init(inst, params.seed + r))
         plateau_used = 0
+        last_step = None  # the previous move, if it was a plateau step
         while any(t != s for t in state.sums):
             move = _best_move(state)
             if move is not None:
                 a, b = move[1], move[2]
+                last_step = None
             else:
                 step = _plateau_step(state, s) if plateau_used < 2 * n else None
-                if step is None:
+                if step is None or step == last_step:
                     break
-                a, b = step
+                a, b = last_step = step
                 plateau_used += 1
             state.exchange(a, b)
             if stats is not None:

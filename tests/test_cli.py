@@ -70,12 +70,11 @@ class TestUsageErrors:
         assert code == 2
 
     def test_seed_beyond_64_bits(self, capsys):
-        # 2**64 + 5 would silently run as seed 5
-        code, _, err = run_cli(
+        # random.Random takes a seed of any size
+        code, _, _ = run_cli(
             capsys, "solve", "--n", "8", "--sizes", "2,2,2,2", "--seed", str(2**64 + 5)
         )
-        assert code == 2
-        assert "2**64" in err
+        assert code == 0
 
     def test_exact_cutoff_flag_is_gone(self, capsys):
         # argparse rejects an unknown flag by raising SystemExit(2)
@@ -130,7 +129,7 @@ class TestSolve:
 
     def test_stalled_descent_settled_by_exact_search(self, capsys):
         code, payload = run_json(
-            capsys, "solve", "--n", "35", "--sizes", "4,4,6,8,13", "--max-restarts", "4"
+            capsys, "solve", "--n", "35", "--sizes", "4,4,6,8,13", "--max-restarts", "0"
         )
         assert code == 0
         assert payload["status"] == "solved"

@@ -189,6 +189,18 @@ class TestFeasibility:
                         n, k, sizes,
                     )
 
+    def test_predictions_match_naive_oracle_on_box(self):
+        # The exact search settles a predicted-infeasible row with the
+        # verdict's own routine, so that direction needs a search that does
+        # not share it: here, anchored enumeration without the union bound.
+        infeasible = 0
+        for inst in _box(22, [3, 4], 2):
+            predicted = feasibility(inst).predicts_feasible
+            s = magic_sum(inst.n, inst.k)
+            assert predicted == naive_equitable_exists(inst.n, inst.sizes, s), inst
+            infeasible += not predicted
+        assert infeasible == 92  # of 153 rows
+
 
 @settings(max_examples=150, deadline=None)
 @given(

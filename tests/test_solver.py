@@ -30,7 +30,6 @@ from equipart.solver import (
     SearchParams,
     SolveStats,
     SolveStatus,
-    XorShift64Star,
     _best_move,
     _plateau_step,
     greedy_init,
@@ -57,7 +56,7 @@ BIG_BUDGET = 10**8
 #: _box(40, [3, 4, 5], 2), one update per instance.  It pins the descent's
 #: exact move sequence and the exact fallback's answers; change it only when
 #: a change of moves or answers is intended.
-SOLVE_BOX_SHA256 = "c24bf4bc17a11f3d9ed1d0eaa754ce09f04cab4b6b643e1c61cbf8faa2d1d1d4"
+SOLVE_BOX_SHA256 = "ac4311ac9ea02b85ab18b665287d101ef1d693f5d7b6907d48cfd9b6f40a2614"
 
 #: sha256 over json.dumps([n, sizes, blocks]) of solve_k2(inst) for every
 #: k = 2 instance that passes necessary_condition with p_1 >= 2 and n <= 300,
@@ -79,50 +78,76 @@ STALL_CORPUS = (
 #: of solve(inst, SearchParams(seed=s, max_restarts=2)) for s in (4, 5) and
 #: every instance of STALL_CORPUS, one update per solve.  It pins the plateau
 #: moves at n > 100, beyond SOLVE_BOX_SHA256's n <= 40.
-STALL_CORPUS_SHA256 = "d8bda5a8875e5d809fd60110a0ea8c3e23ff7a4569b256f7788ba1d1ac8295d9"
+STALL_CORPUS_SHA256 = "bed00555503303266e93b99e4905a1bb494459081c54abfb8678daba44de8b01"
 
-#: The rows of _box(40, [5, 6, 7, 8], 2) with n >= 16 whose descent,
+#: The rows of _box(62, [5, 6, 7, 8], 2) with n >= 16 whose descent,
 #: local_search(inst, SearchParams(max_restarts=2)), takes a shrinking plateau
-#: candidate other than the first at least 3 times.  They hold 109 of the box's
-#: 149 such steps at infinite width and 142 of its 441 at finite width, in
-#: 1,781 plateau steps; the whole box takes 658,937.
+#: candidate other than the first at least 3 times.  They hold 103 of the box's
+#: 559 such steps at infinite width and 290 of its 2,248 at finite width, in
+#: 620 plateau steps; the whole box takes 553,065.
 SHRINKING_PLATEAU_ROWS = (
     (27, (2, 3, 3, 3, 3, 3, 10)), (27, (3, 3, 3, 3, 3, 3, 9)),
     (31, (2, 3, 3, 3, 3, 3, 4, 10)), (31, (2, 3, 3, 3, 3, 3, 7, 7)),
-    (31, (2, 3, 3, 3, 4, 4, 6, 6)), (31, (2, 3, 3, 4, 4, 4, 5, 6)),
-    (32, (3, 3, 4, 4, 6, 12)), (32, (3, 3, 4, 7, 7, 8)), (32, (3, 4, 4, 4, 5, 12)),
-    (32, (3, 4, 4, 4, 7, 10)), (32, (3, 3, 3, 3, 3, 3, 3, 11)),
-    (32, (3, 3, 3, 3, 4, 4, 6, 6)), (32, (3, 3, 3, 4, 4, 5, 5, 5)),
-    (32, (3, 3, 4, 4, 4, 4, 5, 5)), (34, (3, 3, 3, 3, 4, 6, 12)),
-    (34, (3, 3, 3, 3, 4, 9, 9)), (34, (3, 3, 3, 3, 5, 8, 9)), (34, (3, 3, 3, 3, 7, 7, 8)),
-    (34, (3, 3, 3, 4, 7, 7, 7)), (34, (4, 5, 5, 5, 5, 5, 5)),
-    (35, (3, 3, 3, 4, 4, 8, 10)), (35, (3, 3, 3, 4, 5, 7, 10)), (35, (3, 3, 4, 5, 6, 6, 8)),
-    (39, (4, 4, 4, 6, 6, 15)),
+    (31, (2, 3, 3, 3, 4, 4, 6, 6)), (31, (3, 3, 3, 3, 3, 3, 3, 10)),
+    (32, (3, 3, 4, 4, 6, 12)), (32, (3, 3, 4, 7, 7, 8)), (32, (3, 3, 5, 6, 7, 8)),
+    (32, (3, 3, 3, 3, 3, 3, 3, 11)), (32, (3, 3, 3, 3, 4, 4, 6, 6)),
+    (34, (3, 3, 3, 3, 4, 6, 12)), (34, (3, 3, 3, 3, 4, 7, 11)),
+    (34, (3, 3, 3, 3, 5, 8, 9)), (34, (3, 3, 3, 4, 7, 7, 7)),
+    (34, (4, 5, 5, 5, 5, 5, 5)), (35, (3, 3, 3, 4, 4, 8, 10)),
+    (35, (3, 3, 3, 4, 5, 7, 10)), (35, (3, 3, 4, 5, 6, 6, 8)),
+    (39, (4, 4, 4, 6, 6, 15)), (44, (4, 5, 5, 8, 10, 12)), (44, (5, 5, 5, 5, 7, 17)),
+    (47, (4, 4, 4, 4, 4, 5, 11, 11)), (47, (4, 4, 4, 4, 4, 7, 10, 10)),
+    (47, (4, 4, 4, 4, 5, 8, 8, 10)), (47, (4, 4, 4, 4, 5, 8, 9, 9)),
+    (47, (4, 4, 4, 5, 5, 5, 10, 10)), (47, (4, 4, 5, 6, 6, 6, 6, 10)),
+    (48, (4, 4, 4, 5, 6, 9, 16)), (48, (4, 4, 4, 5, 7, 9, 15)),
+    (48, (4, 4, 4, 5, 8, 8, 15)), (48, (4, 4, 4, 5, 10, 10, 11)),
+    (48, (4, 4, 4, 6, 6, 7, 17)), (48, (4, 4, 4, 6, 6, 9, 15)),
+    (48, (4, 4, 4, 6, 6, 11, 13)), (48, (4, 4, 4, 6, 8, 11, 11)),
+    (48, (4, 4, 4, 6, 9, 9, 12)), (48, (4, 4, 5, 5, 8, 11, 11)),
+    (48, (5, 5, 5, 6, 9, 9, 9)), (48, (6, 7, 7, 7, 7, 7, 7)),
+    (48, (4, 4, 4, 5, 6, 7, 9, 9)), (48, (5, 5, 5, 5, 5, 5, 7, 11)),
+    (48, (5, 5, 5, 5, 5, 6, 8, 9)), (48, (5, 6, 6, 6, 6, 6, 6, 7)),
+    (49, (4, 4, 4, 5, 6, 8, 18)), (49, (4, 4, 4, 5, 6, 10, 16)),
+    (49, (4, 4, 4, 5, 7, 11, 14)), (49, (4, 4, 5, 5, 5, 8, 18)),
+    (49, (4, 4, 5, 5, 7, 10, 14)), (49, (4, 4, 5, 5, 7, 11, 13)),
+    (49, (4, 4, 5, 5, 10, 10, 11)), (49, (4, 4, 5, 6, 6, 9, 15)),
+    (49, (4, 4, 5, 6, 7, 8, 15)), (49, (4, 4, 5, 7, 7, 8, 14)),
+    (49, (4, 4, 5, 7, 9, 9, 11)), (49, (4, 4, 6, 6, 6, 9, 14)),
+    (49, (4, 4, 6, 7, 7, 7, 14)), (49, (4, 4, 6, 7, 7, 8, 13)),
+    (49, (4, 4, 6, 7, 7, 9, 12)), (49, (4, 4, 6, 7, 7, 10, 11)),
+    (49, (4, 4, 6, 7, 8, 8, 12)), (49, (4, 4, 6, 7, 8, 9, 11)),
+    (49, (4, 4, 6, 8, 9, 9, 9)), (49, (4, 5, 5, 7, 8, 8, 12)),
+    (49, (4, 5, 6, 6, 7, 8, 13)), (49, (5, 5, 5, 5, 5, 7, 17)),
+    (49, (5, 5, 5, 6, 8, 9, 11)), (51, (5, 5, 6, 6, 9, 20)), (51, (5, 5, 6, 8, 12, 15)),
+    (51, (5, 5, 7, 7, 10, 17)), (55, (5, 5, 5, 5, 6, 9, 20)),
+    (55, (5, 5, 5, 5, 6, 11, 18)), (55, (5, 5, 5, 5, 6, 14, 15)),
+    (55, (5, 5, 5, 5, 7, 10, 18)), (55, (5, 7, 8, 8, 8, 9, 10)),
+    (56, (5, 6, 6, 7, 13, 19)), (56, (5, 6, 6, 7, 16, 16)), (56, (6, 6, 8, 9, 9, 18)),
+    (56, (5, 5, 5, 5, 7, 10, 19)), (56, (5, 5, 5, 5, 7, 11, 18)),
+    (56, (5, 5, 5, 5, 7, 12, 17)), (56, (5, 5, 5, 5, 8, 12, 16)),
+    (56, (5, 5, 5, 6, 11, 11, 13)), (56, (5, 5, 6, 6, 8, 12, 14)),
+    (56, (6, 6, 6, 6, 8, 12, 12)), (60, (6, 6, 6, 8, 13, 21)),
+    (60, (6, 6, 6, 9, 15, 18)), (62, (4, 5, 6, 6, 7, 12, 22)),
+    (62, (4, 5, 6, 6, 7, 14, 20)), (62, (5, 5, 6, 6, 8, 10, 22)),
+    (62, (5, 5, 6, 6, 9, 9, 22)), (62, (5, 5, 6, 6, 9, 14, 17)),
+    (62, (5, 5, 6, 6, 10, 13, 17)), (62, (5, 5, 6, 6, 11, 11, 18)),
+    (62, (5, 5, 6, 6, 11, 13, 16)), (62, (5, 5, 6, 7, 7, 9, 23)),
+    (62, (5, 5, 6, 7, 7, 10, 22)), (62, (5, 5, 6, 7, 8, 11, 20)),
+    (62, (5, 5, 6, 7, 10, 13, 16)), (62, (5, 5, 6, 7, 10, 14, 15)),
+    (62, (5, 5, 6, 8, 8, 15, 15)), (62, (5, 5, 6, 8, 10, 12, 16)),
+    (62, (5, 5, 7, 7, 11, 11, 16)), (62, (5, 5, 7, 8, 9, 13, 15)),
+    (62, (5, 5, 7, 8, 9, 14, 14)), (62, (5, 5, 7, 9, 9, 11, 16)),
+    (62, (5, 6, 6, 6, 8, 15, 16)), (62, (5, 6, 6, 6, 10, 14, 15)),
+    (62, (5, 6, 6, 7, 10, 13, 15)), (62, (5, 6, 7, 7, 8, 10, 19)),
+    (62, (5, 6, 8, 9, 9, 11, 14)), (62, (5, 7, 7, 8, 8, 12, 15)),
+    (62, (5, 7, 7, 8, 10, 10, 15)), (62, (6, 6, 7, 7, 7, 9, 20)),
+    (62, (6, 6, 7, 7, 8, 8, 20)), (62, (6, 6, 7, 7, 9, 10, 17)),
+    (62, (6, 6, 7, 8, 8, 8, 19)), (62, (6, 6, 7, 9, 9, 9, 16)),
+    (62, (7, 7, 7, 8, 11, 11, 11)), (62, (8, 9, 9, 9, 9, 9, 9)),
 )
 
 
-class TestXorShift:
-    def test_deterministic(self):
-        a = XorShift64Star(12345)
-        b = XorShift64Star(12345)
-        assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
-
-    def test_zero_seed_rejected(self):
-        with pytest.raises(ValueError):
-            XorShift64Star(0)
-
-    def test_stays_in_64_bits(self):
-        rng = XorShift64Star(99)
-        assert all(0 <= rng.next_u64() < 2**64 for _ in range(100))
-
-
 class TestSearchParams:
-    def test_restart_seeds_must_not_wrap(self):
-        # restart r seeds greedy_init with seed + r; 2**64 would wrap to 0
-        with pytest.raises(ValueError, match="2\\*\\*64"):
-            SearchParams(seed=2**64 - 1, max_restarts=1)
-        assert SearchParams(seed=2**64 - 2, max_restarts=1).seed == 2**64 - 2
-
     def test_fields(self):
         # the exact search is bounded by its node budget alone, not by a size cutoff
         names = [f.name for f in dataclasses.fields(SearchParams)]
@@ -565,17 +590,18 @@ class TestSolve:
         assert tuple(len(b) for b in res.partition.blocks) == (2, 3, 4)
 
     def test_stalled_descent_falls_back_to_exact_search(self):
-        # the descent stalls after 4 restarts; the exact search finds a witness
+        # the seed-0 start, which draws no random number, stalls; the exact
+        # search finds a witness
         inst = Instance.from_sizes(35, (4, 4, 6, 8, 13))
-        res = solve(inst, SearchParams(max_restarts=4))
+        res = solve(inst, SearchParams(max_restarts=0))
         assert res.status is SolveStatus.SOLVED
-        assert (res.stats.nodes, res.stats.restarts) == (73, 4)
+        assert (res.stats.nodes, res.stats.restarts) == (73, 0)
         assert is_equitable(res.partition, 126)
         assert tuple(len(b) for b in res.partition.blocks) == inst.sizes
 
     def test_stall_beyond_node_budget_is_budget_exhausted(self):
         res = solve(Instance.from_sizes(35, (4, 4, 6, 8, 13)),
-                    SearchParams(max_restarts=4, exact_node_budget=10))
+                    SearchParams(max_restarts=0, exact_node_budget=10))
         assert res.status is SolveStatus.BUDGET_EXHAUSTED
         assert res.partition is None
         assert res.stats.nodes == 11
