@@ -63,7 +63,6 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], text: str) -> None:
 def _verdict_detail(inst: Instance, verdict: Verdict) -> dict[str, Any] | None:
     if verdict.status is FeasibilityStatus.INFEASIBLE_CONDITION:
         j = verdict.failing_index
-        assert j is not None and verdict.s is not None
         lhs = prefix_top_sum(inst.n, inst.prefix_sums[j - 1])
         return {"failing_index": j, "prefix_sum": lhs, "required": j * verdict.s}
     if verdict.status is FeasibilityStatus.INFEASIBLE_SIZE_ONE:
@@ -77,7 +76,6 @@ def _verdict_line(inst: Instance, verdict: Verdict) -> str:
         return f"infeasible: {inst.n}({inst.n}+1)/2 is not divisible by k={inst.k}"
     if status is FeasibilityStatus.INFEASIBLE_CONDITION:
         detail = _verdict_detail(inst, verdict)
-        assert detail is not None
         return (
             f"infeasible: condition fails at j={detail['failing_index']} "
             f"({detail['prefix_sum']} < {detail['required']})"
@@ -144,7 +142,6 @@ def _solve_payload(args: argparse.Namespace, inst: Instance) -> tuple[dict[str, 
         "elapsed": round(result.stats.elapsed, 6),
     }
     if result.status is SolveStatus.SOLVED:
-        assert result.partition is not None
         payload["blocks"] = [list(b) for b in result.partition.blocks]
         total = inst.n * (inst.n + 1) // 2
         payload["graph_constant"] = total - result.verdict.s

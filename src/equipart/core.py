@@ -14,9 +14,8 @@ a partition is built and checked (integer labels, a disjoint cover of
 [n]), and the block sums are derived there, never passed in.  The local
 search's mutable view of a partition is _State, the one exchange kernel:
 swap() runs it, so the exchange law is tested on the code the search
-runs.  The width is read off a class string, one low/exact/high byte per
-label (_State.classes); width() and the plateau's weighing of a candidate
-share that routine (_class_width).
+runs.  _State.width is the one width routine: width() and the plateau
+step's weighing of a candidate both run it.
 
 All arithmetic is exact integer arithmetic.  Ground sets are capped at
 n <= 2^31 so every quantity here stays within signed 64-bit range in
@@ -26,7 +25,6 @@ fixed-width ports of this module.
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -35,12 +33,6 @@ MAX_N = 2**31
 
 #: Distinguished width value when no high/low element pair exists.
 INFINITE_WIDTH = math.inf
-
-#: A label's class byte: its block sums below, at or above the target.
-_LOW, _EXACT, _HIGH = b"LEH"
-
-#: A low label, then only exact labels, then a high label.
-_GAP = re.compile(rb"LE*H")
 
 
 def magic_sum(n: int, k: int) -> int | None:
@@ -62,6 +54,12 @@ def _check_n(n) -> None:
     """Reject an n that is not a genuine int (a bool is not) in [1, MAX_N]."""
     if type(n) is not int or not 1 <= n <= MAX_N:
         raise ValueError(f"n must be an integer in [1, {MAX_N}], got {n!r}")
+
+
+def _check_count(name: str, value, least: int = 0) -> None:
+    """Reject a count or budget that is not a genuine int (a bool is not) >= least."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _all_ints(values) -> bool:
@@ -270,42 +268,25 @@ class _State:
             del block[bisect_left(block, old)]
             insort(block, new)
 
-    def classes(self, s: int) -> bytearray:
-        """Byte x is L, E or H as label x's block sums below, at or above s (byte 0: E)."""
-        out = bytearray(b"E") * (self.n + 1)
-        for block, t in zip(self.members, self.sums):
-            c = _LOW if t < s else _HIGH if t > s else _EXACT
-            for x in block:
-                out[x] = c
-        return out
-
     def width(self, s: int) -> int | float:
-        return _class_width(self.classes(s))
+        """The least y - x over a low label x and a high label y > x.
+
+        One ascending pass: the nearest low label below a high label is
+        the last low label seen before it.
+        """
+        # -1, 0 or 1 as block i sums below, at or above s.
+        side = [(t > s) - (t < s) for t in self.sums]
+        assign = self.assign
+        best: int | float = INFINITE_WIDTH
+        low = 0  # the last low label seen; 0 before the first
+        for x in range(1, self.n + 1):
+            c = side[assign[x]]
+            if c < 0:
+                low = x
+            elif c and low and x - low < best:
+                best = x - low
+        return best
 
     def partition(self) -> Partition:
         return Partition.from_blocks(self.n, self.members)
 
-
-def _class_width(classes: bytes | bytearray, below: int | float = INFINITE_WIDTH) -> int | float:
-    """The width of a class string when it is less than `below`, else `below`.
-
-    The width is the least y - x over a low label x and a high label y > x.
-    The nearest such pair has no low or high label between them, so it is a
-    match of L E* H, one byte longer than its gap.  The search for a match
-    shorter than `below` stops at the first one (at infinite `below`: the
-    first L against the last H); only a hit goes on to find the least.
-    """
-    if below == INFINITE_WIDTH:
-        start = classes.find(_LOW)
-        if start < 0 or classes.rfind(_HIGH) < start:
-            return below
-        gap = _GAP
-    else:
-        if below <= 1:
-            return below  # a finite width is at least 1
-        gap = re.compile(b"LE{0,%d}H" % (below - 2))
-        hit = gap.search(classes)
-        if hit is None:
-            return below
-        start = hit.start()
-    return min(m.end() - m.start() for m in gap.finditer(classes, start)) - 1

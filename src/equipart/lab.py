@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 from multiprocessing import Pool
 from typing import Iterator
 
-from .core import Instance, magic_sum
+from .core import Instance, _check_count, magic_sum
 from .feasibility import feasibility
 from .solver import (
     DEFAULT_NODE_BUDGET,
@@ -143,11 +143,10 @@ def _sweep_row(task: tuple[Instance, int]) -> SweepRow:
 def _check_budget_workers(budget: int, workers: int = 1) -> None:
     # A negative budget would report every row as unresolved (or, in
     # descent_success, skip every row and report a rate of 1.0 over none),
-    # and fewer than one worker would silently run serially.
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    # and fewer than one worker would silently run serially.  A float would
+    # go into the report, or fail later inside Pool.
+    _check_count("budget", budget)
+    _check_count("workers", workers, 1)
 
 
 def _run_tasks(worker, tasks, workers: int) -> list:

@@ -18,9 +18,9 @@ and answers in its size slots, block i of size inst.sizes[i]:
   standard library's random.Random.  It finds each improving move from
   the exchange law delta = 2t(t - u) in O(k n log n) over per-block
   sorted member lists, ties going to the lex-smallest pair (a, b).  On a
-  plateau it weighs the zero-delta exchanges on the labels' class string
-  (core._class_width), not by trying them, and stops at the first step
-  that would undo the last.
+  plateau it tries the zero-delta exchanges in lex order on the search
+  state, taking the first that shrinks the width, and stops at the first
+  step that would undo the last.
 
 The local search is a heuristic; completeness rests on the exact
 fallback, which solve() runs at any n once the descent stalls, within
@@ -42,7 +42,7 @@ from enum import Enum
 from .core import (
     Instance,
     Partition,
-    _class_width,
+    _check_count,
     _exchange_delta,
     _State,
     magic_sum,
@@ -66,11 +66,8 @@ class SearchParams:
     exact_node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        for name in ("max_restarts", "exact_node_budget"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for name in ("seed", "max_restarts", "exact_node_budget"):
+            _check_count(name, getattr(self, name))
 
 
 @dataclass
@@ -132,10 +129,9 @@ def solve_exact(inst: Instance, budget: int) -> ExactResult:
     least element on output.  Blocks are tried in index order.
 
     At most `budget` nodes are placed; BUDGET reports budget + 1, the node
-    it did not place.  Raises ValueError for a negative budget.
+    it did not place.  Raises ValueError for a budget that is not an int >= 0.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
+    _check_count("budget", budget)
     s = magic_sum(inst.n, inst.k)
     if s is None:
         raise ValueError(f"magic sum is not integral for n={inst.n}, k={inst.k}")
@@ -255,7 +251,7 @@ def solve_k2(inst: Instance) -> Partition:
         )
         rest = tuple(range(prefix_len, mid)) + tuple(range(mid + 1, n - full + 1))
     if len(small) != p1 or len(rest) != n - p1:
-        raise AssertionError("two-block construction produced wrong sizes")
+        raise RuntimeError("two-block construction produced wrong sizes")
     return Partition.from_blocks(n, (small, rest))
 
 
@@ -336,51 +332,29 @@ def _best_move(state: _State) -> tuple[int, int, int] | None:
 def _plateau_step(state: _State, s: int) -> tuple[int, int] | None:
     """First zero-delta exchange in lex order, preferring one that shrinks the width.
 
-    Zero delta means b - a equals the sum gap u from a's block i up to b's
-    block j, so the exchange makes i and j trade sums: every other label of
-    i and j trades its low/exact/high class, while a and b keep theirs.  So
-    each pair (i, j) weighs its candidates on one copy of the class string
-    with the classes of i and j swapped, putting back the bytes of a and b
-    for each; the state is not changed, and one copy at a time keeps memory
-    O(n) at any k.  Pairs go by their first candidate and stop once past a
-    shrinking one, so the answer is the lex-first shrinking candidate, else
-    the lex-first candidate.
+    Zero delta means b - a equals the sum gap u from a's block up to b's,
+    so the candidates are the pairs (a, a + u).  Each is tried on the state
+    itself: exchange, measure the width, exchange back.  The state is left
+    as it was found.
     """
     assign, sums, members, n = state.assign, state.sums, state.members, state.n
-    classes = state.classes(s)
-    cur_width = _class_width(classes)
-    pairs = []  # (first a, u, i, j, every a) per block pair with a candidate
+    candidates = []
     for i, si in enumerate(sums):
         for j, sj in enumerate(sums):
             u = sj - si
             if u > 0:
-                starts = [a for a in members[i] if a + u <= n and assign[a + u] == j]
-                if starts:
-                    pairs.append((starts[0], u, i, j, starts))
-    if not pairs:
+                candidates += [(a, a + u) for a in members[i] if a + u <= n and assign[a + u] == j]
+    if not candidates:
         return None
-    pairs.sort()  # by first candidate (a, a + u), distinct per pair
-    best: tuple[int, int] | None = None
-    for first, u, i, j, starts in pairs:
-        if best is not None and (first, first + u) > best:
-            break
-        ci, cj = classes[members[i][0]], classes[members[j][0]]
-        trial = bytearray(classes)
-        for x in members[i]:
-            trial[x] = cj
-        for x in members[j]:
-            trial[x] = ci
-        for a in starts:
-            b = a + u
-            if best is not None and (a, b) > best:
-                break
-            trial[a], trial[b] = trial[b], trial[a]  # a and b keep their classes
-            if _class_width(trial, cur_width) < cur_width:
-                best = (a, b)
-                break
-            trial[a], trial[b] = trial[b], trial[a]
-    first, u = pairs[0][:2]
-    return best or (first, first + u)
+    candidates.sort()
+    cur_width = state.width(s)
+    for a, b in candidates:
+        state.exchange(a, b)
+        shrinks = state.width(s) < cur_width
+        state.exchange(a, b)
+        if shrinks:
+            return a, b
+    return candidates[0]
 
 
 def local_search(
@@ -404,9 +378,8 @@ def local_search(
     2t(t - u): the best partner of a lies next to a + u/2, so an improving
     move costs O(k n log n), not O(n^2); a zero-delta partner is exactly
     a + u, so a plateau step has at most k - 1 candidates per a.  A plateau
-    step weighs them on one class string per block pair, without trial
-    exchanges: a candidate costs two byte swaps and a width test that stops
-    at its first hit.
+    step tries them in lex order on the state, each an exchange, an O(n)
+    width pass and the exchange back, until one shrinks the width.
     """
     n, s = inst.n, magic_sum(inst.n, inst.k)
     for r in range(params.max_restarts + 1):

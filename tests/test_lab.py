@@ -119,14 +119,24 @@ class TestSweep:
 )
 class TestBudgetAndWorkers:
     @pytest.mark.parametrize(
-        "kw", [{"budget": -1}, {"workers": 0}, {"workers": -4}], ids=str
+        "kw",
+        [
+            {"budget": -1},
+            {"budget": 2.5},
+            {"budget": True},
+            {"workers": 0},
+            {"workers": -4},
+            {"workers": 2.0},
+            {"workers": True},
+        ],
+        ids=str,
     )
     def test_rejected_before_any_row(self, monkeypatch, run, kw):
         def no_rows(*args, **kwargs):
             raise AssertionError("a row ran")
 
         monkeypatch.setattr(lab, "solve_exact", no_rows)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             run(kw)
 
     def test_zero_budget_is_valid(self, run):

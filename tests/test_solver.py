@@ -153,6 +153,29 @@ class TestSearchParams:
         names = [f.name for f in dataclasses.fields(SearchParams)]
         assert names == ["seed", "max_restarts", "exact_node_budget"]
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"seed": -1},
+            {"seed": True},
+            {"seed": 1.0},
+            {"max_restarts": -1},
+            {"max_restarts": 2.0},
+            {"max_restarts": False},
+            {"exact_node_budget": -1},
+            {"exact_node_budget": 2.5},
+            {"exact_node_budget": "10"},
+        ],
+        ids=str,
+    )
+    def test_non_int_or_negative_rejected(self, kw):
+        # a float restart count would otherwise fail mid-solve in range()
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            SearchParams(**kw)
+
+    def test_zero_and_large_values_accepted(self):
+        SearchParams(seed=2**70, max_restarts=0, exact_node_budget=0)
+
 
 class TestSolveExact:
     def test_finds_equitable_partition(self):
@@ -241,9 +264,10 @@ class TestSolveExact:
                 assert (res.status is ExactStatus.NOT_FOUND) == feasibility(inst).infeasible, inst
         assert total <= 250_000
 
-    @pytest.mark.parametrize("budget", [-1, -5])
+    @pytest.mark.parametrize("budget", [-1, -5, 10.5, 10.0, True, None])
     def test_negative_budget_rejected(self, budget):
-        # BUDGET reports budget + 1 nodes, which a negative budget would break
+        # BUDGET reports budget + 1 nodes, which a negative budget would
+        # break; a non-int budget is rejected at the door, not deep in a run
         with pytest.raises(ValueError, match="budget"):
             solve_exact(Instance.from_sizes(12, (3, 4, 5)), budget)
 
@@ -527,9 +551,11 @@ class TestMoveSearch:
         steps = []
 
         def record(state, s):
-            before = (list(state.assign), list(state.sums), s, state.n)
-            steps.append((*before, _plateau_step(state, s)))
-            return steps[-1][-1]
+            before = (list(state.assign), list(state.sums), [list(m) for m in state.members])
+            step = _plateau_step(state, s)
+            assert (state.assign, state.sums, state.members) == before  # trial exchanges undone
+            steps.append((before[0], before[1], s, state.n, step))
+            return step
 
         monkeypatch.setattr("equipart.solver._plateau_step", record)
         for n, sizes in SHRINKING_PLATEAU_ROWS:
