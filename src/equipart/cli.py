@@ -3,7 +3,9 @@
 Every command renders the same facts in text or JSON (--format).  The
 JSON schema uses the stable field names n, k, sizes, status, magic_sum,
 blocks, graph_constant, stats, plus a detail object for verdict- or
-witness-specific facts.  verify reads the JSON that solve emits.
+witness-specific facts.  The JSON puts one field per line, keys sorted,
+and one item per line of a non-empty list (one block, or one sweep row).
+verify reads the JSON that solve emits, in this layout or any other.
 
 Exit codes: 0 solved/feasible/magic or clean sweep; 1 infeasible, not
 magic, or mismatches present; 2 usage or input error; 3 inconclusive
@@ -18,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from .core import Instance, Partition, magic_sum
 from .feasibility import FeasibilityStatus, Verdict, feasibility, prefix_top_sum
@@ -48,11 +50,31 @@ def _instance_from_args(args: argparse.Namespace) -> Instance:
     return Instance.from_sizes(args.n, sizes)
 
 
-def _emit(args: argparse.Namespace, payload: dict[str, Any], text: str) -> None:
+def _json_text(payload: dict[str, Any]) -> str:
+    """One field per line, keys sorted; a non-empty list puts one item per line.
+
+    Each value is encoded on its own without indent, so the C encoder runs.
+    """
+    fields = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, (list, tuple)) and value:
+            items = ",\n    ".join(json.dumps(item, sort_keys=True) for item in value)
+            value_text = f"[\n    {items}\n  ]"
+        else:
+            value_text = json.dumps(value, sort_keys=True)
+        fields.append(f"  {json.dumps(key)}: {value_text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
+def _emit(args: argparse.Namespace, payload: dict[str, Any], text: Callable[[], str]) -> None:
+    """Write the payload as JSON, or call text() for the text form; only one is built."""
     if args.format == "json":
-        rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        rendered = _json_text(payload)
     else:
-        rendered = text if text.endswith("\n") else text + "\n"
+        rendered = text()
+        if not rendered.endswith("\n"):
+            rendered += "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(rendered)
@@ -114,8 +136,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     payload = _base_payload(inst)
     payload["status"] = verdict.status.value
     payload["detail"] = _verdict_detail(inst, verdict)
-    text = "\n".join(_instance_header(inst) + [f"verdict: {_verdict_line(inst, verdict)}"])
-    _emit(args, payload, text)
+    _emit(args, payload, lambda: "\n".join(
+        _instance_header(inst) + [f"verdict: {_verdict_line(inst, verdict)}"]))
     if verdict.status is FeasibilityStatus.FEASIBLE_PROVEN:
         return EXIT_OK
     if verdict.status is FeasibilityStatus.CONDITION_HOLDS_CONJECTURED:
@@ -142,7 +164,7 @@ def _solve_payload(args: argparse.Namespace, inst: Instance) -> tuple[dict[str, 
         "elapsed": round(result.stats.elapsed, 6),
     }
     if result.status is SolveStatus.SOLVED:
-        payload["blocks"] = [list(b) for b in result.partition.blocks]
+        payload["blocks"] = result.partition.blocks
         total = inst.n * (inst.n + 1) // 2
         payload["graph_constant"] = total - result.verdict.s
         code = EXIT_OK
@@ -158,40 +180,48 @@ def _solve_payload(args: argparse.Namespace, inst: Instance) -> tuple[dict[str, 
     return payload, code
 
 
-def _blocks_text(blocks: list[list[int]]) -> str:
+def _blocks_text(blocks) -> str:
     return " ".join("{" + ",".join(map(str, b)) + "}" for b in blocks)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _instance_from_args(args)
     payload, code = _solve_payload(args, inst)
-    lines = _instance_header(inst) + [f"status: {payload['status']}"]
-    if payload["blocks"] is not None:
-        lines.append(f"blocks: {_blocks_text(payload['blocks'])}")
-        lines.append(f"block sums: {' '.join(str(sum(b)) for b in payload['blocks'])}")
-        lines.append(f"graph constant: {payload['graph_constant']}")
-    elif payload["detail"]:
-        lines.append(f"verdict: {payload['detail']['verdict']}")
-    st = payload["stats"]
-    lines.append(
-        f"stats: nodes={st['nodes']} swaps={st['swaps']} "
-        f"restarts={st['restarts']} elapsed={st['elapsed']}s"
-    )
-    _emit(args, payload, "\n".join(lines))
+
+    def text() -> str:
+        lines = _instance_header(inst) + [f"status: {payload['status']}"]
+        if payload["blocks"] is not None:
+            lines.append(f"blocks: {_blocks_text(payload['blocks'])}")
+            lines.append(f"block sums: {' '.join(str(sum(b)) for b in payload['blocks'])}")
+            lines.append(f"graph constant: {payload['graph_constant']}")
+        elif payload["detail"]:
+            lines.append(f"verdict: {payload['detail']['verdict']}")
+        st = payload["stats"]
+        lines.append(
+            f"stats: nodes={st['nodes']} swaps={st['swaps']} "
+            f"restarts={st['restarts']} elapsed={st['elapsed']}s"
+        )
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
     return code
 
 
 def cmd_label(args: argparse.Namespace) -> int:
     inst = _instance_from_args(args)
     payload, code = _solve_payload(args, inst)
-    lines = _instance_header(inst) + [f"status: {payload['status']}"]
-    if payload["blocks"] is not None:
-        for i, part in enumerate(payload["blocks"]):
-            lines.append(f"part {i}: {{{','.join(map(str, part))}}} (size {len(part)})")
-        lines.append(f"every open neighborhood sums to: {payload['graph_constant']}")
-    elif payload["detail"]:
-        lines.append(f"verdict: {payload['detail']['verdict']}")
-    _emit(args, payload, "\n".join(lines))
+
+    def text() -> str:
+        lines = _instance_header(inst) + [f"status: {payload['status']}"]
+        if payload["blocks"] is not None:
+            for i, part in enumerate(payload["blocks"]):
+                lines.append(f"part {i}: {_blocks_text([part])} (size {len(part)})")
+            lines.append(f"every open neighborhood sums to: {payload['graph_constant']}")
+        elif payload["detail"]:
+            lines.append(f"verdict: {payload['detail']['verdict']}")
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
     return code
 
 
@@ -238,15 +268,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "degenerate": check.degenerate,
         },
     }
-    lines = [f"mode: {mode} (n={p.n}, k={p.k})"]
-    if check.is_magic:
-        lines.append(f"magic: yes, constant {check.constant}")
-        if check.degenerate:
-            lines.append("note: k=3 closed neighborhoods cover all vertices; constant is forced")
-    else:
-        x, y = check.witness  # type: ignore[misc]
-        lines.append(f"magic: no, witness vertices {x} and {y}")
-    _emit(args, payload, "\n".join(lines))
+
+    def text() -> str:
+        lines = [f"mode: {mode} (n={p.n}, k={p.k})"]
+        if check.is_magic:
+            lines.append(f"magic: yes, constant {check.constant}")
+            if check.degenerate:
+                lines.append("note: k=3 closed neighborhoods cover all vertices; constant is forced")
+        else:
+            x, y = check.witness  # type: ignore[misc]
+            lines.append(f"magic: no, witness vertices {x} and {y}")
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
     return EXIT_OK if check.is_magic else EXIT_NEGATIVE
 
 
@@ -276,9 +310,8 @@ def _report_text(report: SweepReport, title: str) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # sweep rejects a k below 1 (exit 2)
     k_set = {int(tok) for tok in args.k.split(",")}
-    if any(k < 1 for k in k_set):
-        raise ValueError(f"k values must be >= 1, got {sorted(k_set)}")
     report = sweep(
         n_max=args.nmax,
         k_set=k_set,
@@ -286,13 +319,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         budget=args.budget,
         workers=args.workers,
     )
-    _emit(args, report.to_jsonable(), _report_text(report, "sweep"))
+    _emit(args, report.to_jsonable(), lambda: _report_text(report, "sweep"))
     return _report_exit(report)
 
 
 def cmd_symmetric(args: argparse.Namespace) -> int:
     report = check_symmetric(args.max_total, budget=args.budget, workers=args.workers)
-    _emit(args, report.to_jsonable(), _report_text(report, "symmetric"))
+    _emit(args, report.to_jsonable(), lambda: _report_text(report, "symmetric"))
     return _report_exit(report)
 
 

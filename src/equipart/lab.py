@@ -149,6 +149,15 @@ def _check_budget_workers(budget: int, workers: int = 1) -> None:
     _check_count("workers", workers, 1)
 
 
+def _check_box(n_max: int, k_set, min_part: int) -> list[int]:
+    """Reject a box bound or k that is not an int >= 1; return the k values, sorted."""
+    _check_count("n_max", n_max, 1)
+    _check_count("min_part", min_part, 1)
+    for k in k_set:
+        _check_count("k", k, 1)
+    return sorted(set(k_set))
+
+
 def _run_tasks(worker, tasks, workers: int) -> list:
     processes = min(workers, len(tasks), os.cpu_count() or 1)
     if processes > 1:
@@ -187,10 +196,8 @@ def sweep(
     verdict pipeline applies it before the prefix condition).  Budget
     exhaustion is recorded per row and never counted as a mismatch.
     """
-    if n_max < 1 or min_part < 1:
-        raise ValueError("n_max and min_part must be >= 1")
+    ks = _check_box(n_max, k_set, min_part)
     _check_budget_workers(budget, workers)
-    ks = sorted(set(k_set))
     tasks = [(inst, budget) for inst in _box(n_max, ks, min_part)]
     rows = _run_tasks(_sweep_row, tasks, workers)
     rows.sort(key=lambda r: (r.n, r.k, r.sizes))
@@ -223,10 +230,10 @@ def descent_success(
     oracle-confirmed-feasible instance in the box.  Failures list the
     instances the descent missed.
     """
+    ks = _check_box(n_max, k_set, min_part)
     _check_budget_workers(budget)
     if params is None:
         params = SearchParams()
-    ks = sorted(set(k_set))
     attempted = 0
     solved = 0
     failures: list[dict] = []
@@ -267,8 +274,7 @@ def check_symmetric(
     max_total: int, budget: int = DEFAULT_NODE_BUDGET, workers: int = 1
 ) -> SweepReport:
     """Oracle-vs-parity-rule check for all m >= 1, p >= 2 with m*p <= max_total."""
-    if max_total < 2:
-        raise ValueError(f"max_total must be >= 2, got {max_total}")
+    _check_count("max_total", max_total, 2)
     _check_budget_workers(budget, workers)
     tasks = [
         (m, p, budget)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equipart import cli
 from equipart.cli import main
 
 
@@ -245,6 +246,68 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--closed")
         assert code == 2
         assert "k >= 3" in err
+
+
+K2_LARGE = ("--n", "10000", "--k", "2", "--sizes", "3000,7000")  # constant 50005000 - 25002500
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize(
+        "argv,constant",
+        [(K2_LARGE, 25002500), (("--n", "9", "--k", "3", "--sizes", "2,3,4"), 30)],
+        ids=["k2-n10000", "k3"],
+    )
+    def test_verify_reads_the_file_solve_wrote(self, capsys, tmp_path, argv, constant):
+        path = tmp_path / "solution.json"
+        code, out, _ = run_cli(capsys, "solve", *argv, "--format", "json", "-o", str(path))
+        assert (code, out) == (0, "")
+        code, out, _ = run_cli(capsys, "verify", "--input", str(path))
+        assert code == 0
+        assert f"magic: yes, constant {constant}" in out
+
+    def test_indent_layout_still_verifies(self, capsys, tmp_path):
+        # files written before the one-item-per-line layout used indent=2
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        run_cli(capsys, "solve", *K2_LARGE, "--format", "json", "-o", str(new))
+        payload = json.loads(new.read_text())
+        old.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        answers = [run_json(capsys, "verify", "--input", str(path)) for path in (new, old)]
+        assert answers[0] == answers[1]
+        assert answers[0][0] == 0
+        assert answers[0][1]["graph_constant"] == 25002500
+
+
+def _list_lines(out, key):
+    """The lines of a list field, between its opening and closing bracket lines."""
+    lines = out.splitlines()
+    start = lines.index(f'  "{key}": [') + 1
+    end = next(i for i in range(start, len(lines)) if lines[i] in ("  ]", "  ],"))
+    return [json.loads(line.strip().rstrip(",")) for line in lines[start:end]]
+
+
+class TestJsonLayout:
+    def test_one_line_per_block(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "solve", "--n", "35", "--sizes", "4,4,6,8,13", "--format", "json"
+        )
+        assert code == 0
+        assert _list_lines(out, "blocks") == json.loads(out)["blocks"]
+
+    def test_one_line_per_sweep_row(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--nmax", "12", "--k", "3", "--format", "json")
+        assert code == 0
+        assert _list_lines(out, "rows") == json.loads(out)["rows"]
+        assert '  "mismatches": [],' in out.splitlines()
+
+    def test_json_answer_renders_no_text(self, capsys, monkeypatch):
+        def no_text(blocks):
+            raise AssertionError("text rendered for a JSON answer")
+
+        monkeypatch.setattr(cli, "_blocks_text", no_text)
+        for command in ("solve", "label"):
+            code, payload = run_json(capsys, command, *K2_LARGE)
+            assert code == 0
+            assert payload["status"] == "solved"
 
 
 class TestSweepCommands:

@@ -1,5 +1,7 @@
 """Sweep machinery: enumeration, condition-vs-oracle rows, determinism."""
 
+import functools
+
 import pytest
 
 from equipart import lab
@@ -109,36 +111,45 @@ class TestSweep:
         assert report.to_json() == sweep(10, {2, 3}, 2).to_json()
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda kw: sweep(10, {3}, 2, **kw),
-        lambda kw: check_symmetric(8, **kw),
-    ],
-    ids=["sweep", "symmetric"],
-)
+RUNS = {
+    "sweep": lambda kw: sweep(10, {3}, 2, **kw),
+    "symmetric": lambda kw: check_symmetric(8, **kw),
+}
+BAD_BUDGET_OR_WORKERS = [
+    {"budget": -1},
+    {"budget": 2.5},
+    {"budget": True},
+    {"workers": 0},
+    {"workers": -4},
+    {"workers": 2.0},
+    {"workers": True},
+]
+# (call, the argument its error names)
+REJECTED = [
+    pytest.param(functools.partial(run, kw), next(iter(kw)), id=f"{kw}-{name}")
+    for kw in BAD_BUDGET_OR_WORKERS
+    for name, run in RUNS.items()
+] + [
+    # a float box bound would otherwise fail with TypeError inside range()
+    pytest.param(lambda: sweep(10.5, {3}, 2), "n_max", id="sweep-float-n_max"),
+    pytest.param(lambda: sweep(10, {3}, 2.5), "min_part", id="sweep-float-min_part"),
+    pytest.param(lambda: sweep(10, {3.0}, 2), "k", id="sweep-float-k"),
+    pytest.param(lambda: check_symmetric(8.5), "max_total", id="symmetric-float-max_total"),
+    pytest.param(lambda: descent_success(10.0, {3}, 2), "n_max", id="descent_success-float-n_max"),
+]
+
+
 class TestBudgetAndWorkers:
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"budget": -1},
-            {"budget": 2.5},
-            {"budget": True},
-            {"workers": 0},
-            {"workers": -4},
-            {"workers": 2.0},
-            {"workers": True},
-        ],
-        ids=str,
-    )
-    def test_rejected_before_any_row(self, monkeypatch, run, kw):
+    @pytest.mark.parametrize("call,name", REJECTED)
+    def test_rejected_before_any_row(self, monkeypatch, call, name):
         def no_rows(*args, **kwargs):
             raise AssertionError("a row ran")
 
         monkeypatch.setattr(lab, "solve_exact", no_rows)
-        with pytest.raises(ValueError, match=next(iter(kw))):
-            run(kw)
+        with pytest.raises(ValueError, match=name):
+            call()
 
+    @pytest.mark.parametrize("run", list(RUNS.values()), ids=list(RUNS))
     def test_zero_budget_is_valid(self, run):
         report = run({"budget": 0})
         assert report.totals["budget"] > 0
