@@ -39,11 +39,11 @@ def magic_sum(n: int, k: int) -> int | None:
     """Return n(n+1)/(2k) when 2k divides n(n+1), else None.
 
     This is the sum every block of an equitable k-partition of [n] must
-    attain.  Rejects an n that is not an int in [1, 2^31], and k < 1.
+    attain.  Rejects with ValueError an n that is not an int in [1, 2^31],
+    and a k that is not an int >= 1 (a float or bool is not).
     """
     _check_n(n)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_count("k", k, 1)
     total = n * (n + 1) // 2
     if total % k != 0:
         return None

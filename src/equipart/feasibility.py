@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Instance, magic_sum
+from .core import Instance, _check_count, _check_n, magic_sum
 
 
 class FeasibilityStatus(Enum):
@@ -66,8 +66,14 @@ class Verdict:
 
 
 def prefix_top_sum(n: int, P: int) -> int:
-    """Sum of the P largest elements of [n]: P*n - P(P-1)/2."""
-    if not 0 <= P <= n:
+    """Sum of the P largest elements of [n]: P*n - P(P-1)/2.
+
+    Rejects with ValueError an n that is not an int in [1, 2^31], and a P
+    that is not an int in [0, n] (a float or bool is not).
+    """
+    _check_n(n)
+    _check_count("P", P)
+    if P > n:
         raise ValueError(f"P must be in [0, {n}], got {P}")
     return P * n - P * (P - 1) // 2
 

@@ -17,10 +17,14 @@ and answers in its size slots, block i of size inst.sizes[i]:
   exchanges, each start from a greedy initializer randomized by the
   standard library's random.Random.  It finds each improving move from
   the exchange law delta = 2t(t - u) in O(k n log n) over per-block
-  sorted member lists, ties going to the lex-smallest pair (a, b).  On a
-  plateau it tries the zero-delta exchanges in lex order on the search
-  state, taking the first that shrinks the width, and stops at the first
-  step that would undo the last.
+  sorted member lists, ties going to the lex-smallest pair (a, b).  A
+  pair of blocks whose sums differ by u can do no better than the floor
+  -(u*u // 2), so the block pairs are scanned by falling u and the scan
+  stops at the first floor above the best delta found; a plateau state,
+  with no negative delta, still costs the full scan.  On a plateau it
+  tries the zero-delta exchanges in lex order on the search state, taking
+  the first that shrinks the width, and stops at the first step that
+  would undo the last.
 
 The local search is a heuristic; completeness rests on the exact
 fallback, which solve() runs at any n once the descent stalls, within
@@ -308,24 +312,41 @@ def _best_move(state: _State) -> tuple[int, int, int] | None:
     and convex in t with its minimum at t = u/2.  So only the two members
     of block j around a + u//2 can be a's best partner there: one bisect
     per (a, j) instead of every pair.
+
+    That minimum is the pair's floor -(u*u // 2), which falls as u grows.
+    The block pairs are visited by falling u, and the scan stops at the
+    first pair whose floor is above the best delta found: no later pair can
+    reach it.  Within a pair, once the best delta is at the floor, an a past
+    best_a cannot make a lex-smaller tie, so the pair ends there.  On a
+    plateau no delta is negative, neither stop fires and the scan is full.
     """
     sums, members = state.sums, state.members
+    gaps = sorted(
+        (
+            (sj - si, i, j)
+            for i, si in enumerate(sums)
+            for j, sj in enumerate(sums)
+            if sj - si >= 2  # else no integer t with 0 < t < u
+        ),
+        reverse=True,
+    )
     best_d, best_a, best_b = 0, 0, 0
-    for i, si in enumerate(sums):
-        for j, sj in enumerate(sums):
-            u = sj - si
-            if u < 2:
-                continue  # no integer t with 0 < t < u
-            half = u // 2
-            partners = members[j]
-            idx = 0
-            for a in members[i]:
-                idx = bisect_left(partners, a + half, idx)
-                # The nearest members below and at-or-above a + u//2.
-                for b in partners[idx - 1 if idx else 0 : idx + 1]:
-                    d = _exchange_delta(b - a, u)
-                    if d < best_d or (d == best_d < 0 and (a, b) < (best_a, best_b)):
-                        best_d, best_a, best_b = d, a, b
+    for u, i, j in gaps:
+        floor = -(u * u // 2)
+        if floor > best_d:
+            break  # this pair and every later one stay above best_d
+        half = u // 2
+        partners = members[j]
+        idx = 0
+        for a in members[i]:
+            if best_d <= floor and a > best_a:
+                break
+            idx = bisect_left(partners, a + half, idx)
+            # The nearest members below and at-or-above a + u//2.
+            for b in partners[idx - 1 if idx else 0 : idx + 1]:
+                d = _exchange_delta(b - a, u)
+                if d < best_d or (d == best_d < 0 and (a, b) < (best_a, best_b)):
+                    best_d, best_a, best_b = d, a, b
     return (best_d, best_a, best_b) if best_d < 0 else None
 
 
@@ -376,7 +397,12 @@ def local_search(
     Each move is the lex-smallest (a, b) among the best candidates.  The
     search keeps every block's members sorted and uses the exchange law
     2t(t - u): the best partner of a lies next to a + u/2, so an improving
-    move costs O(k n log n), not O(n^2); a zero-delta partner is exactly
+    move costs O(k n log n), not O(n^2).  No exchange between blocks whose
+    sums differ by u beats the floor -(u*u // 2), so the block pairs are
+    visited by falling u and the move search ends at the first pair whose
+    floor is above the best delta found.  At a plateau no delta is
+    negative, nothing ends the search early, and it scans every pair in
+    full before the plateau step runs.  A zero-delta partner is exactly
     a + u, so a plateau step has at most k - 1 candidates per a.  A plateau
     step tries them in lex order on the state, each an exchange, an O(n)
     width pass and the exchange back, until one shrinks the width.

@@ -51,6 +51,12 @@ class TestMagicSum:
         with pytest.raises(ValueError):
             magic_sum(3.0, 2)
 
+    @pytest.mark.parametrize("n, k", [(6, 1.5), (3, 2.0), (3, True), (4, "2"), (4, None)])
+    def test_non_int_k_rejected(self, n, k):
+        # 21 / 1.5 = 14.0 and 6 / 2.0 = 3.0 divide evenly, and True == 1; none is a count
+        with pytest.raises(ValueError, match="k must be an integer"):
+            magic_sum(n, k)
+
 
 class TestInstance:
     def test_valid(self):

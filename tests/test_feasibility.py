@@ -33,6 +33,11 @@ class TestPrefixTopSum:
         with pytest.raises(ValueError):
             prefix_top_sum(8, -1)
 
+    @pytest.mark.parametrize("n, P", [(5, 2.0), (5, True), (5, "2"), (5.0, 2), (True, 1), (0, 0)])
+    def test_non_int_or_out_of_range_rejected(self, n, P):
+        with pytest.raises(ValueError):
+            prefix_top_sum(n, P)
+
     @given(st.integers(min_value=1, max_value=500), st.data())
     def test_matches_brute_sum(self, n, data):
         P = data.draw(st.integers(min_value=0, max_value=n))

@@ -503,6 +503,59 @@ class TestMoveSearch:
             found["tie"] += len(set(sums)) < len(sums)
         assert min(found.values()) > 500, found
 
+    @staticmethod
+    def _assert_best_move_matches_reference(blocks) -> None:
+        """_best_move equals the quadratic scan on blocks, in both block orders.
+
+        Reversing the blocks reverses the order in which pairs of equal sum
+        gap are visited, so a case built around that order is met both ways.
+        """
+        n = sum(map(len, blocks))
+        for order in (blocks, blocks[::-1]):
+            state = _State(Partition.from_blocks(n, order))
+            assert _best_move(state) == naive_best_move(state.assign, state.sums, n)
+
+    def test_equal_largest_gaps_keep_the_lex_smallest_tie(self):
+        # Sums (16, 16, 23): the pairs (0, 2) and (1, 2) both have the
+        # largest gap u = 7 and both reach its floor -24, with (4, 8) in one
+        # and the lex-smaller (2, 6) in the other.  Reaching the floor in
+        # the pair visited first must not end the scan.
+        blocks = [[1, 2, 3, 10], [4, 5, 7], [6, 8, 9]]
+        assert _best_move(_State(Partition.from_blocks(10, blocks))) == (-24, 2, 6)
+        self._assert_best_move_matches_reference(blocks)
+
+    def test_smaller_gap_at_the_best_delta_is_still_scanned(self):
+        # Sums (6, 10, 5, 7): the largest gap u = 5 (block 2 up to block 1)
+        # gives its best -8 at (5, 6), which is exactly the floor
+        # -(4 * 4 // 2) of the gap u = 4 (block 0 up to block 1); that pair
+        # holds the lex-smaller tie (2, 4).
+        blocks = [[1, 2, 3], [4, 6], [5], [7]]
+        assert _best_move(_State(Partition.from_blocks(7, blocks))) == (-8, 2, 4)
+        self._assert_best_move_matches_reference(blocks)
+
+    def test_moves_match_quadratic_reference_up_to_k9(self):
+        # Random partitions with k up to 9, each followed along its own
+        # descent for up to five moves, so that later moves meet smaller
+        # gaps and more ties at the floor.
+        rng = random.Random(15)
+        moves = 0
+        for _ in range(300):
+            k = rng.randint(2, 9)
+            n = rng.randint(k, 80)
+            labels = list(range(1, n + 1))
+            rng.shuffle(labels)
+            bounds = [0, *sorted(rng.sample(range(1, n), k - 1)), n]
+            blocks = [labels[bounds[i] : bounds[i + 1]] for i in range(k)]
+            state = _State(Partition.from_blocks(n, blocks))
+            for _ in range(5):
+                move = _best_move(state)
+                assert move == naive_best_move(state.assign, state.sums, n)
+                if move is None:
+                    break
+                state.exchange(move[1], move[2])
+                moves += 1
+        assert moves > 1000, moves
+
     def test_exchange_keeps_state_consistent(self):
         rng = random.Random(6916)
         for _ in range(300):
