@@ -161,6 +161,7 @@ def _solve_payload(args: argparse.Namespace, inst: Instance) -> tuple[dict[str, 
         "nodes": result.stats.nodes,
         "swaps": result.stats.swaps,
         "restarts": result.stats.restarts,
+        "search_restarts": result.stats.search_restarts,
         "elapsed": round(result.stats.elapsed, 6),
     }
     if result.status is SolveStatus.SOLVED:
@@ -199,7 +200,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         st = payload["stats"]
         lines.append(
             f"stats: nodes={st['nodes']} swaps={st['swaps']} "
-            f"restarts={st['restarts']} elapsed={st['elapsed']}s"
+            f"restarts={st['restarts']} search_restarts={st['search_restarts']} "
+            f"elapsed={st['elapsed']}s"
         )
         return "\n".join(lines)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from multiprocessing import Pool
 from typing import Iterator
 
 from .core import Instance, _check_count, magic_sum
@@ -161,6 +160,9 @@ def _check_box(n_max: int, k_set, min_part: int) -> list[int]:
 def _run_tasks(worker, tasks, workers: int) -> list:
     processes = min(workers, len(tasks), os.cpu_count() or 1)
     if processes > 1:
+        # Imported here: multiprocessing costs every serial caller about 1 MB.
+        from multiprocessing import Pool
+
         with Pool(processes=processes) as pool:
             return pool.map(worker, tasks)
     return [worker(t) for t in tasks]

@@ -4,11 +4,14 @@ Four routes, picked by the pipeline in solve().  Each takes the Instance
 and answers in its size slots, block i of size inst.sizes[i]:
 
 * a complete backtracking oracle (solve_exact) assigning elements from n
-  down to 1 in block-index order, with symmetry breaking between
-  equal-size blocks.  Every node is pruned by completion sums, per block
-  and over unions of blocks; the union bound is the paper's prefix
-  condition applied to the search state, and the feasibility verdict is
-  its root case;
+  down to 1, each trying the blocks in a given order (index order by
+  default), with symmetry breaking between equal-size blocks.  Every node
+  is pruned by completion sums, per block and over unions of blocks; the
+  union bound is the paper's prefix condition applied to the search
+  state, and the feasibility verdict is its root case.  At k >= 3 solve()
+  runs it first as the constructor: SEARCH_RUNS bounded runs, the first
+  in index order with a cutoff of 4n max(1, k // 4) nodes, each later one
+  in a freshly shuffled order with twice the cutoff before it;
 * a closed-form constructor for k = 2 (solve_k2) realizing the endpoint
   of the adjacent-exchange sliding sequence;
 * the size-one constructor ({n} plus pairs {i, n-i}) for sizes
@@ -26,13 +29,14 @@ and answers in its size slots, block i of size inst.sizes[i]:
   the first that shrinks the width, and stops at the first step that
   would undo the last.
 
-The local search is a heuristic; completeness rests on the exact
-fallback, which solve() runs at any n once the descent stalls, within
-the node budget.  Exact and constructive outputs are deterministic;
-heuristic outputs are deterministic for a fixed seed.  Across Python
-versions the random module promises only random()'s stream, not
-choice()'s; the latter is the same on CPython 3.10 to 3.13, where CI runs
-the tests that pin it.
+The local search is a heuristic that solve() runs only when every bounded
+run is cut off; completeness rests on the index-order search it runs last,
+at any n, on what is left of the node budget.  One budget bounds the nodes
+of all search stages together.  Constructive outputs are deterministic;
+search and descent outputs are deterministic for a fixed seed.  Across
+Python versions the random module promises only random()'s stream, not
+choice()'s or shuffle()'s; both are the same on CPython 3.10 to 3.13,
+where CI runs the tests that pin them.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ from .feasibility import Verdict, _failing_prefix, feasibility, necessary_condit
 
 #: Exact-search node budget used when callers do not supply one.
 DEFAULT_NODE_BUDGET = 100_000_000
+
+#: Bounded exact-search runs solve() makes at k >= 3 before the descent.
+SEARCH_RUNS = 8
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,7 @@ class SolveStats:
     nodes: int = 0
     swaps: int = 0
     restarts: int = 0
+    search_restarts: int = 0
     elapsed: float = 0.0
 
 
@@ -117,7 +125,7 @@ class SolveResult:
     stats: SolveStats = field(compare=False, default_factory=SolveStats)
 
 
-def solve_exact(inst: Instance, budget: int) -> ExactResult:
+def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> ExactResult:
     """Complete backtracking search for an equitable partition.
 
     Elements are assigned from n down to 1, so after placing e the
@@ -130,12 +138,22 @@ def solve_exact(inst: Instance, budget: int) -> ExactResult:
     completion, so NOT_FOUND is a proof of absence.  Equal-size blocks are
     interchangeable, so an element may open only the first empty block of
     each size class; blocks within an equal-size run are re-ordered by
-    least element on output.  Blocks are tried in index order.
+    least element on output.
+
+    Each label tries the blocks in `order`, a permutation of range(k); None
+    means index order.  The equal-size rule is keyed by block index, not by
+    position in `order`, so every order prunes the same states and a
+    NOT_FOUND under any order is a proof of absence.
 
     At most `budget` nodes are placed; BUDGET reports budget + 1, the node
-    it did not place.  Raises ValueError for a budget that is not an int >= 0.
+    it did not place.  Raises ValueError for a budget that is not an int >= 0
+    or an order that is not a permutation of range(k).
     """
     _check_count("budget", budget)
+    if order is None:
+        order = list(range(inst.k))
+    elif sorted(order) != list(range(inst.k)):
+        raise ValueError(f"order must be a permutation of range({inst.k}), got {order}")
     s = magic_sum(inst.n, inst.k)
     if s is None:
         raise ValueError(f"magic sum is not integral for n={inst.n}, k={inst.k}")
@@ -146,8 +164,8 @@ def solve_exact(inst: Instance, budget: int) -> ExactResult:
     tri = [j * (j + 1) // 2 for j in range(sizes[-1] + 1)]
     nodes = 0
     # Depth-first with an explicit cursor, not recursion, so n is not bounded
-    # by the interpreter's stack.  tried[e] is the block holding label e, or
-    # -1 while e is unplaced; labels e + 1, ..., n are placed.
+    # by the interpreter's stack.  Label e lies in block order[tried[e]], and
+    # tried[e] is -1 while e is unplaced; labels e + 1, ..., n are placed.
     tried = [-1] * (n + 1)
     e = n
     while True:
@@ -171,17 +189,18 @@ def solve_exact(inst: Instance, budget: int) -> ExactResult:
         # Full blocks are skipped, and so is an empty block after an empty
         # block of the same size (the two are interchangeable).
         while e <= n:
-            i = tried[e]
-            if i >= 0:
+            p = tried[e]
+            if p >= 0:
+                i = order[p]
                 left[i] += 1
                 need[i] += e
-            i += 1
-            while i < k and (
-                left[i] == 0
+            p += 1
+            while p < k and (
+                left[i := order[p]] == 0
                 or (left[i] == sizes[i] and i > 0 and left[i - 1] == sizes[i - 1] == sizes[i])
             ):
-                i += 1
-            if i < k:
+                p += 1
+            if p < k:
                 break
             tried[e] = -1
             e += 1
@@ -192,11 +211,11 @@ def solve_exact(inst: Instance, budget: int) -> ExactResult:
             return ExactResult(status=ExactStatus.BUDGET, partition=None, nodes=nodes)
         left[i] -= 1
         need[i] -= e
-        tried[e] = i
+        tried[e] = p
         e -= 1
     blocks: list[list[int]] = [[] for _ in range(k)]
     for x in range(1, n + 1):
-        blocks[tried[x]].append(x)
+        blocks[order[tried[x]]].append(x)
     return ExactResult(
         status=ExactStatus.FOUND,
         partition=Partition.from_blocks(n, _order_equal_size_runs(sizes, blocks)),
@@ -436,12 +455,24 @@ def local_search(
 def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
     """Feasibility verdict, then the cheapest applicable solving route.
 
-    Constructive routes handle k = 1, the size-one rule, and k = 2; other
-    instances run local_search(inst, params) and, if every start stalls,
-    the exhaustive fallback within exact_node_budget nodes.  A SOLVED
-    result always carries an equitable partition whose block i has size
-    inst.sizes[i]; every route's answer is certified against that, and a
-    route that breaks it raises RuntimeError.
+    Constructive routes handle k = 1, the size-one rule, and k = 2.  Other
+    instances go to the exact search first: SEARCH_RUNS runs of
+    solve_exact, run r cut off at 4n max(1, k // 4) 2^r nodes.  Run 0 tries
+    the blocks in index order; each later run shuffles the order with
+    random.Random(params.seed), so restarts escape an unlucky early choice
+    while the answer stays deterministic for a fixed seed.  Any order
+    prunes the same states, so FOUND is SOLVED and NOT_FOUND is a proof,
+    PROVEN_INFEASIBLE.  When every run is cut off, local_search(inst,
+    params) runs, and if every descent start stalls, an index-order
+    solve_exact on what is left of the budget.  All search stages draw on
+    the one exact_node_budget: stats.nodes sums them, and a run cut off
+    reports budget + 1, the node it did not place.  stats.search_restarts
+    counts the search runs after the first; stats.restarts counts descent
+    starts after the first.
+
+    A SOLVED result always carries an equitable partition whose block i has
+    size inst.sizes[i]; every route's answer is certified against that, and
+    a route that breaks it raises RuntimeError.
     """
     if params is None:
         params = SearchParams()
@@ -473,11 +504,28 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
     if inst.k == 2:
         return finish(SolveStatus.SOLVED, solve_k2(inst))
 
-    # stats by keyword: the benchmark tracer reads it from there.
-    candidate = local_search(inst, params, stats=stats)
-    if candidate is not None:
-        return finish(SolveStatus.SOLVED, candidate)
-    exact = solve_exact(inst, budget=params.exact_node_budget)
+    remaining = params.exact_node_budget
+    order = list(range(inst.k))
+    rng = random.Random(params.seed)
+    cutoff = 4 * inst.n * max(1, inst.k // 4)
+    for r in range(SEARCH_RUNS):
+        if r:
+            stats.search_restarts += 1
+            rng.shuffle(order)
+        exact = solve_exact(inst, min(cutoff << r, remaining), order)
+        if exact.status is not ExactStatus.BUDGET:
+            break
+        placed = exact.nodes - 1  # it reports the node it did not place
+        stats.nodes += placed
+        remaining -= placed
+        if not remaining:
+            break
+    if exact.status is ExactStatus.BUDGET:
+        # stats by keyword: the benchmark tracer reads it from there.
+        candidate = local_search(inst, params, stats=stats)
+        if candidate is not None:
+            return finish(SolveStatus.SOLVED, candidate)
+        exact = solve_exact(inst, remaining)
     stats.nodes += exact.nodes
     if exact.status is ExactStatus.FOUND:
         return finish(SolveStatus.SOLVED, exact.partition)

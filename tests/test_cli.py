@@ -136,6 +136,17 @@ class TestSolve:
         assert payload["status"] == "solved"
         assert payload["stats"]["nodes"] == 73
 
+    def test_stats_count_search_restarts(self, capsys):
+        # index order spends its 4n = 80 nodes, and restart 1 finds a witness
+        argv = ("solve", "--n", "20", "--sizes", "3,4,4,4,5")
+        code, payload = run_json(capsys, *argv)
+        assert code == 0
+        stats = payload["stats"]
+        assert (stats["search_restarts"], stats["restarts"], stats["swaps"]) == (1, 0, 0)
+        assert stats["nodes"] > 80
+        _, out, _ = run_cli(capsys, *argv)
+        assert f"nodes={stats['nodes']} swaps=0 restarts=0 search_restarts=1 " in out
+
     def test_text_reports_same_blocks(self, capsys):
         _, payload = run_json(capsys, "solve", "--n", "7", "--k", "2", "--sizes", "3,4")
         code, out, _ = run_cli(capsys, "solve", "--n", "7", "--k", "2", "--sizes", "3,4")

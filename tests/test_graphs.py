@@ -5,9 +5,10 @@ import random
 import pytest
 
 from equipart.core import Instance, Partition, magic_sum
-from equipart.graphs import labeling_from_partition, verify_closed_magic_cycle
+from equipart.graphs import MagicCheck, labeling_from_partition, verify_closed_magic_cycle
 from equipart.solver import SolveStatus, solve
 
+import helpers
 from helpers import explicit_neighbor_sums, random_partition, verify_open_checked
 
 
@@ -59,6 +60,12 @@ class TestVerifyDistanceMagic:
         check = verify_open_checked(part(3, [1, 2, 3]))
         assert check.is_magic
         assert check.constant == 0
+
+    def test_cross_check_catches_a_wrong_constant(self, monkeypatch):
+        # the helper's check must raise, also under python -O (conftest.py)
+        monkeypatch.setattr(helpers, "verify_distance_magic", lambda p: MagicCheck(True, 28))
+        with pytest.raises(AssertionError):
+            verify_open_checked(part(8, [1, 8], [2, 7], [3, 6], [4, 5]))
 
     def test_explicit_route_agrees_with_complement_formula(self):
         rng = random.Random(424242)

@@ -1,6 +1,9 @@
 """Sweep machinery: enumeration, condition-vs-oracle rows, determinism."""
 
 import functools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -104,11 +107,20 @@ class TestSweep:
             def map(self, worker, tasks):
                 return [worker(t) for t in tasks]
 
-        monkeypatch.setattr(lab, "Pool", FakePool)
+        # _run_tasks imports Pool when it needs one, so patch it at the source
+        monkeypatch.setattr("multiprocessing.Pool", FakePool)
         monkeypatch.setattr(lab.os, "cpu_count", lambda: cpus)
         report = sweep(10, {2, 3}, 2, workers=10_000)
         assert requested == expected
         assert report.to_json() == sweep(10, {2, 3}, 2).to_json()
+
+    def test_cli_import_leaves_multiprocessing_unloaded(self):
+        # a serial run pays nothing for the worker pool it never starts
+        script = "import sys, equipart.cli; sys.exit('multiprocessing' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(lab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 RUNS = {

@@ -53,10 +53,10 @@ BIG_BUDGET = 10**8
 
 #: sha256 over json.dumps([n, sizes, status, blocks, swaps, restarts]) of
 #: solve(inst, SearchParams(max_restarts=4)) for every instance of
-#: _box(40, [3, 4, 5], 2), one update per instance.  It pins the descent's
-#: exact move sequence and the exact fallback's answers; change it only when
-#: a change of moves or answers is intended.
-SOLVE_BOX_SHA256 = "ac4311ac9ea02b85ab18b665287d101ef1d693f5d7b6907d48cfd9b6f40a2614"
+#: _box(40, [3, 4, 5], 2), one update per instance.  It pins solve()'s
+#: answers, which the restarted bounded search settles on this box before any
+#: descent; change it only when a change of answers is intended.
+SOLVE_BOX_SHA256 = "08b2ff39d2e09fe56b70ec967148489ff72753718a5cdc1f524fb32966996fb3"
 
 #: sha256 over json.dumps([n, sizes, blocks]) of solve_k2(inst) for every
 #: k = 2 instance that passes necessary_condition with p_1 >= 2 and n <= 300,
@@ -67,7 +67,7 @@ SOLVE_BOX_SHA256 = "ac4311ac9ea02b85ab18b665287d101ef1d693f5d7b6907d48cfd9b6f40a
 K2_BOX_SHA256 = "94070b6daeedbf29bf430d12ec062ec6e41b9d8f711056cea7150f266b1a68ae"
 
 #: The descent_stall benchmark instances: k >= 5, n > 100, where the descent
-#: stalls and its plateau moves run thousands of times.
+#: alone stalls and its plateau moves run thousands of times.
 STALL_CORPUS = (
     (150, (16, 18, 23, 40, 53)),
     (119, (11, 11, 13, 16, 32, 36)),
@@ -76,9 +76,17 @@ STALL_CORPUS = (
 
 #: sha256 over json.dumps([n, sizes, status, blocks, swaps, restarts, nodes])
 #: of solve(inst, SearchParams(seed=s, max_restarts=2)) for s in (4, 5) and
-#: every instance of STALL_CORPUS, one update per solve.  It pins the plateau
-#: moves at n > 100, beyond SOLVE_BOX_SHA256's n <= 40.
-STALL_CORPUS_SHA256 = "bed00555503303266e93b99e4905a1bb494459081c54abfb8678daba44de8b01"
+#: every instance of STALL_CORPUS, one update per solve.  It pins solve()'s
+#: answers and node counts at n > 100, beyond SOLVE_BOX_SHA256's n <= 40.
+STALL_CORPUS_SHA256 = "b752cba8d32d955410700cc6592acbd2f5f7888f3f7117cb43aaa8f9fa8440b0"
+
+#: sha256 over json.dumps([n, sizes, blocks, swaps, restarts]) of the descent
+#: alone, local_search(inst, params), first with SearchParams(max_restarts=4)
+#: on every instance of _box(40, [3, 4, 5], 2) the verdict does not rule out,
+#: then with SearchParams(seed=s, max_restarts=2) for s in (4, 5) on every
+#: instance of STALL_CORPUS, one update per run.  It pins the descent's exact
+#: move sequence, plateau moves included, now that solve() rarely reaches it.
+DESCENT_SHA256 = "6be6f609c1cd154180f87908b92e209dc04b9bf9e75a9855285edc92ca6c980d"
 
 #: The rows of _box(62, [5, 6, 7, 8], 2) with n >= 16 whose descent,
 #: local_search(inst, SearchParams(max_restarts=2)), takes a shrinking plateau
@@ -275,6 +283,38 @@ class TestSolveExact:
         res = solve_exact(Instance.from_sizes(8, [2, 2, 2, 2]), budget=BIG_BUDGET)
         mins = [b[0] for b in res.partition.blocks]
         assert mins == sorted(mins)
+
+    def test_any_trial_order_settles_the_same(self):
+        # The equal-size rule is keyed by block index, so a shuffled order
+        # prunes the same states: it finds a witness exactly where index
+        # order does, and its NOT_FOUND is still a proof of absence.  The
+        # n <= 12 box with parts of size 1 holds 7 proofs that take nodes.
+        rng = random.Random(16)
+        deep_proofs = 0
+        for inst in [*_box(24, [3, 4, 5], 2), *_box(12, range(1, 13), 1)]:
+            ref = solve_exact(inst, BIG_BUDGET)
+            s = magic_sum(inst.n, inst.k)
+            for _ in range(3):
+                order = list(range(inst.k))
+                rng.shuffle(order)
+                res = solve_exact(inst, BIG_BUDGET, order)
+                assert res.status is ref.status, (inst, order)
+                if res.status is ExactStatus.FOUND:
+                    assert is_equitable(res.partition, s), (inst, order)
+                    assert tuple(len(b) for b in res.partition.blocks) == inst.sizes
+                else:
+                    deep_proofs += res.nodes > 0
+        assert deep_proofs >= 7
+
+    def test_index_order_is_the_default(self):
+        for inst in _box(30, [3, 4, 5, 6], 2):
+            for budget in (BIG_BUDGET, 2 * inst.n):
+                assert solve_exact(inst, budget, list(range(inst.k))) == solve_exact(inst, budget)
+
+    @pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [1, 2, 3], [0, 1, 2, 3]])
+    def test_order_must_be_a_permutation(self, order):
+        with pytest.raises(ValueError, match="permutation"):
+            solve_exact(Instance.from_sizes(12, (3, 4, 5)), BIG_BUDGET, order)
 
 
 class TestSolveK2:
@@ -597,6 +637,26 @@ class TestMoveSearch:
                 digest.update(json.dumps(row).encode())
         assert digest.hexdigest() == STALL_CORPUS_SHA256
 
+    def test_descent_digest(self):
+        runs = [
+            (inst, SearchParams(max_restarts=4))
+            for inst in _box(40, [3, 4, 5], 2)
+            if not feasibility(inst).infeasible
+        ]
+        runs += [
+            (Instance.from_sizes(n, sizes), SearchParams(seed=seed, max_restarts=2))
+            for seed in (4, 5)
+            for n, sizes in STALL_CORPUS
+        ]
+        digest = hashlib.sha256()
+        for inst, params in runs:
+            stats = SolveStats()
+            p = local_search(inst, params, stats=stats)
+            blocks = p.blocks if p is not None else None
+            row = [inst.n, inst.sizes, blocks, stats.swaps, stats.restarts]
+            digest.update(json.dumps(row).encode())
+        assert digest.hexdigest() == DESCENT_SHA256
+
     def test_plateau_steps_of_real_descents_match_reference(self, monkeypatch):
         # Random states reach the shrink branch in 2 of 2,500 and never at
         # infinite width, the only width the stall corpus produces; the
@@ -669,8 +729,9 @@ class TestSolve:
         assert tuple(len(b) for b in res.partition.blocks) == (2, 3, 4)
 
     def test_stalled_descent_falls_back_to_exact_search(self):
-        # the seed-0 start, which draws no random number, stalls; the exact
-        # search finds a witness
+        # the seed-0 descent start, which draws no random number, stalls
+        # here; the first bounded search finds a witness inside its 4n
+        # cutoff, so the descent does not run
         inst = Instance.from_sizes(35, (4, 4, 6, 8, 13))
         res = solve(inst, SearchParams(max_restarts=0))
         assert res.status is SolveStatus.SOLVED
@@ -684,6 +745,61 @@ class TestSolve:
         assert res.status is SolveStatus.BUDGET_EXHAUSTED
         assert res.partition is None
         assert res.stats.nodes == 11
+
+    def test_cut_off_search_restarts_in_a_shuffled_order(self):
+        # index order spends its 4n = 80 nodes; restart 1 shuffles the trial
+        # order with random.Random(seed) and finds a witness
+        inst = Instance.from_sizes(20, (3, 4, 4, 4, 5))
+        assert solve_exact(inst, 80).status is ExactStatus.BUDGET
+        for seed in (0, 3):
+            order = list(range(5))
+            random.Random(seed).shuffle(order)
+            second = solve_exact(inst, 160, order)
+            res = solve(inst, SearchParams(seed=seed))
+            assert res.status is SolveStatus.SOLVED
+            assert res.partition == second.partition
+            assert (res.stats.nodes, res.stats.search_restarts) == (80 + second.nodes, 1)
+            assert (res.stats.swaps, res.stats.restarts) == (0, 0)
+
+    def test_descent_then_index_order_search_settle_what_is_left(self, monkeypatch):
+        # With one search run, the cut-off search leaves the instance to the
+        # seed-0 descent, which stalls on it, and then to the index-order
+        # search, which finds the witness on the rest of the budget.
+        monkeypatch.setattr("equipart.solver.SEARCH_RUNS", 1)
+        inst = Instance.from_sizes(20, (3, 4, 4, 4, 5))
+        assert local_search(inst, SearchParams(max_restarts=0)) is None
+        full = solve_exact(inst, BIG_BUDGET)
+        res = solve(inst, SearchParams(max_restarts=0))
+        assert res.status is SolveStatus.SOLVED
+        assert res.partition == full.partition
+        assert res.stats.nodes == 80 + full.nodes
+        assert res.stats.swaps > 0
+
+    def test_descent_settles_what_the_search_budget_leaves(self):
+        # 10 nodes cannot place 32 labels: the search is cut off, spends the
+        # whole budget, and the descent finds the witness
+        inst = Instance.from_sizes(32, (5, 7, 9, 11))
+        res = solve(inst, SearchParams(exact_node_budget=10))
+        assert res.status is SolveStatus.SOLVED
+        assert is_equitable(res.partition, magic_sum(32, 4))
+        assert (res.stats.nodes, res.stats.search_restarts) == (10, 0)
+        assert res.stats.swaps > 0
+
+    def test_shared_budget_bounds_nodes_over_all_stages(self):
+        # restarts, the descent and the last search draw on one budget: a run
+        # places at most that many nodes, and a cut-off one reports budget + 1
+        insts = [Instance.from_sizes(n, sizes) for n, sizes in (
+            (35, (4, 4, 6, 8, 13)), (20, (3, 4, 4, 4, 5)), (15, (2, 2, 2, 3, 3, 3)),
+            (32, (3, 3, 4, 4, 4, 4, 5, 5)), (48, (7, 8, 16, 17)),
+        )]
+        for inst in insts:
+            for budget in (0, 1, 7, 60, 100, 300, 1000):
+                res = solve(inst, SearchParams(max_restarts=0, exact_node_budget=budget))
+                assert res.stats.nodes <= budget + 1, (inst, budget)
+                if res.status is SolveStatus.BUDGET_EXHAUSTED:
+                    assert res.stats.nodes == budget + 1, (inst, budget)
+                else:
+                    assert res.status is SolveStatus.SOLVED, (inst, budget)
 
     def test_deterministic_for_fixed_seed(self):
         inst = Instance.from_sizes(16, [3, 4, 4, 5])
