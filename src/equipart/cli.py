@@ -50,20 +50,24 @@ def _instance_from_args(args: argparse.Namespace) -> Instance:
     return Instance.from_sizes(args.n, sizes)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)  # one for every value, not one per json.dumps
+
+
 def _json_text(payload: dict[str, Any]) -> str:
     """One field per line, keys sorted; a non-empty list puts one item per line.
 
-    Each value is encoded on its own without indent, so the C encoder runs.
+    Each value is encoded on its own without indent, so the C encoder runs,
+    all by the one shared _ENCODER rather than a new one per sweep row.
     """
     fields = []
     for key in sorted(payload):
         value = payload[key]
         if isinstance(value, (list, tuple)) and value:
-            items = ",\n    ".join(json.dumps(item, sort_keys=True) for item in value)
+            items = ",\n    ".join(map(_ENCODER.encode, value))
             value_text = f"[\n    {items}\n  ]"
         else:
-            value_text = json.dumps(value, sort_keys=True)
-        fields.append(f"  {json.dumps(key)}: {value_text}")
+            value_text = _ENCODER.encode(value)
+        fields.append(f"  {_ENCODER.encode(key)}: {value_text}")
     return "{\n" + ",\n".join(fields) + "\n}\n"
 
 

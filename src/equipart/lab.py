@@ -19,9 +19,10 @@ configuration.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .core import Instance, _check_count, magic_sum
@@ -106,11 +107,12 @@ class SweepReport:
         return self.totals.get("budget", 0)
 
     def to_jsonable(self) -> dict:
+        """Fresh containers; a copied row __dict__ equals asdict(row): its fields are immutable."""
         return {
-            "config": self.config,
-            "totals": self.totals,
-            "rows": [asdict(r) for r in self.rows],
-            "mismatches": [asdict(r) for r in self.mismatches],
+            "config": copy.deepcopy(self.config),
+            "totals": dict(self.totals),
+            "rows": [dict(vars(r)) for r in self.rows],
+            "mismatches": [dict(vars(r)) for r in self.mismatches],
         }
 
     def to_json(self) -> str:
@@ -121,22 +123,12 @@ class SweepReport:
 def _sweep_row(task: tuple[Instance, int]) -> SweepRow:
     inst, budget = task
     verdict = feasibility(inst)
-    exact = solve_exact(inst, budget=budget)
-    oracle = exact.status.value
-    if exact.status is ExactStatus.BUDGET:
-        # Unresolved: no evidence of disagreement, counted under "budget".
-        agree = True
-    else:
-        agree = verdict.predicts_feasible == (exact.status is ExactStatus.FOUND)
-    return SweepRow(
-        n=inst.n,
-        k=inst.k,
-        sizes=inst.sizes,
-        verdict=verdict.status.value,
-        predicted=verdict.predicts_feasible,
-        oracle=oracle,
-        agree=agree,
-    )
+    status = solve_exact(inst, budget=budget).status
+    # A budget row is unresolved: no evidence of disagreement, counted under "budget".
+    found = status is ExactStatus.FOUND
+    agree = status is ExactStatus.BUDGET or verdict.predicts_feasible == found
+    return SweepRow(n=inst.n, k=inst.k, sizes=inst.sizes, verdict=verdict.status.value,
+                    predicted=verdict.predicts_feasible, oracle=status.value, agree=agree)
 
 
 def _check_budget_workers(budget: int, workers: int = 1) -> None:

@@ -6,9 +6,11 @@ and answers in its size slots, block i of size inst.sizes[i]:
 * a complete backtracking oracle (solve_exact) assigning elements from n
   down to 1, each trying the blocks in a given order (index order by
   default), with symmetry breaking between equal-size blocks.  Every node
-  is pruned by completion sums, per block and over unions of blocks; the
-  union bound is the paper's prefix condition applied to the search
-  state, and the feasibility verdict is its root case.  At k >= 3 solve()
+  is pruned by completion sums, per block and over unions of blocks; a
+  node tests only the block it changed, against its lower bound, and one
+  kept floor per block for the upper bounds.  The union bound is the
+  paper's prefix condition applied to the search state, and the
+  feasibility verdict is its root case.  At k >= 3 solve()
   runs it first as the constructor: SEARCH_RUNS bounded runs, the first
   in index order with a cutoff of 4n max(1, k // 4) nodes, each later one
   in a freshly shuffled order with twice the cutoff before it;
@@ -134,7 +136,12 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     block's remaining sum must lie between the smallest and largest
     completions, and so must the summed need of the open blocks taken by
     largest need per slot (feasibility._failing_prefix; at the root this is
-    the prefix condition).  Both bounds prune only states with no
+    the prefix condition).  Placing a label changes one block, so a node
+    tests that block's lower bound tri(left) <= need; for the upper bounds
+    each block keeps the floor ceil((need + tri(left)) / left) on the
+    pool's top e + 1, recomputed only for the block placed or restored, and
+    the node passes while max(floors) <= e + 1.  Every other block passed
+    the same test at the parent.  Both bounds prune only states with no
     completion, so NOT_FOUND is a proof of absence.  Equal-size blocks are
     interchangeable, so an element may open only the first empty block of
     each size class; blocks within an equal-size run are re-ordered by
@@ -162,29 +169,31 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     left = list(sizes)
     need = [s] * k
     tri = [j * (j + 1) // 2 for j in range(sizes[-1] + 1)]
+    # An open block's need fits under j(e + 1) - tri[j] exactly while e + 1 is
+    # at least its floor; a full block passed its last check with need 0.
+    floors = [-(-(s + tri[j]) // j) for j in sizes]
+    open_blocks = k
     nodes = 0
     # Depth-first with an explicit cursor, not recursion, so n is not bounded
     # by the interpreter's stack.  Label e lies in block order[tried[e]], and
     # tried[e] is -1 while e is unplaced; labels e + 1, ..., n are placed.
     tried = [-1] * (n + 1)
     e = n
+    i = k - 1  # the block last placed; at the root the largest, whose bound implies all
     while True:
         # Every block must still be completable from {1, ..., e}: j labels
         # from it sum to at least tri[j] (the j smallest) and at most
-        # j * (e + 1) - tri[j] (the j largest).
-        top = e + 1
-        for j, d in zip(left, need):
-            if not tri[j] <= d <= j * top - tri[j]:
-                e += 1  # not completable: move the last placed label on
-                break
-        else:
-            if e == 0:
-                break  # every label placed
-            # So must the unions of open blocks that _failing_prefix checks.
-            # With three open blocks or fewer each such union is one block or
-            # the complement of one, which the loop above has covered.
-            if k - left.count(0) > 3 and _failing_prefix(left, need, e) is not None:
-                e += 1  # a union is not completable
+        # j * (e + 1) - tri[j] (the j largest).  The parent passed this and only
+        # block i has changed, so i's lower bound and the floors are the test.
+        if need[i] < tri[left[i]] or max(floors) > e + 1:
+            e += 1  # not completable: move the last placed label on
+        elif e == 0:
+            break  # every label placed
+        # So must the unions of open blocks that _failing_prefix checks.
+        # With three open blocks or fewer each such union is one block or
+        # the complement of one, which the test above has covered.
+        elif open_blocks > 3 and _failing_prefix(left, need, e) is not None:
+            e += 1  # a union is not completable
         # Put label e in its next block, backtracking while it has none left.
         # Full blocks are skipped, and so is an empty block after an empty
         # block of the same size (the two are interchangeable).
@@ -192,8 +201,10 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
             p = tried[e]
             if p >= 0:
                 i = order[p]
+                open_blocks += not left[i]
                 left[i] += 1
                 need[i] += e
+                floors[i] = -(-(need[i] + tri[left[i]]) // left[i])
             p += 1
             while p < k and (
                 left[i := order[p]] == 0
@@ -211,6 +222,8 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
             return ExactResult(status=ExactStatus.BUDGET, partition=None, nodes=nodes)
         left[i] -= 1
         need[i] -= e
+        floors[i] = -(-(need[i] + tri[left[i]]) // left[i]) if left[i] else 0
+        open_blocks -= not left[i]
         tried[e] = p
         e -= 1
     blocks: list[list[int]] = [[] for _ in range(k)]

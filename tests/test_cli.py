@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, JSON round-trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -321,7 +322,28 @@ class TestJsonLayout:
             assert payload["status"] == "solved"
 
 
+#: sha256 of the --format json file that each oracle_sweep benchmark command
+#: writes.  The acceptance digests pin SweepReport.to_json(); these pin the
+#: CLI's own layout of the same report, one row per line.  Change them only
+#: when a change of output is intended.
+SWEEP_JSON_SHA256 = {
+    ("40", "3,4,5"): "c56d9f1fc8d33f791fc365d77aa167f08c1f3ab60f35076bc049b9ef6bde1368",
+    ("32", "6"): "6c58d126e83f4763b7db1e2beabdb39c30fc9de5c19e032eb69b516233442d2f",
+}
+
+
 class TestSweepCommands:
+    @pytest.mark.parametrize("nmax, ks", list(SWEEP_JSON_SHA256))
+    def test_benchmark_sweep_json_bytes(self, capsys, tmp_path, nmax, ks):
+        path = tmp_path / "sweep.json"
+        code, out, _ = run_cli(
+            capsys, "sweep", "--nmax", nmax, "--k", ks, "--min-part", "2",
+            "--budget", "250000", "--workers", "1", "--format", "json", "-o", str(path),
+        )
+        assert code == 0
+        assert out == ""
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_JSON_SHA256[nmax, ks]
+
     def test_clean_sweep_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--nmax", "8", "--k", "4", "--min-part", "2")
         assert code == 0

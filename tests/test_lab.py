@@ -1,5 +1,6 @@
 """Sweep machinery: enumeration, condition-vs-oracle rows, determinism."""
 
+import dataclasses
 import functools
 import os
 import subprocess
@@ -165,6 +166,38 @@ class TestBudgetAndWorkers:
     def test_zero_budget_is_valid(self, run):
         report = run({"budget": 0})
         assert report.totals["budget"] > 0
+
+
+#: A sweep with budget rows and a check_symmetric run, each small.
+SMALL_REPORTS = pytest.mark.parametrize("make", [
+    lambda: sweep(16, {3, 4, 5}, 2, budget=20),
+    lambda: check_symmetric(12, budget=20),
+], ids=["sweep", "check_symmetric"])
+
+
+class TestToJsonable:
+    @SMALL_REPORTS
+    def test_rows_equal_asdict(self, make):
+        report = make()
+        payload = report.to_jsonable()
+        assert report.mismatches or report.totals["budget"]  # the box is not trivial
+        for key in ("rows", "mismatches"):
+            assert payload[key] == [dataclasses.asdict(r) for r in getattr(report, key)]
+
+    @SMALL_REPORTS
+    def test_edits_leave_the_report_alone(self, make):
+        report = make()
+        before = report.to_json()
+        payload = report.to_jsonable()
+        for key in ("config", "totals"):
+            payload[key]["extra"] = 1
+            for value in payload[key].values():
+                if isinstance(value, list):
+                    value.append(99)
+        for row in payload["rows"] + payload["mismatches"]:
+            row["agree"] = None
+        payload["rows"].clear()
+        assert report.to_json() == before
 
 
 class TestCheckSymmetric:

@@ -58,6 +58,15 @@ BIG_BUDGET = 10**8
 #: descent; change it only when a change of answers is intended.
 SOLVE_BOX_SHA256 = "08b2ff39d2e09fe56b70ec967148489ff72753718a5cdc1f524fb32966996fb3"
 
+#: sha256 over json.dumps([n, sizes, status, nodes]) of solve_exact(inst,
+#: 250_000) for every instance of _box(40, [3, 4, 5], 2) then _box(32, [6], 2),
+#: the oracle_sweep benchmark's 5,153 rows and 82,172 nodes, one update per
+#: row; then the same rows again under the reversed order list(range(k))[::-1]
+#: (74,075 nodes).  A node count moves with any change to what the search
+#: prunes or the order it tries, so this pins the pruning itself; change it
+#: only when a change of pruning is intended.
+EXACT_BOX_SHA256 = "7a799a59b90408445f61acdcb44ad0341faa12943c4eaa88cda73c3b164b932d"
+
 #: sha256 over json.dumps([n, sizes, blocks]) of solve_k2(inst) for every
 #: k = 2 instance that passes necessary_condition with p_1 >= 2 and n <= 300,
 #: then for four p_1 at each of n = 99,999, 100,000, 100,003 (the two
@@ -310,6 +319,16 @@ class TestSolveExact:
         for inst in _box(30, [3, 4, 5, 6], 2):
             for budget in (BIG_BUDGET, 2 * inst.n):
                 assert solve_exact(inst, budget, list(range(inst.k))) == solve_exact(inst, budget)
+
+    def test_exact_box_digest(self):
+        box = [*_box(40, [3, 4, 5], 2), *_box(32, [6], 2)]
+        digest = hashlib.sha256()
+        for reverse in (False, True):
+            for inst in box:
+                res = solve_exact(inst, 250_000, list(range(inst.k))[::-1] if reverse else None)
+                digest.update(json.dumps([inst.n, inst.sizes, res.status.value, res.nodes]).encode())
+        assert len(box) == 5153
+        assert digest.hexdigest() == EXACT_BOX_SHA256
 
     @pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [1, 2, 3], [0, 1, 2, 3]])
     def test_order_must_be_a_permutation(self, order):
