@@ -10,7 +10,6 @@ complete search.
 """
 
 from .core import (
-    INFINITE_WIDTH,
     Instance,
     Partition,
     deviation,
@@ -19,7 +18,6 @@ from .core import (
     magic_sum,
     swap,
     swap_delta,
-    width,
 )
 from .feasibility import (
     FeasibilityStatus,
@@ -37,7 +35,6 @@ from .graphs import (
 from .lab import (
     SweepReport,
     check_symmetric,
-    descent_success,
     enumerate_size_sequences,
     sweep,
 )
@@ -57,7 +54,6 @@ from .solver import (
 )
 
 __all__ = [
-    "INFINITE_WIDTH",
     "Instance",
     "Partition",
     "deviation",
@@ -66,7 +62,6 @@ __all__ = [
     "magic_sum",
     "swap",
     "swap_delta",
-    "width",
     "FeasibilityStatus",
     "Verdict",
     "feasibility",
@@ -78,7 +73,6 @@ __all__ = [
     "verify_distance_magic",
     "SweepReport",
     "check_symmetric",
-    "descent_success",
     "enumerate_size_sequences",
     "sweep",
     "ExactResult",

@@ -14,8 +14,7 @@ a partition is built and checked (integer labels, a disjoint cover of
 [n]), and the block sums are derived there, never passed in.  The local
 search's mutable view of a partition is _State, the one exchange kernel:
 swap() runs it, so the exchange law is tested on the code the search
-runs.  _State.width is the one width routine: width() and the plateau
-step's weighing of a candidate both run it.
+runs.
 
 All arithmetic is exact integer arithmetic.  Ground sets are capped at
 n <= 2^31 so every quantity here stays within signed 64-bit range in
@@ -24,15 +23,11 @@ fixed-width ports of this module.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 
 MAX_N = 2**31
-
-#: Distinguished width value when no high/low element pair exists.
-INFINITE_WIDTH = math.inf
 
 
 def magic_sum(n: int, k: int) -> int | None:
@@ -228,15 +223,6 @@ def _exchange_delta(t: int, u: int) -> int:
     return 2 * t * (t - u)
 
 
-def width(p: Partition, s: int) -> int | float:
-    """Minimum y - x over y in a high block, x in a low block, y > x.
-
-    INFINITE_WIDTH (math.inf) when no such pair exists; in particular for
-    every equitable partition.  Finite values are always >= 1.
-    """
-    return _State(p).width(s)
-
-
 class _State:
     """The local search's mutable view of a partition.
 
@@ -267,25 +253,6 @@ class _State:
         for block, old, new in ((members[ia], a, b), (members[ib], b, a)):
             del block[bisect_left(block, old)]
             insort(block, new)
-
-    def width(self, s: int) -> int | float:
-        """The least y - x over a low label x and a high label y > x.
-
-        One ascending pass: the nearest low label below a high label is
-        the last low label seen before it.
-        """
-        # -1, 0 or 1 as block i sums below, at or above s.
-        side = [(t > s) - (t < s) for t in self.sums]
-        assign = self.assign
-        best: int | float = INFINITE_WIDTH
-        low = 0  # the last low label seen; 0 before the first
-        for x in range(1, self.n + 1):
-            c = side[assign[x]]
-            if c < 0:
-                low = x
-            elif c and low and x - low < best:
-                best = x - low
-        return best
 
     def partition(self) -> Partition:
         return Partition.from_blocks(self.n, self.members)

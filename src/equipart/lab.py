@@ -27,13 +27,7 @@ from typing import Iterator
 
 from .core import Instance, _check_count, magic_sum
 from .feasibility import feasibility
-from .solver import (
-    DEFAULT_NODE_BUDGET,
-    ExactStatus,
-    SearchParams,
-    local_search,
-    solve_exact,
-)
+from .solver import DEFAULT_NODE_BUDGET, ExactStatus, solve_exact
 
 
 def enumerate_size_sequences(n: int, k: int, min_part: int) -> Iterator[tuple[int, ...]]:
@@ -131,11 +125,10 @@ def _sweep_row(task: tuple[Instance, int]) -> SweepRow:
                     predicted=verdict.predicts_feasible, oracle=status.value, agree=agree)
 
 
-def _check_budget_workers(budget: int, workers: int = 1) -> None:
-    # A negative budget would report every row as unresolved (or, in
-    # descent_success, skip every row and report a rate of 1.0 over none),
-    # and fewer than one worker would silently run serially.  A float would
-    # go into the report, or fail later inside Pool.
+def _check_budget_workers(budget: int, workers: int) -> None:
+    # A negative budget would report every row as unresolved, and fewer
+    # than one worker would silently run serially.  A float would go into
+    # the report, or fail later inside Pool.
     _check_count("budget", budget)
     _check_count("workers", workers, 1)
 
@@ -207,45 +200,6 @@ def sweep(
         key = f"verdict_{r.verdict}"
         verdict_counts[key] = verdict_counts.get(key, 0) + 1
     return _assemble(rows, config, verdict_counts)
-
-
-def descent_success(
-    n_max: int,
-    k_set,
-    min_part: int = 2,
-    params=None,
-    budget: int = DEFAULT_NODE_BUDGET,
-) -> dict:
-    """Success rate of the exchange descent alone on feasible instances.
-
-    The descent (greedy start, strictly-improving exchanges, plateau
-    drift, restarts) is not proven complete; this measures how often it
-    reaches an equitable partition without the exact fallback, over every
-    oracle-confirmed-feasible instance in the box.  Failures list the
-    instances the descent missed.
-    """
-    ks = _check_box(n_max, k_set, min_part)
-    _check_budget_workers(budget)
-    if params is None:
-        params = SearchParams()
-    attempted = 0
-    solved = 0
-    failures: list[dict] = []
-    for inst in _box(n_max, ks, min_part):
-        if solve_exact(inst, budget=budget).status is not ExactStatus.FOUND:
-            continue
-        attempted += 1
-        if local_search(inst, params) is not None:
-            solved += 1
-        else:
-            failures.append({"n": inst.n, "k": inst.k, "sizes": list(inst.sizes)})
-    return {
-        "attempted": attempted,
-        "solved_by_descent": solved,
-        "rate": solved / attempted if attempted else 1.0,
-        "failures": failures,
-        "config": {"n_max": n_max, "k_set": ks, "min_part": min_part},
-    }
 
 
 def _symmetric_row(task: tuple[int, int, int]) -> SymmetricRow:

@@ -20,16 +20,13 @@ and answers in its size slots, block i of size inst.sizes[i]:
   (1, 2, ..., 2);
 * a potential-descent local search (local_search) over element
   exchanges, each start from a greedy initializer randomized by the
-  standard library's random.Random.  It finds each improving move from
-  the exchange law delta = 2t(t - u) in O(k n log n) over per-block
-  sorted member lists, ties going to the lex-smallest pair (a, b).  A
-  pair of blocks whose sums differ by u can do no better than the floor
-  -(u*u // 2), so the block pairs are scanned by falling u and the scan
-  stops at the first floor above the best delta found; a plateau state,
-  with no negative delta, still costs the full scan.  On a plateau it
-  tries the zero-delta exchanges in lex order on the search state, taking
-  the first that shrinks the width, and stops at the first step that
-  would undo the last.
+  standard library's random.Random.  It takes the best improving
+  exchange until none is left, finding it from the exchange law
+  delta = 2t(t - u) in O(k n log n) over per-block sorted member lists,
+  ties going to the lex-smallest pair (a, b).  A pair of blocks whose
+  sums differ by u can do no better than the floor -(u*u // 2), so the
+  block pairs are scanned by falling u and the scan stops at the first
+  floor above the best delta found.
 
 The local search is a heuristic that solve() runs only when every bounded
 run is cut off; completeness rests on the index-order search it runs last,
@@ -349,8 +346,8 @@ def _best_move(state: _State) -> tuple[int, int, int] | None:
     The block pairs are visited by falling u, and the scan stops at the
     first pair whose floor is above the best delta found: no later pair can
     reach it.  Within a pair, once the best delta is at the floor, an a past
-    best_a cannot make a lex-smaller tie, so the pair ends there.  On a
-    plateau no delta is negative, neither stop fires and the scan is full.
+    best_a cannot make a lex-smaller tie, so the pair ends there.  With no
+    negative delta neither stop fires and the scan is full.
     """
     sums, members = state.sums, state.members
     gaps = sorted(
@@ -382,85 +379,37 @@ def _best_move(state: _State) -> tuple[int, int, int] | None:
     return (best_d, best_a, best_b) if best_d < 0 else None
 
 
-def _plateau_step(state: _State, s: int) -> tuple[int, int] | None:
-    """First zero-delta exchange in lex order, preferring one that shrinks the width.
-
-    Zero delta means b - a equals the sum gap u from a's block up to b's,
-    so the candidates are the pairs (a, a + u).  Each is tried on the state
-    itself: exchange, measure the width, exchange back.  The state is left
-    as it was found.
-    """
-    assign, sums, members, n = state.assign, state.sums, state.members, state.n
-    candidates = []
-    for i, si in enumerate(sums):
-        for j, sj in enumerate(sums):
-            u = sj - si
-            if u > 0:
-                candidates += [(a, a + u) for a in members[i] if a + u <= n and assign[a + u] == j]
-    if not candidates:
-        return None
-    candidates.sort()
-    cur_width = state.width(s)
-    for a, b in candidates:
-        state.exchange(a, b)
-        shrinks = state.width(s) < cur_width
-        state.exchange(a, b)
-        if shrinks:
-            return a, b
-    return candidates[0]
-
-
 def local_search(
     inst: Instance, params: SearchParams, stats: SolveStats | None = None
 ) -> Partition | None:
-    """Potential descent over element exchanges with plateau drift.
+    """Potential descent over element exchanges, with greedy restarts.
 
     Runs starts r = 0, 1, ..., params.max_restarts, each from
     greedy_init(inst, params.seed + r): the best strictly-improving
-    exchange until none exists, then up to 2n zero-delta exchanges, then
-    the next start.  A plateau step that equals the one before it would
-    undo it; both step rules read only the state, so the walk could then
-    only oscillate, and the start ends there.  The 2n allowance bounds
-    longer cycles.  Returns the first equitable partition reached, its
-    block i of size inst.sizes[i], or None when every start stalls.
-    Deviation never increases within a start; stats.restarts counts each
-    start after the first.
+    exchange until none exists, then the next start.  Returns the first
+    equitable partition reached, its block i of size inst.sizes[i], or None
+    when every start stalls.  Deviation strictly falls at every move;
+    stats.swaps counts the moves and stats.restarts each start after the
+    first.
 
     Each move is the lex-smallest (a, b) among the best candidates.  The
     search keeps every block's members sorted and uses the exchange law
-    2t(t - u): the best partner of a lies next to a + u/2, so an improving
-    move costs O(k n log n), not O(n^2).  No exchange between blocks whose
-    sums differ by u beats the floor -(u*u // 2), so the block pairs are
-    visited by falling u and the move search ends at the first pair whose
-    floor is above the best delta found.  At a plateau no delta is
-    negative, nothing ends the search early, and it scans every pair in
-    full before the plateau step runs.  A zero-delta partner is exactly
-    a + u, so a plateau step has at most k - 1 candidates per a.  A plateau
-    step tries them in lex order on the state, each an exchange, an O(n)
-    width pass and the exchange back, until one shrinks the width.
+    2t(t - u): the best partner of a lies next to a + u/2, so a move costs
+    O(k n log n), not O(n^2).  No exchange between blocks whose sums differ
+    by u beats the floor -(u*u // 2), so the block pairs are visited by
+    falling u and the move search ends at the first pair whose floor is
+    above the best delta found.
     """
-    n, s = inst.n, magic_sum(inst.n, inst.k)
+    s = magic_sum(inst.n, inst.k)
     for r in range(params.max_restarts + 1):
         if r and stats is not None:
             stats.restarts += 1
         state = _State(greedy_init(inst, params.seed + r))
-        plateau_used = 0
-        last_step = None  # the previous move, if it was a plateau step
-        while any(t != s for t in state.sums):
-            move = _best_move(state)
-            if move is not None:
-                a, b = move[1], move[2]
-                last_step = None
-            else:
-                step = _plateau_step(state, s) if plateau_used < 2 * n else None
-                if step is None or step == last_step:
-                    break
-                a, b = last_step = step
-                plateau_used += 1
-            state.exchange(a, b)
+        while (move := _best_move(state)) is not None:
+            state.exchange(move[1], move[2])
             if stats is not None:
                 stats.swaps += 1
-        else:  # the loop ended on an equitable state, not a stall
+        if all(t == s for t in state.sums):
             return state.partition()
     return None
 

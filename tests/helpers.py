@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from equipart.core import INFINITE_WIDTH, Instance, Partition
+from equipart.core import Instance, Partition
 from equipart.graphs import MagicCheck, verify_distance_magic
 
 
@@ -136,37 +136,6 @@ def verify_open_checked(p: Partition) -> MagicCheck:
     return check
 
 
-def naive_width(p: Partition, s: int) -> int | float:
-    """Minimum y - x over every high-block y and low-block x with y > x."""
-    lows = [x for b, t in zip(p.blocks, p.sums) if t < s for x in b]
-    highs = [y for b, t in zip(p.blocks, p.sums) if t > s for y in b]
-    gaps = [y - x for y in highs for x in lows if y > x]
-    return min(gaps) if gaps else INFINITE_WIDTH
-
-
-def assign_width(assign: list[int], sums: list[int], s: int, n: int) -> int | float:
-    """Width of the state where label x lies in block assign[x].
-
-    The library's former two-list merge, kept as the reference for the
-    one-pass _State.width: it lists the low and the high labels, then
-    pairs each high label with the largest low label below it.
-    """
-    lows = [x for x in range(1, n + 1) if sums[assign[x]] < s]
-    highs = [x for x in range(1, n + 1) if sums[assign[x]] > s]
-    if not lows or not highs:
-        return INFINITE_WIDTH
-    best: int | float = INFINITE_WIDTH
-    i = 0
-    for y in highs:
-        while i < len(lows) and lows[i] < y:
-            i += 1
-        if i > 0:
-            best = min(best, y - lows[i - 1])
-        if best == 1:
-            break
-    return best
-
-
 def naive_best_move(
     assign: list[int], sums: list[int], n: int
 ) -> tuple[int, int, int] | None:
@@ -188,39 +157,3 @@ def naive_best_move(
             if delta < 0 and (best is None or delta < best[0]):
                 best = (delta, a, b)
     return best
-
-
-def naive_plateau_move(
-    assign: list[int], sums: list[int], s: int, n: int, cur_width: int | float
-) -> tuple[int, int] | None:
-    """First zero-delta exchange in lex order, preferring one that shrinks the width.
-
-    The descent's original O(n^2) plateau scan, kept as the reference.
-    """
-
-    def exchange(a: int, b: int) -> None:
-        ia, ib = assign[a], assign[b]
-        t = b - a
-        sums[ia] += t
-        sums[ib] -= t
-        assign[a], assign[b] = ib, ia
-
-    fallback: tuple[int, int] | None = None
-    for a in range(1, n):
-        ia = assign[a]
-        sa = sums[ia]
-        for b in range(a + 1, n + 1):
-            ib = assign[b]
-            if ib == ia:
-                continue
-            t = b - a
-            if t != sums[ib] - sa:
-                continue
-            if fallback is None:
-                fallback = (a, b)
-            exchange(a, b)
-            shrinks = assign_width(assign, sums, s, n) < cur_width
-            exchange(a, b)
-            if shrinks:
-                return (a, b)
-    return fallback

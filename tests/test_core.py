@@ -1,6 +1,5 @@
 """Exact-integer properties of the partition algebra."""
 
-import math
 import random
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equipart.core import (
-    INFINITE_WIDTH,
     Instance,
     Partition,
     deviation,
@@ -17,10 +15,9 @@ from equipart.core import (
     magic_sum,
     swap,
     swap_delta,
-    width,
 )
 
-from helpers import naive_width, random_cross_block_pair, random_partition
+from helpers import random_cross_block_pair, random_partition
 
 
 def part(n, *blocks):
@@ -196,26 +193,6 @@ class TestSwapDelta:
         assert swap_delta(p, 2, 3, 0) == swap_delta(p, 2, 3, 100)
 
 
-class TestWidth:
-    def test_examples(self):
-        assert width(part(4, [1, 2], [3, 4]), 5) == 1
-        assert width(part(4, [1, 4], [2, 3]), 5) == INFINITE_WIDTH
-        assert width(part(6, [1, 2], [3], [4, 5, 6]), 7) == 1
-
-    def test_requires_high_above_low(self):
-        # low block {4,5} holds the top labels: no y > x pair exists
-        p = part(5, [4, 5], [1, 2, 3])
-        assert width(p, 12) == INFINITE_WIDTH
-
-    def test_finite_width_at_least_one(self):
-        p = part(6, [1, 2, 3], [4, 5, 6])
-        w = width(p, 10)
-        assert w == 1
-
-    def test_infinite_is_math_inf(self):
-        assert width(part(4, [1, 4], [2, 3]), 5) == math.inf
-
-
 class TestEquivalent:
     """Two partitions are equivalent when their block-sum multisets agree."""
 
@@ -282,7 +259,7 @@ def test_swap_preserves_structure(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_equitable_iff_all_exact_and_width_infinite(seed):
+def test_equitable_iff_all_exact(seed):
     rng = random.Random(seed)
     p = random_partition(rng, max_n=30)
     total = p.n * (p.n + 1) // 2
@@ -290,17 +267,3 @@ def test_equitable_iff_all_exact_and_width_infinite(seed):
         s = total // p.k
         all_exact = all(t == s for t in p.sums)
         assert (deviation(p, s) == 0) == all_exact
-        if deviation(p, s) == 0:
-            assert width(p, s) == INFINITE_WIDTH
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=-10, max_value=600),
-)
-def test_width_matches_pairwise_minimum(seed, s):
-    # width() and the plateau's test of a candidate run one routine,
-    # _State.width; check it against every pair
-    p = random_partition(random.Random(seed), max_n=40)
-    assert width(p, s) == naive_width(p, s)

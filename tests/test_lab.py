@@ -12,7 +12,6 @@ from equipart import lab
 from equipart.lab import (
     SweepReport,
     check_symmetric,
-    descent_success,
     enumerate_size_sequences,
     sweep,
 )
@@ -148,7 +147,6 @@ REJECTED = [
     pytest.param(lambda: sweep(10, {3}, 2.5), "min_part", id="sweep-float-min_part"),
     pytest.param(lambda: sweep(10, {3.0}, 2), "k", id="sweep-float-k"),
     pytest.param(lambda: check_symmetric(8.5), "max_total", id="symmetric-float-max_total"),
-    pytest.param(lambda: descent_success(10.0, {3}, 2), "n_max", id="descent_success-float-n_max"),
 ]
 
 
@@ -236,31 +234,6 @@ class TestCheckSymmetric:
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
             check_symmetric(1)
-
-
-class TestDescentSuccess:
-    def test_measured_rate_at_desk_scale(self):
-        # the exchange descent alone (no exact fallback) currently clears
-        # every feasible instance in this box; frozen from a measured run
-        report = descent_success(16, {3, 4}, 2)
-        assert report["attempted"] == 30
-        assert report["solved_by_descent"] == 30
-        assert report["rate"] == 1.0
-        assert report["failures"] == []
-
-    def test_negative_budget_rejected(self, monkeypatch):
-        # every oracle call would end on budget, so no row would be attempted
-        def no_rows(*args, **kwargs):
-            raise AssertionError("a row ran")
-
-        monkeypatch.setattr(lab, "solve_exact", no_rows)
-        with pytest.raises(ValueError, match="budget"):
-            descent_success(16, {3, 4}, 2, budget=-1)
-
-    def test_counts_only_oracle_feasible_instances(self):
-        report = descent_success(12, {3}, 2)
-        assert report["attempted"] <= 13  # sequences for n in {6,8,9,11,12}
-        assert 0.0 <= report["rate"] <= 1.0
 
 
 def test_report_json_shape():

@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 import equipart
 from equipart.core import (
-    INFINITE_WIDTH,
     Instance,
     Partition,
     _State,
+    deviation,
     implements,
     is_equitable,
     magic_sum,
+    swap,
 )
 from equipart.feasibility import FeasibilityStatus, feasibility, necessary_condition
 from equipart.lab import _box, enumerate_size_sequences
@@ -31,7 +32,6 @@ from equipart.solver import (
     SolveStats,
     SolveStatus,
     _best_move,
-    _plateau_step,
     greedy_init,
     local_search,
     solve,
@@ -41,11 +41,9 @@ from equipart.solver import (
 )
 
 from helpers import (
-    assign_width,
     k2_greedy_trace,
     naive_best_move,
     naive_equitable_exists,
-    naive_plateau_move,
     random_valid_instance,
 )
 
@@ -76,7 +74,7 @@ EXACT_BOX_SHA256 = "7a799a59b90408445f61acdcb44ad0341faa12943c4eaa88cda73c3b164b
 K2_BOX_SHA256 = "94070b6daeedbf29bf430d12ec062ec6e41b9d8f711056cea7150f266b1a68ae"
 
 #: The descent_stall benchmark instances: k >= 5, n > 100, where the descent
-#: alone stalls and its plateau moves run thousands of times.
+#: alone stalls on some starts; the first bounded search settles all three.
 STALL_CORPUS = (
     (150, (16, 18, 23, 40, 53)),
     (119, (11, 11, 13, 16, 32, 36)),
@@ -94,75 +92,8 @@ STALL_CORPUS_SHA256 = "b752cba8d32d955410700cc6592acbd2f5f7888f3f7117cb43aaa8f9f
 #: on every instance of _box(40, [3, 4, 5], 2) the verdict does not rule out,
 #: then with SearchParams(seed=s, max_restarts=2) for s in (4, 5) on every
 #: instance of STALL_CORPUS, one update per run.  It pins the descent's exact
-#: move sequence, plateau moves included, now that solve() rarely reaches it.
-DESCENT_SHA256 = "6be6f609c1cd154180f87908b92e209dc04b9bf9e75a9855285edc92ca6c980d"
-
-#: The rows of _box(62, [5, 6, 7, 8], 2) with n >= 16 whose descent,
-#: local_search(inst, SearchParams(max_restarts=2)), takes a shrinking plateau
-#: candidate other than the first at least 3 times.  They hold 103 of the box's
-#: 559 such steps at infinite width and 290 of its 2,248 at finite width, in
-#: 620 plateau steps; the whole box takes 553,065.
-SHRINKING_PLATEAU_ROWS = (
-    (27, (2, 3, 3, 3, 3, 3, 10)), (27, (3, 3, 3, 3, 3, 3, 9)),
-    (31, (2, 3, 3, 3, 3, 3, 4, 10)), (31, (2, 3, 3, 3, 3, 3, 7, 7)),
-    (31, (2, 3, 3, 3, 4, 4, 6, 6)), (31, (3, 3, 3, 3, 3, 3, 3, 10)),
-    (32, (3, 3, 4, 4, 6, 12)), (32, (3, 3, 4, 7, 7, 8)), (32, (3, 3, 5, 6, 7, 8)),
-    (32, (3, 3, 3, 3, 3, 3, 3, 11)), (32, (3, 3, 3, 3, 4, 4, 6, 6)),
-    (34, (3, 3, 3, 3, 4, 6, 12)), (34, (3, 3, 3, 3, 4, 7, 11)),
-    (34, (3, 3, 3, 3, 5, 8, 9)), (34, (3, 3, 3, 4, 7, 7, 7)),
-    (34, (4, 5, 5, 5, 5, 5, 5)), (35, (3, 3, 3, 4, 4, 8, 10)),
-    (35, (3, 3, 3, 4, 5, 7, 10)), (35, (3, 3, 4, 5, 6, 6, 8)),
-    (39, (4, 4, 4, 6, 6, 15)), (44, (4, 5, 5, 8, 10, 12)), (44, (5, 5, 5, 5, 7, 17)),
-    (47, (4, 4, 4, 4, 4, 5, 11, 11)), (47, (4, 4, 4, 4, 4, 7, 10, 10)),
-    (47, (4, 4, 4, 4, 5, 8, 8, 10)), (47, (4, 4, 4, 4, 5, 8, 9, 9)),
-    (47, (4, 4, 4, 5, 5, 5, 10, 10)), (47, (4, 4, 5, 6, 6, 6, 6, 10)),
-    (48, (4, 4, 4, 5, 6, 9, 16)), (48, (4, 4, 4, 5, 7, 9, 15)),
-    (48, (4, 4, 4, 5, 8, 8, 15)), (48, (4, 4, 4, 5, 10, 10, 11)),
-    (48, (4, 4, 4, 6, 6, 7, 17)), (48, (4, 4, 4, 6, 6, 9, 15)),
-    (48, (4, 4, 4, 6, 6, 11, 13)), (48, (4, 4, 4, 6, 8, 11, 11)),
-    (48, (4, 4, 4, 6, 9, 9, 12)), (48, (4, 4, 5, 5, 8, 11, 11)),
-    (48, (5, 5, 5, 6, 9, 9, 9)), (48, (6, 7, 7, 7, 7, 7, 7)),
-    (48, (4, 4, 4, 5, 6, 7, 9, 9)), (48, (5, 5, 5, 5, 5, 5, 7, 11)),
-    (48, (5, 5, 5, 5, 5, 6, 8, 9)), (48, (5, 6, 6, 6, 6, 6, 6, 7)),
-    (49, (4, 4, 4, 5, 6, 8, 18)), (49, (4, 4, 4, 5, 6, 10, 16)),
-    (49, (4, 4, 4, 5, 7, 11, 14)), (49, (4, 4, 5, 5, 5, 8, 18)),
-    (49, (4, 4, 5, 5, 7, 10, 14)), (49, (4, 4, 5, 5, 7, 11, 13)),
-    (49, (4, 4, 5, 5, 10, 10, 11)), (49, (4, 4, 5, 6, 6, 9, 15)),
-    (49, (4, 4, 5, 6, 7, 8, 15)), (49, (4, 4, 5, 7, 7, 8, 14)),
-    (49, (4, 4, 5, 7, 9, 9, 11)), (49, (4, 4, 6, 6, 6, 9, 14)),
-    (49, (4, 4, 6, 7, 7, 7, 14)), (49, (4, 4, 6, 7, 7, 8, 13)),
-    (49, (4, 4, 6, 7, 7, 9, 12)), (49, (4, 4, 6, 7, 7, 10, 11)),
-    (49, (4, 4, 6, 7, 8, 8, 12)), (49, (4, 4, 6, 7, 8, 9, 11)),
-    (49, (4, 4, 6, 8, 9, 9, 9)), (49, (4, 5, 5, 7, 8, 8, 12)),
-    (49, (4, 5, 6, 6, 7, 8, 13)), (49, (5, 5, 5, 5, 5, 7, 17)),
-    (49, (5, 5, 5, 6, 8, 9, 11)), (51, (5, 5, 6, 6, 9, 20)), (51, (5, 5, 6, 8, 12, 15)),
-    (51, (5, 5, 7, 7, 10, 17)), (55, (5, 5, 5, 5, 6, 9, 20)),
-    (55, (5, 5, 5, 5, 6, 11, 18)), (55, (5, 5, 5, 5, 6, 14, 15)),
-    (55, (5, 5, 5, 5, 7, 10, 18)), (55, (5, 7, 8, 8, 8, 9, 10)),
-    (56, (5, 6, 6, 7, 13, 19)), (56, (5, 6, 6, 7, 16, 16)), (56, (6, 6, 8, 9, 9, 18)),
-    (56, (5, 5, 5, 5, 7, 10, 19)), (56, (5, 5, 5, 5, 7, 11, 18)),
-    (56, (5, 5, 5, 5, 7, 12, 17)), (56, (5, 5, 5, 5, 8, 12, 16)),
-    (56, (5, 5, 5, 6, 11, 11, 13)), (56, (5, 5, 6, 6, 8, 12, 14)),
-    (56, (6, 6, 6, 6, 8, 12, 12)), (60, (6, 6, 6, 8, 13, 21)),
-    (60, (6, 6, 6, 9, 15, 18)), (62, (4, 5, 6, 6, 7, 12, 22)),
-    (62, (4, 5, 6, 6, 7, 14, 20)), (62, (5, 5, 6, 6, 8, 10, 22)),
-    (62, (5, 5, 6, 6, 9, 9, 22)), (62, (5, 5, 6, 6, 9, 14, 17)),
-    (62, (5, 5, 6, 6, 10, 13, 17)), (62, (5, 5, 6, 6, 11, 11, 18)),
-    (62, (5, 5, 6, 6, 11, 13, 16)), (62, (5, 5, 6, 7, 7, 9, 23)),
-    (62, (5, 5, 6, 7, 7, 10, 22)), (62, (5, 5, 6, 7, 8, 11, 20)),
-    (62, (5, 5, 6, 7, 10, 13, 16)), (62, (5, 5, 6, 7, 10, 14, 15)),
-    (62, (5, 5, 6, 8, 8, 15, 15)), (62, (5, 5, 6, 8, 10, 12, 16)),
-    (62, (5, 5, 7, 7, 11, 11, 16)), (62, (5, 5, 7, 8, 9, 13, 15)),
-    (62, (5, 5, 7, 8, 9, 14, 14)), (62, (5, 5, 7, 9, 9, 11, 16)),
-    (62, (5, 6, 6, 6, 8, 15, 16)), (62, (5, 6, 6, 6, 10, 14, 15)),
-    (62, (5, 6, 6, 7, 10, 13, 15)), (62, (5, 6, 7, 7, 8, 10, 19)),
-    (62, (5, 6, 8, 9, 9, 11, 14)), (62, (5, 7, 7, 8, 8, 12, 15)),
-    (62, (5, 7, 7, 8, 10, 10, 15)), (62, (6, 6, 7, 7, 7, 9, 20)),
-    (62, (6, 6, 7, 7, 8, 8, 20)), (62, (6, 6, 7, 7, 9, 10, 17)),
-    (62, (6, 6, 7, 8, 8, 8, 19)), (62, (6, 6, 7, 9, 9, 9, 16)),
-    (62, (7, 7, 7, 8, 11, 11, 11)), (62, (8, 9, 9, 9, 9, 9, 9)),
-)
-
+#: move sequence and where it stalls, now that solve() rarely reaches it.
+DESCENT_SHA256 = "582eb74bcd9a2df060941461025c35dd930ea9694fc3b718515ac25b304516ba"
 
 class TestSearchParams:
     def test_fields(self):
@@ -509,7 +440,7 @@ def _random_search_state(rng: random.Random):
 
     Sums are the true block sums, the true sums with some blocks forced
     equal, or arbitrary values near s with two forced equal, so ties and
-    repeated sum gaps occur.  The searches treat sums as given data.
+    repeated sum gaps occur.  _best_move treats sums as given data.
     """
     k = rng.randint(2, 6)
     n = rng.randint(k, 60)
@@ -544,23 +475,16 @@ def _state_of(assign: list[int], n: int) -> _State:
 class TestMoveSearch:
     def test_moves_match_quadratic_reference(self):
         rng = random.Random(20141024)
-        found = {"best": 0, "plateau": 0, "tie": 0}
+        found = {"best": 0, "none": 0, "tie": 0}
         for _ in range(2500):
-            assign, sums, s, n = _random_search_state(rng)
+            assign, sums, _, n = _random_search_state(rng)
             state = _state_of(assign, n)
-            state.sums = sums  # the searches treat sums as given data
-            before = (list(assign), list(sums), [list(m) for m in state.members])
+            state.sums = sums  # the search treats sums as given data
             move = _best_move(state)
             assert move == naive_best_move(assign, sums, n)
-            cur_width = state.width(s)
-            assert cur_width == assign_width(assign, sums, s, n)
-            step = _plateau_step(state, s)
-            assert (state.assign, state.sums, state.members) == before  # trial exchanges undone
-            assert step == naive_plateau_move(assign, sums, s, n, cur_width)
-            found["best"] += move is not None
-            found["plateau"] += step is not None
+            found["best" if move is not None else "none"] += 1
             found["tie"] += len(set(sums)) < len(sums)
-        assert min(found.values()) > 500, found
+        assert min(found["best"], found["tie"]) > 500 and found["none"] > 100, found
 
     @staticmethod
     def _assert_best_move_matches_reference(blocks) -> None:
@@ -676,39 +600,35 @@ class TestMoveSearch:
             digest.update(json.dumps(row).encode())
         assert digest.hexdigest() == DESCENT_SHA256
 
-    def test_plateau_steps_of_real_descents_match_reference(self, monkeypatch):
-        # Random states reach the shrink branch in 2 of 2,500 and never at
-        # infinite width, the only width the stall corpus produces; the
-        # descent's own plateau states reach it at both.
-        steps = []
-
-        def record(state, s):
-            before = (list(state.assign), list(state.sums), [list(m) for m in state.members])
-            step = _plateau_step(state, s)
-            assert (state.assign, state.sums, state.members) == before  # trial exchanges undone
-            steps.append((before[0], before[1], s, state.n, step))
-            return step
-
-        monkeypatch.setattr("equipart.solver._plateau_step", record)
-        for n, sizes in SHRINKING_PLATEAU_ROWS:
-            inst = Instance(n=n, sizes=sizes)
-            local_search(inst, SearchParams(max_restarts=2))
-        shrunk = {"infinite": 0, "finite": 0}  # steps not taking the first candidate
-        for assign, sums, s, n, step in steps:
-            cur_width = assign_width(assign, sums, s, n)
-            assert step == naive_plateau_move(assign, sums, s, n, cur_width)
-            first = next(
-                (
-                    (a, b)
-                    for a in range(1, n)
-                    for b in range(a + 1, n + 1)
-                    if b - a == sums[assign[b]] - sums[assign[a]]
-                ),
-                None,
-            )
-            if step != first:
-                shrunk["infinite" if cur_width == INFINITE_WIDTH else "finite"] += 1
-        assert min(shrunk.values()) >= 100, shrunk
+    def test_descent_replays_reference_moves(self):
+        # Each start is greedy_init, then the quadratic reference's best
+        # move, applied with the public swap, until no move improves; the
+        # descent returns that end when it is equitable and None otherwise.
+        rng = random.Random(18)
+        witnesses = runs = 0
+        while runs < 150:
+            inst = random_valid_instance(rng, n_max=40)
+            if inst.k < 3:
+                continue
+            seed = rng.choice((0, rng.randint(1, 2**32)))
+            s = magic_sum(inst.n, inst.k)
+            p = greedy_init(inst, seed)
+            moves = 0
+            while True:
+                assign = [0] + [p.block_of(x) for x in range(1, inst.n + 1)]
+                move = naive_best_move(assign, list(p.sums), inst.n)
+                if move is None:
+                    break
+                q = swap(p, move[1], move[2])
+                assert deviation(q, s) == deviation(p, s) + move[0] < deviation(p, s)
+                p, moves = q, moves + 1
+            stats = SolveStats()
+            out = local_search(inst, SearchParams(seed=seed, max_restarts=0), stats)
+            assert out == (p if is_equitable(p, s) else None), (inst, seed)
+            assert (stats.swaps, stats.restarts) == (moves, 0), (inst, seed)
+            witnesses += out is not None
+            runs += 1
+        assert 20 <= witnesses < runs, witnesses
 
 
 class TestSolve:
@@ -782,17 +702,24 @@ class TestSolve:
 
     def test_descent_then_index_order_search_settle_what_is_left(self, monkeypatch):
         # With one search run, the cut-off search leaves the instance to the
-        # seed-0 descent, which stalls on it, and then to the index-order
-        # search, which finds the witness on the rest of the budget.
+        # seed-0 descent, which stalls on it (its start has no improving
+        # move), and then to the index-order search, which finds the
+        # witness on the rest of the budget.
         monkeypatch.setattr("equipart.solver.SEARCH_RUNS", 1)
+        descents = []
+
+        def spy(*args, **kwargs):
+            descents.append(local_search(*args, **kwargs))
+            return descents[-1]
+
+        monkeypatch.setattr("equipart.solver.local_search", spy)
         inst = Instance.from_sizes(20, (3, 4, 4, 4, 5))
-        assert local_search(inst, SearchParams(max_restarts=0)) is None
         full = solve_exact(inst, BIG_BUDGET)
         res = solve(inst, SearchParams(max_restarts=0))
+        assert descents == [None]
         assert res.status is SolveStatus.SOLVED
         assert res.partition == full.partition
         assert res.stats.nodes == 80 + full.nodes
-        assert res.stats.swaps > 0
 
     def test_descent_settles_what_the_search_budget_leaves(self):
         # 10 nodes cannot place 32 labels: the search is cut off, spends the
