@@ -113,13 +113,14 @@ def _verdict_line(inst: Instance, verdict: Verdict) -> str:
     return "condition holds (conjectured sufficient for k >= 5)"
 
 
-def _base_payload(inst: Instance) -> dict[str, Any]:
+def _base_payload(n: int, sizes) -> dict[str, Any]:
+    """The nine top-level fields every instance command writes; the caller fills the rest."""
     return {
-        "n": inst.n,
-        "k": inst.k,
-        "sizes": list(inst.sizes),
+        "n": n,
+        "k": len(sizes),
+        "sizes": list(sizes),
         "status": None,
-        "magic_sum": magic_sum(inst.n, inst.k),
+        "magic_sum": magic_sum(n, len(sizes)),
         "blocks": None,
         "graph_constant": None,
         "stats": None,
@@ -137,7 +138,7 @@ def _instance_header(inst: Instance) -> list[str]:
 def cmd_check(args: argparse.Namespace) -> int:
     inst = _instance_from_args(args)
     verdict = feasibility(inst)
-    payload = _base_payload(inst)
+    payload = _base_payload(inst.n, inst.sizes)
     payload["status"] = verdict.status.value
     payload["detail"] = _verdict_detail(inst, verdict)
     _emit(args, payload, lambda: "\n".join(
@@ -159,7 +160,7 @@ def _search_params(args: argparse.Namespace) -> SearchParams:
 
 def _solve_payload(args: argparse.Namespace, inst: Instance) -> tuple[dict[str, Any], int]:
     result = solve(inst, _search_params(args))
-    payload = _base_payload(inst)
+    payload = _base_payload(inst.n, inst.sizes)
     payload["status"] = result.status.value
     payload["stats"] = {
         "nodes": result.stats.nodes,
@@ -174,14 +175,11 @@ def _solve_payload(args: argparse.Namespace, inst: Instance) -> tuple[dict[str, 
         payload["graph_constant"] = total - result.verdict.s
         code = EXIT_OK
     else:
-        payload["detail"] = {"verdict": result.verdict.status.value}
-        if result.verdict.infeasible:
-            detail = _verdict_detail(inst, result.verdict)
-            if detail:
-                payload["detail"].update(detail)
-            code = EXIT_NEGATIVE
-        else:
-            code = EXIT_INCONCLUSIVE
+        payload["detail"] = {
+            "verdict": result.verdict.status.value,
+            **(_verdict_detail(inst, result.verdict) or {}),
+        }
+        code = EXIT_NEGATIVE if result.verdict.infeasible else EXIT_INCONCLUSIVE
     return payload, code
 
 
@@ -259,20 +257,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         check = verify_distance_magic(p)
         mode = "open"
-    payload = {
-        "n": p.n,
-        "k": p.k,
-        "sizes": sorted(len(b) for b in p.blocks),
-        "status": "magic" if check.is_magic else "not_magic",
-        "magic_sum": magic_sum(p.n, p.k),
-        "blocks": None,
-        "graph_constant": check.constant,
-        "stats": None,
-        "detail": {
-            "mode": mode,
-            "witness": list(check.witness) if check.witness else None,
-            "degenerate": check.degenerate,
-        },
+    payload = _base_payload(p.n, sorted(len(b) for b in p.blocks))
+    payload["status"] = "magic" if check.is_magic else "not_magic"
+    payload["graph_constant"] = check.constant
+    payload["detail"] = {
+        "mode": mode,
+        "witness": list(check.witness) if check.witness else None,
+        "degenerate": check.degenerate,
     }
 
     def text() -> str:

@@ -45,6 +45,14 @@ def magic_sum(n: int, k: int) -> int | None:
     return total // k
 
 
+def _integral_magic_sum(n: int, k: int) -> int:
+    """magic_sum(n, k) for a caller that needs one; ValueError when it is not integral."""
+    s = magic_sum(n, k)
+    if s is None:
+        raise ValueError(f"magic sum is not integral for n={n}, k={k}")
+    return s
+
+
 def _check_n(n) -> None:
     """Reject an n that is not a genuine int (a bool is not) in [1, MAX_N]."""
     if type(n) is not int or not 1 <= n <= MAX_N:

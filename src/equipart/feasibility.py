@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Instance, _check_count, _check_n, magic_sum
+from .core import Instance, _check_count, _check_n, _integral_magic_sum, magic_sum
 
 
 class FeasibilityStatus(Enum):
@@ -114,11 +114,7 @@ def condition_failing_index(inst: Instance) -> int | None:
     sides equal n(n+1)/2) but is kept in the loop as a self-test.  Requires
     the magic sum to be integral.
     """
-    s = magic_sum(inst.n, inst.k)
-    if s is None:
-        raise ValueError(
-            f"magic sum is not integral for n={inst.n}, k={inst.k}"
-        )
+    s = _integral_magic_sum(inst.n, inst.k)
     return _failing_prefix(inst.sizes, [s] * inst.k, inst.n)
 
 

@@ -12,7 +12,8 @@ verify_distance_magic checks the open condition (neighbor labels sum to
 a constant) on the complete multipartite graph itself;
 verify_closed_magic_cycle checks the closed condition (own label
 included) on the cycle-of-cliques blow-up, where clique i is fully
-joined to cliques i-1 and i+1.
+joined to cliques i-1 and i+1.  Both reduce a labeling to one sum per
+part and hand those sums to _agreement, the one test that they agree.
 """
 
 from __future__ import annotations
@@ -46,6 +47,18 @@ def labeling_from_partition(p: Partition) -> Partition:
     return p
 
 
+def _agreement(p: Partition, part_sums: list[int], degenerate: bool = False) -> MagicCheck:
+    """Magic with constant part_sums[0] when every part's sum equals it.
+
+    Otherwise the witness is the least labels of part 0 and of the first
+    part whose sum differs.
+    """
+    for i in range(1, p.k):
+        if part_sums[i] != part_sums[0]:
+            return MagicCheck(is_magic=False, witness=(p.blocks[0][0], p.blocks[i][0]))
+    return MagicCheck(is_magic=True, constant=part_sums[0], degenerate=degenerate)
+
+
 def verify_distance_magic(p: Partition) -> MagicCheck:
     """Check that all open-neighborhood label sums agree.
 
@@ -53,11 +66,7 @@ def verify_distance_magic(p: Partition) -> MagicCheck:
     except its own part's, so its neighbor sum is n(n+1)/2 - S(part j).
     """
     total = p.n * (p.n + 1) // 2
-    neighbor_sums = [total - t for t in p.sums]
-    for i in range(1, p.k):
-        if neighbor_sums[i] != neighbor_sums[0]:
-            return MagicCheck(is_magic=False, witness=(p.blocks[0][0], p.blocks[i][0]))
-    return MagicCheck(is_magic=True, constant=neighbor_sums[0])
+    return _agreement(p, [total - t for t in p.sums])
 
 
 def verify_closed_magic_cycle(p: Partition) -> MagicCheck:
@@ -65,20 +74,15 @@ def verify_closed_magic_cycle(p: Partition) -> MagicCheck:
 
     Clique i carries block i; a vertex there has closed neighborhood
     cliques i-1, i, i+1 (mod k), so its closed sum is the sum of three
-    consecutive block sums.  For k = 3 that neighborhood is everything
-    and the check is degenerate: reported magic with constant n(n+1)/2.
+    consecutive block sums.  For k = 3 that neighborhood is everything,
+    so every closed sum is n(n+1)/2 and the check is degenerate: reported
+    magic with that constant.
     Requires k >= 3 for the cycle to be well-defined.
     """
     k = p.k
     if k < 3:
         raise ValueError(f"cycle-of-cliques needs k >= 3, got k={k}")
-    if k == 3:
-        total = p.n * (p.n + 1) // 2
-        return MagicCheck(is_magic=True, constant=total, degenerate=True)
     closed = [
         p.sums[(i - 1) % k] + p.sums[i] + p.sums[(i + 1) % k] for i in range(k)
     ]
-    for i in range(1, k):
-        if closed[i] != closed[0]:
-            return MagicCheck(is_magic=False, witness=(p.blocks[0][0], p.blocks[i][0]))
-    return MagicCheck(is_magic=True, constant=closed[0])
+    return _agreement(p, closed, degenerate=(k == 3))

@@ -12,8 +12,9 @@ exist iff the magic sum divides, except that part size 1 collapses to
 the complete graph, which is never distance magic for p >= 2 even when
 the parity clause (m even, or m and p both odd) holds.
 
-Rows are independent, computed optionally in worker processes, and
-always merged in sorted order, so reports are byte-stable for a fixed
+Rows are independent and computed optionally in worker processes; they
+come back in box order (the order of the tasks, which serial runs and
+Pool.map both keep), so reports are byte-stable for a fixed
 configuration.
 """
 
@@ -143,6 +144,7 @@ def _check_box(n_max: int, k_set, min_part: int) -> list[int]:
 
 
 def _run_tasks(worker, tasks, workers: int) -> list:
+    """worker(task) for every task, in task order, serially or through a Pool."""
     processes = min(workers, len(tasks), os.cpu_count() or 1)
     if processes > 1:
         # Imported here: multiprocessing costs every serial caller about 1 MB.
@@ -187,7 +189,6 @@ def sweep(
     _check_budget_workers(budget, workers)
     tasks = [(inst, budget) for inst in _box(n_max, ks, min_part)]
     rows = _run_tasks(_sweep_row, tasks, workers)
-    rows.sort(key=lambda r: (r.n, r.k, r.sizes))
     config = {
         "sweep": "size_sequences",
         "n_max": n_max,
@@ -230,6 +231,5 @@ def check_symmetric(
         for p in range(2, max_total // m + 1)
     ]
     rows = _run_tasks(_symmetric_row, tasks, workers)
-    rows.sort(key=lambda r: (r.m, r.p))
     config = {"sweep": "symmetric", "max_total": max_total, "budget": budget}
     return _assemble(rows, config, {})

@@ -49,10 +49,11 @@ from enum import Enum
 from .core import (
     Instance,
     Partition,
+    _all_ints,
     _check_count,
     _exchange_delta,
+    _integral_magic_sum,
     _State,
-    magic_sum,
 )
 from .feasibility import Verdict, _failing_prefix, feasibility, necessary_condition
 
@@ -156,11 +157,9 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     _check_count("budget", budget)
     if order is None:
         order = list(range(inst.k))
-    elif sorted(order) != list(range(inst.k)):
+    elif not _all_ints(order) or sorted(order) != list(range(inst.k)):
         raise ValueError(f"order must be a permutation of range({inst.k}), got {order}")
-    s = magic_sum(inst.n, inst.k)
-    if s is None:
-        raise ValueError(f"magic sum is not integral for n={inst.n}, k={inst.k}")
+    s = _integral_magic_sum(inst.n, inst.k)
     n, k, sizes = inst.n, inst.k, inst.sizes
     # Block i still has left[i] slots to fill, whose labels must sum to need[i].
     left = list(sizes)
@@ -259,9 +258,7 @@ def solve_k2(inst: Instance) -> Partition:
     """
     if inst.k != 2:
         raise ValueError(f"solve_k2 requires k=2, got k={inst.k}")
-    s = magic_sum(inst.n, inst.k)
-    if s is None:
-        raise ValueError(f"magic sum is not integral for n={inst.n}, k=2")
+    s = _integral_magic_sum(inst.n, inst.k)
     p1 = inst.sizes[0]
     if p1 < 2:
         raise ValueError("solve_k2 requires the smaller block size >= 2")
@@ -310,17 +307,14 @@ def greedy_init(inst: Instance, seed: int) -> Partition:
     starts while staying reproducible.  Seed 0 draws no random number: it is
     the fully deterministic start.
     """
-    s = magic_sum(inst.n, inst.k)
-    if s is None:
-        raise ValueError(f"magic sum is not integral for n={inst.n}, k={inst.k}")
+    s = _integral_magic_sum(inst.n, inst.k)
     rng = random.Random(seed) if seed != 0 else None
     k, sizes = inst.k, inst.sizes
-    counts = [0] * k
     sums = [0] * k
     blocks: list[list[int]] = [[] for _ in range(k)]
     random_head = (k + 1) // 2
     for step, e in enumerate(range(inst.n, 0, -1)):
-        open_blocks = [i for i in range(k) if counts[i] < sizes[i]]
+        open_blocks = [i for i in range(k) if len(blocks[i]) < sizes[i]]
         if rng is not None and step < random_head:
             i = rng.choice(open_blocks)
         else:
@@ -328,7 +322,6 @@ def greedy_init(inst: Instance, seed: int) -> Partition:
             ties = [i for i in open_blocks if s - sums[i] == best]
             i = rng.choice(ties) if rng is not None and len(ties) > 1 else ties[0]
         blocks[i].append(e)
-        counts[i] += 1
         sums[i] += e
     return Partition.from_blocks(inst.n, blocks)
 
@@ -400,7 +393,7 @@ def local_search(
     falling u and the move search ends at the first pair whose floor is
     above the best delta found.
     """
-    s = magic_sum(inst.n, inst.k)
+    s = _integral_magic_sum(inst.n, inst.k)
     for r in range(params.max_restarts + 1):
         if r and stats is not None:
             stats.restarts += 1

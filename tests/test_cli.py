@@ -259,6 +259,20 @@ class TestVerify:
         assert code == 2
         assert "k >= 3" in err
 
+    def test_instance_commands_share_nine_keys(self, capsys, monkeypatch):
+        # check, solve and verify build their payload from one base
+        instance = ("--n", "6", "--k", "3", "--sizes", "3,2,1")
+        payloads = [run_json(capsys, cmd, *instance)[1] for cmd in ("check", "solve")]
+        blocks = [[6, 1, 2], [3, 4], [5]]  # input parts of sizes 3, 2, 1
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": 6, "blocks": blocks})))
+        payloads.append(run_json(capsys, "verify")[1])
+        keys = {"n", "k", "sizes", "status", "magic_sum", "blocks",
+                "graph_constant", "stats", "detail"}
+        assert [set(payload) for payload in payloads] == [keys] * 3
+        verified = payloads[2]
+        assert verified["k"] == len(blocks)
+        assert verified["sizes"] == sorted(map(len, blocks))
+
 
 K2_LARGE = ("--n", "10000", "--k", "2", "--sizes", "3000,7000")  # constant 50005000 - 25002500
 

@@ -63,9 +63,14 @@ class TestSweep:
         assert all(r.agree for r in report.rows)
 
     def test_rows_sorted(self):
-        report = sweep(10, {2, 3}, 1)
-        keys = [(r.n, r.k, r.sizes) for r in report.rows]
-        assert keys == sorted(keys)
+        # rows come back in box order, serially and through the worker pool
+        for workers in (1, 2):
+            report = sweep(10, {2, 3}, 1, workers=workers)
+            keys = [(r.n, r.k, r.sizes) for r in report.rows]
+            assert keys == sorted(keys)
+            report = check_symmetric(12, workers=workers)
+            keys = [(r.m, r.p) for r in report.rows]
+            assert keys == sorted(keys)
 
     def test_mismatches_subset_of_rows(self):
         report = sweep(12, {2, 3}, 1)

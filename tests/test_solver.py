@@ -261,7 +261,9 @@ class TestSolveExact:
         assert len(box) == 5153
         assert digest.hexdigest() == EXACT_BOX_SHA256
 
-    @pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [1, 2, 3], [0, 1, 2, 3]])
+    @pytest.mark.parametrize(
+        "order", [[0, 1], [0, 1, 1], [1, 2, 3], [0, 1, 2, 3], [0.0, 1, 2], [False, 1, 2]]
+    )
     def test_order_must_be_a_permutation(self, order):
         with pytest.raises(ValueError, match="permutation"):
             solve_exact(Instance.from_sizes(12, (3, 4, 5)), BIG_BUDGET, order)
