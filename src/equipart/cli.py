@@ -4,12 +4,15 @@ Every command renders the same facts in text or JSON (--format).  The
 JSON schema uses the stable field names n, k, sizes, status, magic_sum,
 blocks, graph_constant, stats, plus a detail object for verdict- or
 witness-specific facts.  The JSON puts one field per line, keys sorted,
-and one item per line of a non-empty list (one block, or one sweep row).
-verify reads the JSON that solve emits, in this layout or any other.
+and one item per line of a non-empty list (one block, or one sweep row);
+it is written to the file or stdout piece by piece, never joined into one
+string.  verify reads the JSON that solve emits, in this layout or any other.
 
 Exit codes: 0 solved/feasible/magic or clean sweep; 1 infeasible, not
 magic, or mismatches present; 2 usage or input error; 3 inconclusive
-(conjectured verdict, budget exhaustion, or unresolved sweep rows).
+(conjectured verdict, budget exhaustion, or unresolved sweep rows).  A
+solve or label exits by its result, not the verdict: proven_infeasible
+exits 1 even on a conjectured verdict, budget_exhausted exits 3.
 
 No colors and no environment configuration are used, so NO_COLOR is
 honored trivially.
@@ -20,7 +23,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable
+from contextlib import nullcontext
+from typing import Any, Callable, TextIO
 
 from .core import Instance, Partition, magic_sum
 from .feasibility import FeasibilityStatus, Verdict, feasibility, prefix_top_sum
@@ -53,37 +57,42 @@ def _instance_from_args(args: argparse.Namespace) -> Instance:
 _ENCODER = json.JSONEncoder(sort_keys=True)  # one for every value, not one per json.dumps
 
 
-def _json_text(payload: dict[str, Any]) -> str:
+def _write_json(handle: TextIO, payload: dict[str, Any]) -> None:
     """One field per line, keys sorted; a non-empty list puts one item per line.
 
-    Each value is encoded on its own without indent, so the C encoder runs,
-    all by the one shared _ENCODER rather than a new one per sweep row.
+    The document goes to the handle field by field and item by item, so no
+    string of the whole of it is built.  Each value is encoded on its own
+    without indent, so the C encoder runs, all by the one shared _ENCODER
+    rather than a new one per sweep row.
     """
-    fields = []
+    write, encode = handle.write, _ENCODER.encode
+    write("{\n")
+    field_sep = "  "
     for key in sorted(payload):
+        write(f"{field_sep}{encode(key)}: ")
+        field_sep = ",\n  "
         value = payload[key]
         if isinstance(value, (list, tuple)) and value:
-            items = ",\n    ".join(map(_ENCODER.encode, value))
-            value_text = f"[\n    {items}\n  ]"
+            item_sep = "[\n    "
+            for item in value:
+                write(item_sep)
+                write(encode(item))
+                item_sep = ",\n    "
+            write("\n  ]")
         else:
-            value_text = _ENCODER.encode(value)
-        fields.append(f"  {_ENCODER.encode(key)}: {value_text}")
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+            write(encode(value))
+    write("\n}\n")
 
 
 def _emit(args: argparse.Namespace, payload: dict[str, Any], text: Callable[[], str]) -> None:
     """Write the payload as JSON, or call text() for the text form; only one is built."""
-    if args.format == "json":
-        rendered = _json_text(payload)
-    else:
-        rendered = text()
-        if not rendered.endswith("\n"):
-            rendered += "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    target = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    with target as handle:
+        if args.format == "json":
+            _write_json(handle, payload)
+        else:
+            rendered = text()
+            handle.write(rendered if rendered.endswith("\n") else rendered + "\n")
 
 
 def _verdict_detail(inst: Instance, verdict: Verdict) -> dict[str, Any] | None:
@@ -179,7 +188,8 @@ def _solve_payload(args: argparse.Namespace, inst: Instance) -> tuple[dict[str, 
             "verdict": result.verdict.status.value,
             **(_verdict_detail(inst, result.verdict) or {}),
         }
-        code = EXIT_NEGATIVE if result.verdict.infeasible else EXIT_INCONCLUSIVE
+        code = (EXIT_NEGATIVE if result.status is SolveStatus.PROVEN_INFEASIBLE
+                else EXIT_INCONCLUSIVE)
     return payload, code
 
 

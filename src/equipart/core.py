@@ -70,6 +70,19 @@ def _all_ints(values) -> bool:
     return set(map(type, values)) <= {int}
 
 
+def _distinct_count(n: int, blocks) -> int:
+    """How many distinct labels the blocks hold, all of them in [1, n].
+
+    One byte of marks per label of [n]; a hash set of n labels would cost
+    over 40 bytes each.
+    """
+    marks = bytearray(n + 1)
+    for block in blocks:
+        for x in block:
+            marks[x] = 1
+    return marks.count(1)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A partition problem: split [n] into blocks of the given sizes.
@@ -120,11 +133,15 @@ class Partition:
 
     The constructor is the one way in, and it checks every partition: n
     and every label must be a genuine int (not a float or bool), and the
-    non-empty blocks must cover [n] disjointly.  It stores each block as
-    an ascending tuple, keeps the block sequence in its given (input-size)
-    order, and derives sums; they cannot be passed in.  Values are
-    immutable: every operation returns a new partition, so instances may
-    be shared freely between workers.
+    non-empty blocks must cover [n] disjointly.  Each block may be any
+    iterable (a range, a generator); it is copied and sorted once and
+    stored as an ascending tuple.  The cover is checked with one byte of
+    marks per label of [n], allocated only once the labels number exactly
+    n, so a short input claiming a huge n is rejected before anything of
+    size n exists.  The block sequence keeps its given (input-size) order,
+    and sums are derived; they cannot be passed in.  Values are immutable:
+    every operation returns a new partition, so instances may be shared
+    freely between workers.
     """
 
     n: int
@@ -134,23 +151,26 @@ class Partition:
     def __post_init__(self) -> None:
         n = self.n
         _check_n(n)
-        # Types first: a string label would make sorted() or sum() raise
-        # TypeError, and a float or bool would pass both.
-        blocks = tuple(map(tuple, self.blocks))
+        blocks = []
+        for block in self.blocks:
+            labels = list(block)
+            if not labels:
+                raise ValueError("blocks must be non-empty")
+            # Types before sorting: a string label would make sort() or
+            # sum() raise TypeError, and a float or bool would pass both.
+            if not _all_ints(labels):
+                raise ValueError("labels must be integers")
+            labels.sort()
+            blocks.append(tuple(labels))
+            del labels  # one list copy of a block at a time
         if not blocks:
             raise ValueError("a partition needs at least one block")
-        for block in blocks:
-            if not block:
-                raise ValueError("blocks must be non-empty")
-            if not _all_ints(block):
-                raise ValueError("labels must be integers")
-        blocks = tuple(tuple(sorted(b)) for b in blocks)
         if any(b[0] < 1 or b[-1] > n for b in blocks):
             raise ValueError(f"labels must lie in [1, {n}]")
         # n labels from [1, n] are exactly [n] when no two are equal.
-        if sum(map(len, blocks)) != n or len(set().union(*blocks)) != n:
+        if sum(map(len, blocks)) != n or _distinct_count(n, blocks) != n:
             raise ValueError("blocks must be disjoint with union exactly [n]")
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "sums", tuple(map(sum, blocks)))
 
     @classmethod

@@ -45,6 +45,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 from .core import (
     Instance,
@@ -253,8 +254,9 @@ def solve_k2(inst: Instance) -> Partition:
     n - p_1 per fully raised position.  The remaining deficit lands on a
     single middle element, so the small block is a prefix of [n], at most
     one middle value, and a suffix of top values.  This closed form equals
-    the position-by-position greedy raise.  The answer goes through
-    Partition's checking constructor, like every other route's.
+    the position-by-position greedy raise.  The blocks go to Partition's
+    checking constructor as lazy ranges, not built tuples, and like every
+    other route's answer they are checked in full there.
     """
     if inst.k != 2:
         raise ValueError(f"solve_k2 requires k=2, got k={inst.k}")
@@ -271,18 +273,18 @@ def solve_k2(inst: Instance) -> Partition:
     gain = n - p1
     full, partial = divmod(deficit, gain)
     prefix_len = p1 - full  # positions left at their initial values, plus one partial
+    top = range(n - full + 1, n + 1)
     if partial == 0:
-        small = tuple(range(1, prefix_len + 1)) + tuple(range(n - full + 1, n + 1))
-        rest = tuple(range(prefix_len + 1, n - full + 1))
+        small = chain(range(1, prefix_len + 1), top)
+        rest = range(prefix_len + 1, n - full + 1)
     else:
         mid = prefix_len + partial
-        small = (
-            tuple(range(1, prefix_len)) + (mid,) + tuple(range(n - full + 1, n + 1))
-        )
-        rest = tuple(range(prefix_len, mid)) + tuple(range(mid + 1, n - full + 1))
-    if len(small) != p1 or len(rest) != n - p1:
+        small = chain(range(1, prefix_len), (mid,), top)
+        rest = chain(range(prefix_len, mid), range(mid + 1, n - full + 1))
+    p = Partition.from_blocks(n, (small, rest))
+    if tuple(map(len, p.blocks)) != inst.sizes:
         raise RuntimeError("two-block construction produced wrong sizes")
-    return Partition.from_blocks(n, (small, rest))
+    return p
 
 
 def solve_p1_eq_1(inst: Instance) -> Partition:

@@ -8,10 +8,11 @@ simpler.
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations
 
-from equipart.core import Instance, Partition
+from equipart.core import MAX_N, Instance, Partition
 from equipart.graphs import MagicCheck, verify_distance_magic
 
 
@@ -157,3 +158,48 @@ def naive_best_move(
             if delta < 0 and (best is None or delta < best[0]):
                 best = (delta, a, b)
     return best
+
+
+def hash_set_partition_blocks(n, blocks):
+    """The sorted blocks the hash-set partition rule accepts, or None where it rejects.
+
+    The reference for Partition's byte-mark cover check: copy every block
+    to a tuple, reject a non-int label (a float or bool is not one), sort,
+    range-check, and count the distinct labels in one set().union of all
+    blocks.
+    """
+    if type(n) is not int or not 1 <= n <= MAX_N:
+        return None
+    blocks = tuple(map(tuple, blocks))
+    if not blocks:
+        return None
+    for block in blocks:
+        if not block or not set(map(type, block)) <= {int}:
+            return None
+    blocks = tuple(tuple(sorted(b)) for b in blocks)
+    if any(b[0] < 1 or b[-1] > n for b in blocks):
+        return None
+    if sum(map(len, blocks)) != n or len(set().union(*blocks)) != n:
+        return None
+    return blocks
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def joined_json_text(payload) -> str:
+    """The CLI's JSON layout, built as one string by joining every field.
+
+    One field per line, keys sorted; a non-empty list puts one item per
+    line.  The reference for the CLI's streamed writer.
+    """
+    fields = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, (list, tuple)) and value:
+            items = ",\n    ".join(map(_ENCODER.encode, value))
+            value_text = f"[\n    {items}\n  ]"
+        else:
+            value_text = _ENCODER.encode(value)
+        fields.append(f"  {_ENCODER.encode(key)}: {value_text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, JSON round-trips."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equipart import cli
+from equipart import cli, solver
 from equipart.cli import main
+
+from helpers import joined_json_text
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +131,23 @@ class TestSolve:
         assert code == 1
         assert payload["status"] == "proven_infeasible"
         assert payload["blocks"] is None
+
+    @pytest.mark.parametrize(
+        "exact_status, code, status",
+        [("NOT_FOUND", 1, "proven_infeasible"), ("BUDGET", 3, "budget_exhausted")],
+    )
+    def test_exit_code_follows_the_result(self, capsys, monkeypatch, exact_status, code, status):
+        # A conjectured (k >= 5) instance: a search that proves absence exits 1
+        # like any proven_infeasible solve; one cut off on budget exits 3.
+        def exact(inst, budget, order=None):
+            return solver.ExactResult(
+                status=solver.ExactStatus[exact_status], partition=None, nodes=1)
+
+        monkeypatch.setattr(solver, "solve_exact", exact)
+        monkeypatch.setattr(solver, "local_search", lambda inst, params, stats=None: None)
+        got, payload = run_json(capsys, "solve", "--n", "15", "--sizes", "3,3,3,3,3")
+        assert (got, payload["status"]) == (code, status)
+        assert payload["detail"]["verdict"] == "condition_holds_conjectured"
 
     def test_stalled_descent_settled_by_exact_search(self, capsys):
         code, payload = run_json(
@@ -334,6 +354,39 @@ class TestJsonLayout:
             code, payload = run_json(capsys, command, *K2_LARGE)
             assert code == 0
             assert payload["status"] == "solved"
+
+
+def _payload_of(monkeypatch, *argv):
+    """The payload a command hands to _emit, written nowhere."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_emit", lambda args, payload, text: seen.append(payload))
+        main(list(argv))
+    return seen[0]
+
+
+class TestStreamedJson:
+    """_emit writes, field by field and item by item, the joined document's bytes."""
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+    def test_file_and_stdout_bytes_match_the_joined_text(
+            self, capsysbinary, monkeypatch, tmp_path, command):
+        solved = _payload_of(monkeypatch, "solve", *K2_LARGE)
+        solved["stats"]["elapsed"] = 0.25  # the one field that differs run to run
+        if command == "solve":
+            payload = solved
+        elif command == "verify":
+            path = tmp_path / "solved.json"
+            path.write_text(json.dumps(solved))
+            payload = _payload_of(monkeypatch, "verify", "--input", str(path))
+        else:
+            payload = _payload_of(monkeypatch, "sweep", "--nmax", "14", "--k", "3,4")
+        expected = joined_json_text(payload).encode()
+        out = tmp_path / "out.json"
+        for output in (str(out), None):
+            cli._emit(argparse.Namespace(format="json", output=output), payload, None)
+        assert out.read_bytes() == expected
+        assert capsysbinary.readouterr().out == expected
 
 
 #: sha256 of the --format json file that each oracle_sweep benchmark command

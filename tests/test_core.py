@@ -1,12 +1,14 @@
 """Exact-integer properties of the partition algebra."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equipart.core import (
+    MAX_N,
     Instance,
     Partition,
     deviation,
@@ -16,8 +18,9 @@ from equipart.core import (
     swap,
     swap_delta,
 )
+from equipart.solver import solve_k2
 
-from helpers import random_cross_block_pair, random_partition
+from helpers import hash_set_partition_blocks, random_cross_block_pair, random_partition
 
 
 def part(n, *blocks):
@@ -130,6 +133,137 @@ class TestPartition:
         assert implements(p, (1, 2, 3))
         assert implements(p, (3, 2, 1))
         assert not implements(p, (2, 2, 2))
+
+
+#: A label as a caller may pass one: mostly ints near [1, n], some not ints at all.
+LABELS = st.integers(min_value=-1, max_value=14) | st.sampled_from(
+    [0.0, 1.0, 2.5, True, False, "1", "a"])
+
+
+def _as_range(labels):
+    """The range holding exactly these labels in this order, or None."""
+    if not labels or not all(type(x) is int for x in labels):
+        return None
+    step = labels[1] - labels[0] if len(labels) > 1 else 1
+    if step < 1:
+        return None
+    r = range(labels[0], labels[-1] + 1, step)
+    return r if tuple(r) == tuple(labels) else None
+
+
+@st.composite
+def partition_inputs(draw):
+    """(n, blocks spec): a cover of [n], perhaps broken, or arbitrary labels.
+
+    Each block is spec'd as (kind, labels) with kind list, tuple, generator
+    or range; _fresh builds new iterables from it, since a generator is
+    used up by one constructor call.
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    if draw(st.booleans()):
+        blocks = draw(st.lists(st.lists(LABELS, max_size=6), max_size=4))
+    else:
+        labels = list(range(1, n + 1))
+        if draw(st.booleans()):
+            labels = draw(st.permutations(labels))
+        cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n), max_size=3)) - {n})
+        bounds = [0, *cuts, n]
+        blocks = [list(labels[a:b]) for a, b in zip(bounds, bounds[1:])]
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            block, other = draw(st.sampled_from(blocks)), draw(st.sampled_from(blocks))
+            change = draw(st.sampled_from(
+                ["duplicate", "drop", "replace", "retype", "one_as_true", "move", "empty"]))
+            if change == "one_as_true":  # True == 1, so only the type check rejects it
+                for b in blocks:
+                    b[:] = [True if type(x) is int and x == 1 else x for x in b]
+                continue
+            if change == "empty" or not block:
+                blocks.append([])
+                continue
+            j = draw(st.integers(min_value=0, max_value=len(block) - 1))
+            if change == "duplicate":
+                other.append(block[j])
+            elif change == "drop":
+                del block[j]
+            elif change == "replace":
+                block[j] = draw(st.sampled_from([0, -1, n + 1, n + 5]))
+            elif change == "retype":
+                block[j] = draw(st.sampled_from([float(block[j]), str(block[j])]))
+            else:
+                other.append(block.pop(j))
+    spec = []
+    for block in blocks:
+        kind = draw(st.sampled_from(["list", "tuple", "generator", "range"]))
+        r = _as_range(block)
+        spec.append(("range", r) if kind == "range" and r is not None else (kind, tuple(block)))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        n = draw(st.sampled_from([float(n), True, 0, -n]))
+    return n, spec
+
+
+def _fresh(spec):
+    makers = {"list": list, "tuple": tuple, "range": lambda r: r,
+              "generator": lambda labels: (x for x in labels)}
+    return [makers[kind](labels) for kind, labels in spec]
+
+
+class TestPartitionRule:
+    @settings(max_examples=600, deadline=None)
+    @given(case=partition_inputs())
+    def test_accepts_exactly_what_the_hash_set_rule_accepts(self, case):
+        n, spec = case
+        expected = hash_set_partition_blocks(n, _fresh(spec))
+        if expected is None:
+            with pytest.raises(ValueError):
+                Partition.from_blocks(n, _fresh(spec))
+        else:
+            p = Partition.from_blocks(n, _fresh(spec))
+            assert p.blocks == expected
+            assert p.sums == tuple(map(sum, expected))
+            # the blocks may also come as a one-shot iterator of blocks
+            assert Partition.from_blocks(n, iter(_fresh(spec))) == p
+
+    def test_huge_n_with_few_labels_is_rejected_before_allocating(self):
+        # The label count is checked before the n + 1 bytes of marks exist.
+        def build():
+            with pytest.raises(ValueError, match="union exactly"):
+                Partition.from_blocks(MAX_N, [[1, 2], [3]])
+
+        assert _traced_peak(build) < 2**20
+
+
+def _traced_peak(build) -> int:
+    """tracemalloc's peak of the bytes build() allocates, kept or not."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Bytes per label at the peak of a build at n = 200,000.
+
+    Measured on CPython 3.11: Partition.from_blocks on two tuple blocks
+    peaks at 12.8 B/label with the byte marks, 70.9 B/label with the
+    hash-set check (the set alone is over 40); solve_k2 peaks at 45.0
+    B/label building its blocks lazily (28 of them are the labels' int
+    objects, which the answer keeps), 110.9 B/label with concatenated
+    tuples and the hash set.
+    """
+
+    N = 200_000
+
+    def test_from_blocks(self):
+        n, half = self.N, 80_000
+        blocks = (tuple(range(1, 2 * half, 2)),
+                  tuple(range(2, 2 * half + 1, 2)) + tuple(range(2 * half + 1, n + 1)))
+        assert _traced_peak(lambda: Partition.from_blocks(n, blocks)) / n < 24
+
+    def test_solve_k2(self):
+        inst = Instance.from_sizes(self.N, [80_000, 120_000])
+        assert _traced_peak(lambda: solve_k2(inst)) / self.N < 60
 
 
 class TestDeviation:
