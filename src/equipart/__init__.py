@@ -45,8 +45,6 @@ from .solver import (
     SolveResult,
     SolveStats,
     SolveStatus,
-    greedy_init,
-    local_search,
     solve,
     solve_exact,
     solve_k2,
@@ -81,8 +79,6 @@ __all__ = [
     "SolveResult",
     "SolveStats",
     "SolveStatus",
-    "greedy_init",
-    "local_search",
     "solve",
     "solve_exact",
     "solve_k2",

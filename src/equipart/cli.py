@@ -38,15 +38,15 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, name: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError(f"sizes must be comma-separated integers, got {text!r}")
+        raise ValueError(f"{name} must be comma-separated integers, got {text!r}")
 
 
 def _instance_from_args(args: argparse.Namespace) -> Instance:
-    sizes = _parse_sizes(args.sizes)
+    sizes = _parse_ints(args.sizes, "sizes")
     if args.k is not None and args.k != len(sizes):
         raise ValueError(f"k={args.k} but {len(sizes)} sizes were given")
     # Instance rejects non-positive sizes and sizes not summing to n (exit 2).
@@ -173,8 +173,6 @@ def _solve_payload(args: argparse.Namespace, inst: Instance) -> tuple[dict[str, 
     payload["status"] = result.status.value
     payload["stats"] = {
         "nodes": result.stats.nodes,
-        "swaps": result.stats.swaps,
-        "restarts": result.stats.restarts,
         "search_restarts": result.stats.search_restarts,
         "elapsed": round(result.stats.elapsed, 6),
     }
@@ -211,8 +209,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             lines.append(f"verdict: {payload['detail']['verdict']}")
         st = payload["stats"]
         lines.append(
-            f"stats: nodes={st['nodes']} swaps={st['swaps']} "
-            f"restarts={st['restarts']} search_restarts={st['search_restarts']} "
+            f"stats: nodes={st['nodes']} search_restarts={st['search_restarts']} "
             f"elapsed={st['elapsed']}s"
         )
         return "\n".join(lines)
@@ -318,7 +315,7 @@ def _report_text(report: SweepReport, title: str) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     # sweep rejects a k below 1 (exit 2)
-    k_set = {int(tok) for tok in args.k.split(",")}
+    k_set = set(_parse_ints(args.k, "k"))
     report = sweep(
         n_max=args.nmax,
         k_set=k_set,
@@ -349,7 +346,10 @@ def _add_instance_opts(parser: argparse.ArgumentParser) -> None:
 
 def _add_search_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="0 = fully deterministic path")
-    parser.add_argument("--max-restarts", type=int, default=64)
+    parser.add_argument(
+        "--max-restarts", type=int, default=7,
+        help="bounded search runs after the first, each in a shuffled block order",
+    )
     parser.add_argument("--exact-budget", type=int, default=DEFAULT_NODE_BUDGET)
 
 

@@ -2,19 +2,17 @@
 
 A partition of [n] into k blocks of sizes p_1 <= ... <= p_k is *equitable*
 when every block sums to the magic sum s = n(n+1)/(2k).  The squared
-deviation d = sum_i (S(A_i) - s)^2 is the potential driving the local
-search: it is zero exactly on equitable partitions, and exchanging two
-elements a < b between blocks changes it by 2t(t - u) with t = b - a and
-u = S(block of b) - S(block of a), independently of s.
+deviation d = sum_i (S(A_i) - s)^2 is zero exactly on equitable
+partitions, and exchanging two elements a < b between blocks changes it
+by 2t(t - u) with t = b - a and u = S(block of b) - S(block of a),
+independently of s.
 
 Partition is the package's one representation of such a split; read
 block i as part i, it is also the labeling of the complete multipartite
 graph that the graphs module verifies.  Its constructor is the one place
 a partition is built and checked (integer labels, a disjoint cover of
-[n]), and the block sums are derived there, never passed in.  The local
-search's mutable view of a partition is _State, the one exchange kernel:
-swap() runs it, so the exchange law is tested on the code the search
-runs.
+[n]), and the block sums are derived there, never passed in; swap()
+builds its result through it too.
 
 All arithmetic is exact integer arithmetic.  Ground sets are capped at
 n <= 2^31 so every quantity here stays within signed 64-bit range in
@@ -23,7 +21,6 @@ fixed-width ports of this module.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -217,10 +214,11 @@ def swap(p: Partition, a: int, b: int) -> Partition:
     Requires a < b lying in distinct blocks.  Applying the same swap twice
     returns to the original partition.
     """
-    _cross_blocks(p, a, b)
-    state = _State(p)
-    state.exchange(a, b)
-    return state.partition()
+    ia, ib = _cross_blocks(p, a, b)
+    blocks = list(p.blocks)
+    blocks[ia] = [b if x == a else x for x in blocks[ia]]
+    blocks[ib] = [a if x == b else x for x in blocks[ib]]
+    return Partition.from_blocks(p.n, blocks)
 
 
 def swap_delta(p: Partition, a: int, b: int, s: int) -> int:
@@ -232,7 +230,8 @@ def swap_delta(p: Partition, a: int, b: int, s: int) -> int:
     reads off the signature.  Positive iff t > u, zero iff t = u.
     """
     ia, ib = _cross_blocks(p, a, b)
-    return _exchange_delta(b - a, p.sums[ib] - p.sums[ia])
+    t = b - a
+    return 2 * t * (t - (p.sums[ib] - p.sums[ia]))
 
 
 def _cross_blocks(p: Partition, a: int, b: int) -> tuple[int, int]:
@@ -244,44 +243,3 @@ def _cross_blocks(p: Partition, a: int, b: int) -> tuple[int, int]:
     if ia == ib:
         raise ValueError(f"{a} and {b} are both in block {ia}")
     return ia, ib
-
-
-def _exchange_delta(t: int, u: int) -> int:
-    """The exchange law 2t(t - u): the one delta formula swap_delta and the search share."""
-    return 2 * t * (t - u)
-
-
-class _State:
-    """The local search's mutable view of a partition.
-
-    Label x lies in block assign[x]; sums are the block sums and members
-    the ascending labels of each block.  exchange() is the one exchange
-    kernel: the descent and swap() run it.
-    """
-
-    __slots__ = ("n", "assign", "sums", "members")
-
-    def __init__(self, p: Partition) -> None:
-        self.n = p.n
-        self.assign = [0] * (p.n + 1)
-        for i, block in enumerate(p.blocks):
-            for x in block:
-                self.assign[x] = i
-        self.sums = list(p.sums)
-        self.members = [list(block) for block in p.blocks]
-
-    def exchange(self, a: int, b: int) -> None:
-        """Move a into b's block and b into a's; exchanging twice undoes it."""
-        assign, sums, members = self.assign, self.sums, self.members
-        ia, ib = assign[a], assign[b]
-        t = b - a
-        sums[ia] += t
-        sums[ib] -= t
-        assign[a], assign[b] = ib, ia
-        for block, old, new in ((members[ia], a, b), (members[ib], b, a)):
-            del block[bisect_left(block, old)]
-            insort(block, new)
-
-    def partition(self) -> Partition:
-        return Partition.from_blocks(self.n, self.members)
-

@@ -1,6 +1,6 @@
 """Solvers producing equitable partitions of [n].
 
-Four routes, picked by the pipeline in solve().  Each takes the Instance
+Three routes, picked by the pipeline in solve().  Each takes the Instance
 and answers in its size slots, block i of size inst.sizes[i]:
 
 * a complete backtracking oracle (solve_exact) assigning elements from n
@@ -10,71 +10,50 @@ and answers in its size slots, block i of size inst.sizes[i]:
   node tests only the block it changed, against its lower bound, and one
   kept floor per block for the upper bounds.  The union bound is the
   paper's prefix condition applied to the search state, and the
-  feasibility verdict is its root case.  At k >= 3 solve()
-  runs it first as the constructor: SEARCH_RUNS bounded runs, the first
-  in index order with a cutoff of 4n max(1, k // 4) nodes, each later one
-  in a freshly shuffled order with twice the cutoff before it;
+  feasibility verdict is its root case.  It is solve()'s one route at
+  k >= 3: 1 + max_restarts bounded runs, the first in index order with a
+  cutoff of 4n max(1, k // 4) nodes, each later one in a freshly shuffled
+  order with twice the cutoff before it, then an index-order run on what
+  is left of the node budget;
 * a closed-form constructor for k = 2 (solve_k2) realizing the endpoint
   of the adjacent-exchange sliding sequence;
 * the size-one constructor ({n} plus pairs {i, n-i}) for sizes
-  (1, 2, ..., 2);
-* a potential-descent local search (local_search) over element
-  exchanges, each start from a greedy initializer randomized by the
-  standard library's random.Random.  It takes the best improving
-  exchange until none is left, finding it from the exchange law
-  delta = 2t(t - u) in O(k n log n) over per-block sorted member lists,
-  ties going to the lex-smallest pair (a, b).  A pair of blocks whose
-  sums differ by u can do no better than the floor -(u*u // 2), so the
-  block pairs are scanned by falling u and the scan stops at the first
-  floor above the best delta found.
+  (1, 2, ..., 2).
 
-The local search is a heuristic that solve() runs only when every bounded
-run is cut off; completeness rests on the index-order search it runs last,
-at any n, on what is left of the node budget.  One budget bounds the nodes
-of all search stages together.  Constructive outputs are deterministic;
-search and descent outputs are deterministic for a fixed seed.  Across
-Python versions the random module promises only random()'s stream, not
-choice()'s or shuffle()'s; both are the same on CPython 3.10 to 3.13,
-where CI runs the tests that pin them.
+One budget bounds the nodes of all search runs together, so it bounds
+all of a k >= 3 solve's work.  Completeness rests on the index-order run
+made last, at any n.  Constructive outputs are deterministic; search
+outputs are deterministic for a fixed seed.  Across Python versions the
+random module promises only random()'s stream, not shuffle()'s; it is
+the same on CPython 3.10 to 3.13, where CI runs the tests that pin it.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 
-from .core import (
-    Instance,
-    Partition,
-    _all_ints,
-    _check_count,
-    _exchange_delta,
-    _integral_magic_sum,
-    _State,
-)
+from .core import Instance, Partition, _all_ints, _check_count, _integral_magic_sum
 from .feasibility import Verdict, _failing_prefix, feasibility, necessary_condition
 
 #: Exact-search node budget used when callers do not supply one.
 DEFAULT_NODE_BUDGET = 100_000_000
 
-#: Bounded exact-search runs solve() makes at k >= 3 before the descent.
-SEARCH_RUNS = 8
-
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Budgets and seeding for solve() and local_search().
+    """Budgets and seeding for solve().
 
-    Descent start r = 0, ..., max_restarts is greedy_init(inst, seed + r),
-    and random.Random takes a seed of any size.
+    solve() makes max_restarts bounded search runs after the first, each
+    in a trial order shuffled by random.Random(seed), which takes a seed of
+    any size.
     """
 
     seed: int = 0
-    max_restarts: int = 64
+    max_restarts: int = 7
     exact_node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
@@ -87,8 +66,6 @@ class SolveStats:
     """Mutable counters accumulated across the solve pipeline."""
 
     nodes: int = 0
-    swaps: int = 0
-    restarts: int = 0
     search_restarts: int = 0
     elapsed: float = 0.0
 
@@ -300,132 +277,21 @@ def solve_p1_eq_1(inst: Instance) -> Partition:
     return Partition.from_blocks(n, blocks)
 
 
-def greedy_init(inst: Instance, seed: int) -> Partition:
-    """Assign n, n-1, ..., 1, each to the open block with largest deficit.
-
-    Ties go to the lowest block index.  With a non-zero seed, the first
-    ceil(k/2) placements pick an open block with random.Random(seed).choice
-    and later ties are broken the same way, so restarts explore distinct
-    starts while staying reproducible.  Seed 0 draws no random number: it is
-    the fully deterministic start.
-    """
-    s = _integral_magic_sum(inst.n, inst.k)
-    rng = random.Random(seed) if seed != 0 else None
-    k, sizes = inst.k, inst.sizes
-    sums = [0] * k
-    blocks: list[list[int]] = [[] for _ in range(k)]
-    random_head = (k + 1) // 2
-    for step, e in enumerate(range(inst.n, 0, -1)):
-        open_blocks = [i for i in range(k) if len(blocks[i]) < sizes[i]]
-        if rng is not None and step < random_head:
-            i = rng.choice(open_blocks)
-        else:
-            best = max(s - sums[i] for i in open_blocks)
-            ties = [i for i in open_blocks if s - sums[i] == best]
-            i = rng.choice(ties) if rng is not None and len(ties) > 1 else ties[0]
-        blocks[i].append(e)
-        sums[i] += e
-    return Partition.from_blocks(inst.n, blocks)
-
-
-def _best_move(state: _State) -> tuple[int, int, int] | None:
-    """Most negative exchange delta as (delta, a, b), ties to the lex-smallest (a, b).
-
-    For a in block i and a partner block j, u = sums[j] - sums[i] is fixed
-    and delta = 2t(t - u), t = b - a, is negative only for a < b < a + u
-    and convex in t with its minimum at t = u/2.  So only the two members
-    of block j around a + u//2 can be a's best partner there: one bisect
-    per (a, j) instead of every pair.
-
-    That minimum is the pair's floor -(u*u // 2), which falls as u grows.
-    The block pairs are visited by falling u, and the scan stops at the
-    first pair whose floor is above the best delta found: no later pair can
-    reach it.  Within a pair, once the best delta is at the floor, an a past
-    best_a cannot make a lex-smaller tie, so the pair ends there.  With no
-    negative delta neither stop fires and the scan is full.
-    """
-    sums, members = state.sums, state.members
-    gaps = sorted(
-        (
-            (sj - si, i, j)
-            for i, si in enumerate(sums)
-            for j, sj in enumerate(sums)
-            if sj - si >= 2  # else no integer t with 0 < t < u
-        ),
-        reverse=True,
-    )
-    best_d, best_a, best_b = 0, 0, 0
-    for u, i, j in gaps:
-        floor = -(u * u // 2)
-        if floor > best_d:
-            break  # this pair and every later one stay above best_d
-        half = u // 2
-        partners = members[j]
-        idx = 0
-        for a in members[i]:
-            if best_d <= floor and a > best_a:
-                break
-            idx = bisect_left(partners, a + half, idx)
-            # The nearest members below and at-or-above a + u//2.
-            for b in partners[idx - 1 if idx else 0 : idx + 1]:
-                d = _exchange_delta(b - a, u)
-                if d < best_d or (d == best_d < 0 and (a, b) < (best_a, best_b)):
-                    best_d, best_a, best_b = d, a, b
-    return (best_d, best_a, best_b) if best_d < 0 else None
-
-
-def local_search(
-    inst: Instance, params: SearchParams, stats: SolveStats | None = None
-) -> Partition | None:
-    """Potential descent over element exchanges, with greedy restarts.
-
-    Runs starts r = 0, 1, ..., params.max_restarts, each from
-    greedy_init(inst, params.seed + r): the best strictly-improving
-    exchange until none exists, then the next start.  Returns the first
-    equitable partition reached, its block i of size inst.sizes[i], or None
-    when every start stalls.  Deviation strictly falls at every move;
-    stats.swaps counts the moves and stats.restarts each start after the
-    first.
-
-    Each move is the lex-smallest (a, b) among the best candidates.  The
-    search keeps every block's members sorted and uses the exchange law
-    2t(t - u): the best partner of a lies next to a + u/2, so a move costs
-    O(k n log n), not O(n^2).  No exchange between blocks whose sums differ
-    by u beats the floor -(u*u // 2), so the block pairs are visited by
-    falling u and the move search ends at the first pair whose floor is
-    above the best delta found.
-    """
-    s = _integral_magic_sum(inst.n, inst.k)
-    for r in range(params.max_restarts + 1):
-        if r and stats is not None:
-            stats.restarts += 1
-        state = _State(greedy_init(inst, params.seed + r))
-        while (move := _best_move(state)) is not None:
-            state.exchange(move[1], move[2])
-            if stats is not None:
-                stats.swaps += 1
-        if all(t == s for t in state.sums):
-            return state.partition()
-    return None
-
-
 def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
     """Feasibility verdict, then the cheapest applicable solving route.
 
     Constructive routes handle k = 1, the size-one rule, and k = 2.  Other
-    instances go to the exact search first: SEARCH_RUNS runs of
+    instances go to the exact search: 1 + params.max_restarts runs of
     solve_exact, run r cut off at 4n max(1, k // 4) 2^r nodes.  Run 0 tries
     the blocks in index order; each later run shuffles the order with
     random.Random(params.seed), so restarts escape an unlucky early choice
     while the answer stays deterministic for a fixed seed.  Any order
     prunes the same states, so FOUND is SOLVED and NOT_FOUND is a proof,
-    PROVEN_INFEASIBLE.  When every run is cut off, local_search(inst,
-    params) runs, and if every descent start stalls, an index-order
-    solve_exact on what is left of the budget.  All search stages draw on
-    the one exact_node_budget: stats.nodes sums them, and a run cut off
-    reports budget + 1, the node it did not place.  stats.search_restarts
-    counts the search runs after the first; stats.restarts counts descent
-    starts after the first.
+    PROVEN_INFEASIBLE.  When every run is cut off, an index-order
+    solve_exact runs on what is left of the budget.  All runs draw on the
+    one exact_node_budget: stats.nodes sums them, and a run cut off reports
+    budget + 1, the node it did not place.  stats.search_restarts counts
+    the bounded runs after the first.
 
     A SOLVED result always carries an equitable partition whose block i has
     size inst.sizes[i]; every route's answer is certified against that, and
@@ -465,7 +331,7 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
     order = list(range(inst.k))
     rng = random.Random(params.seed)
     cutoff = 4 * inst.n * max(1, inst.k // 4)
-    for r in range(SEARCH_RUNS):
+    for r in range(params.max_restarts + 1):
         if r:
             stats.search_restarts += 1
             rng.shuffle(order)
@@ -478,10 +344,6 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
         if not remaining:
             break
     if exact.status is ExactStatus.BUDGET:
-        # stats by keyword: the benchmark tracer reads it from there.
-        candidate = local_search(inst, params, stats=stats)
-        if candidate is not None:
-            return finish(SolveStatus.SOLVED, candidate)
         exact = solve_exact(inst, remaining)
     stats.nodes += exact.nodes
     if exact.status is ExactStatus.FOUND:

@@ -137,29 +137,6 @@ def verify_open_checked(p: Partition) -> MagicCheck:
     return check
 
 
-def naive_best_move(
-    assign: list[int], sums: list[int], n: int
-) -> tuple[int, int, int] | None:
-    """Most negative exchange delta over all pairs a < b, ties to lex-smallest.
-
-    The descent's original O(n^2) scan, kept as the reference for its
-    sub-quadratic search.  Returns (delta, a, b) or None.
-    """
-    best: tuple[int, int, int] | None = None
-    for a in range(1, n):
-        ia = assign[a]
-        sa = sums[ia]
-        for b in range(a + 1, n + 1):
-            ib = assign[b]
-            if ib == ia:
-                continue
-            t = b - a
-            delta = 2 * t * (t - (sums[ib] - sa))
-            if delta < 0 and (best is None or delta < best[0]):
-                best = (delta, a, b)
-    return best
-
-
 def hash_set_partition_blocks(n, blocks):
     """The sorted blocks the hash-set partition rule accepts, or None where it rejects.
 

@@ -74,6 +74,11 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "check", "--n", "8", "--k", "2", "--sizes", "a,b")
         assert code == 2
 
+    def test_garbage_sweep_k(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--nmax", "5", "--k", "")
+        assert (code, out) == (2, "")
+        assert err == "error: k must be comma-separated integers, got ''\n"
+
     def test_seed_beyond_64_bits(self, capsys):
         # random.Random takes a seed of any size
         code, _, _ = run_cli(
@@ -144,7 +149,6 @@ class TestSolve:
                 status=solver.ExactStatus[exact_status], partition=None, nodes=1)
 
         monkeypatch.setattr(solver, "solve_exact", exact)
-        monkeypatch.setattr(solver, "local_search", lambda inst, params, stats=None: None)
         got, payload = run_json(capsys, "solve", "--n", "15", "--sizes", "3,3,3,3,3")
         assert (got, payload["status"]) == (code, status)
         assert payload["detail"]["verdict"] == "condition_holds_conjectured"
@@ -163,10 +167,11 @@ class TestSolve:
         code, payload = run_json(capsys, *argv)
         assert code == 0
         stats = payload["stats"]
-        assert (stats["search_restarts"], stats["restarts"], stats["swaps"]) == (1, 0, 0)
+        assert set(stats) == {"nodes", "search_restarts", "elapsed"}
+        assert stats["search_restarts"] == 1
         assert stats["nodes"] > 80
         _, out, _ = run_cli(capsys, *argv)
-        assert f"nodes={stats['nodes']} swaps=0 restarts=0 search_restarts=1 " in out
+        assert f"nodes={stats['nodes']} search_restarts=1 " in out
 
     def test_text_reports_same_blocks(self, capsys):
         _, payload = run_json(capsys, "solve", "--n", "7", "--k", "2", "--sizes", "3,4")

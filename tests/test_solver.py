@@ -1,4 +1,4 @@
-"""Solver routes: exact search, constructions, greedy init, local search."""
+"""Solver routes: exact search, constructions, and the solve() pipeline."""
 
 import dataclasses
 import hashlib
@@ -17,23 +17,16 @@ import equipart
 from equipart.core import (
     Instance,
     Partition,
-    _State,
-    deviation,
     implements,
     is_equitable,
     magic_sum,
-    swap,
 )
 from equipart.feasibility import FeasibilityStatus, feasibility, necessary_condition
 from equipart.lab import _box, enumerate_size_sequences
 from equipart.solver import (
     ExactStatus,
     SearchParams,
-    SolveStats,
     SolveStatus,
-    _best_move,
-    greedy_init,
-    local_search,
     solve,
     solve_exact,
     solve_k2,
@@ -42,18 +35,17 @@ from equipart.solver import (
 
 from helpers import (
     k2_greedy_trace,
-    naive_best_move,
     naive_equitable_exists,
     random_valid_instance,
 )
 
 BIG_BUDGET = 10**8
 
-#: sha256 over json.dumps([n, sizes, status, blocks, swaps, restarts]) of
+#: sha256 over json.dumps([n, sizes, status, blocks, 0, 0]) of
 #: solve(inst, SearchParams(max_restarts=4)) for every instance of
 #: _box(40, [3, 4, 5], 2), one update per instance.  It pins solve()'s
-#: answers, which the restarted bounded search settles on this box before any
-#: descent; change it only when a change of answers is intended.
+#: answers, which the restarted bounded search settles on this box; change
+#: it only when a change of answers is intended.
 SOLVE_BOX_SHA256 = "08b2ff39d2e09fe56b70ec967148489ff72753718a5cdc1f524fb32966996fb3"
 
 #: sha256 over json.dumps([n, sizes, status, nodes]) of solve_exact(inst,
@@ -73,27 +65,19 @@ EXACT_BOX_SHA256 = "7a799a59b90408445f61acdcb44ad0341faa12943c4eaa88cda73c3b164b
 #: intended.
 K2_BOX_SHA256 = "94070b6daeedbf29bf430d12ec062ec6e41b9d8f711056cea7150f266b1a68ae"
 
-#: The descent_stall benchmark instances: k >= 5, n > 100, where the descent
-#: alone stalls on some starts; the first bounded search settles all three.
+#: The descent_stall benchmark instances: k >= 5, n > 100; the first bounded
+#: search settles all three.
 STALL_CORPUS = (
     (150, (16, 18, 23, 40, 53)),
     (119, (11, 11, 13, 16, 32, 36)),
     (159, (17, 19, 30, 44, 49)),
 )
 
-#: sha256 over json.dumps([n, sizes, status, blocks, swaps, restarts, nodes])
+#: sha256 over json.dumps([n, sizes, status, blocks, 0, 0, nodes])
 #: of solve(inst, SearchParams(seed=s, max_restarts=2)) for s in (4, 5) and
 #: every instance of STALL_CORPUS, one update per solve.  It pins solve()'s
 #: answers and node counts at n > 100, beyond SOLVE_BOX_SHA256's n <= 40.
 STALL_CORPUS_SHA256 = "b752cba8d32d955410700cc6592acbd2f5f7888f3f7117cb43aaa8f9fa8440b0"
-
-#: sha256 over json.dumps([n, sizes, blocks, swaps, restarts]) of the descent
-#: alone, local_search(inst, params), first with SearchParams(max_restarts=4)
-#: on every instance of _box(40, [3, 4, 5], 2) the verdict does not rule out,
-#: then with SearchParams(seed=s, max_restarts=2) for s in (4, 5) on every
-#: instance of STALL_CORPUS, one update per run.  It pins the descent's exact
-#: move sequence and where it stalls, now that solve() rarely reaches it.
-DESCENT_SHA256 = "582eb74bcd9a2df060941461025c35dd930ea9694fc3b718515ac25b304516ba"
 
 class TestSearchParams:
     def test_fields(self):
@@ -375,199 +359,15 @@ class TestSolveP1Eq1:
             solve_p1_eq_1(Instance.from_sizes(9, [1, 2, 6]))
 
 
-class TestGreedyInit:
-    def test_deterministic_trace(self):
-        p = greedy_init(Instance.from_sizes(8, [2, 2, 2, 2]), seed=0)
-        assert p.blocks == ((1, 8), (2, 7), (3, 6), (4, 5))
-        q = greedy_init(Instance.from_sizes(4, [2, 2]), seed=0)
-        assert q.blocks == ((1, 4), (2, 3))
-
-    def test_seeded_runs_reproduce(self):
-        inst = Instance.from_sizes(15, [3, 5, 7])
-        assert greedy_init(inst, seed=7) == greedy_init(inst, seed=7)
-
-    def test_structural_postcondition(self):
-        rng = random.Random(2024)
-        for _ in range(50):
-            inst = random_valid_instance(rng, n_max=30)
-            for seed in (0, 1, rng.randint(1, 2**60)):
-                p = greedy_init(inst, seed)
-                assert implements(p, inst.sizes)
-                assert tuple(len(b) for b in p.blocks) == inst.sizes
-
-
-class TestLocalSearch:
-    def test_first_move_is_lex_smallest_best_delta(self):
-        # both (1,3) and (2,4) improve by -8; lexicographic order picks (1,3)
-        p = Partition.from_blocks(4, [[1, 2], [3, 4]])
-        assert _best_move(_State(p)) == (-8, 1, 3)
-
-    def test_equitable_input_returned_unchanged(self):
-        # the greedy start ((1, 8), (2, 7), (3, 6), (4, 5)) is already equitable
-        inst = Instance(n=8, sizes=(2, 2, 2, 2))
-        stats = SolveStats()
-        out = local_search(inst, SearchParams(), stats=stats)
-        assert out == greedy_init(inst, 0)
-        assert (stats.swaps, stats.restarts) == (0, 0)
-
-    def test_returns_witness_or_none(self):
-        rng = random.Random(99)
-        seen = {"witness": 0, "none": 0}
-        for _ in range(25):
-            inst = random_valid_instance(rng, n_max=20)
-            s = magic_sum(inst.n, inst.k)
-            params = SearchParams(seed=rng.randint(1, 2**32), max_restarts=4)
-            out = local_search(inst, params)
-            if out is None:
-                seen["none"] += 1
-            else:
-                seen["witness"] += 1
-                assert is_equitable(out, s)
-                assert tuple(len(b) for b in out.blocks) == inst.sizes
-        assert min(seen.values()) > 0, seen
-
-    def test_stalled_descent_returns_none(self):
-        # the first start stalls; the second is solved, its blocks in slot order
-        inst = Instance(n=16, sizes=(3, 4, 4, 5))
-        assert local_search(inst, SearchParams(max_restarts=0)) is None
-        stats = SolveStats()
-        out = local_search(inst, SearchParams(), stats=stats)
-        assert stats.restarts == 1
-        assert is_equitable(out, 34)
-        assert tuple(len(b) for b in out.blocks) == inst.sizes
-
-
-def _random_search_state(rng: random.Random):
-    """A random (assign, sums, s, n) state with k in 2..6 and n <= 60.
-
-    Sums are the true block sums, the true sums with some blocks forced
-    equal, or arbitrary values near s with two forced equal, so ties and
-    repeated sum gaps occur.  _best_move treats sums as given data.
-    """
-    k = rng.randint(2, 6)
-    n = rng.randint(k, 60)
-    labels = list(range(1, n + 1))
-    rng.shuffle(labels)
-    bounds = [0, *sorted(rng.sample(range(1, n), k - 1)), n]
-    assign = [0] * (n + 1)
-    sums = [0] * k
-    for i in range(k):
-        for x in labels[bounds[i] : bounds[i + 1]]:
-            assign[x] = i
-            sums[i] += x
-    s = n * (n + 1) // (2 * k)
-    mode = rng.randrange(3)
-    if mode == 1:
-        for _ in range(rng.randint(1, k - 1)):
-            i, j = rng.sample(range(k), 2)
-            sums[j] = sums[i]
-    elif mode == 2:
-        sums = [s + rng.randint(-n // 2, n // 2) for _ in range(k)]
-        sums[rng.randrange(k)] = sums[rng.randrange(k)]
-    return assign, sums, s, n
-
-
-def _state_of(assign: list[int], n: int) -> _State:
-    members = [[] for _ in range(max(assign) + 1)]
-    for x in range(1, n + 1):
-        members[assign[x]].append(x)
-    return _State(Partition.from_blocks(n, members))
-
-
 class TestMoveSearch:
-    def test_moves_match_quadratic_reference(self):
-        rng = random.Random(20141024)
-        found = {"best": 0, "none": 0, "tie": 0}
-        for _ in range(2500):
-            assign, sums, _, n = _random_search_state(rng)
-            state = _state_of(assign, n)
-            state.sums = sums  # the search treats sums as given data
-            move = _best_move(state)
-            assert move == naive_best_move(assign, sums, n)
-            found["best" if move is not None else "none"] += 1
-            found["tie"] += len(set(sums)) < len(sums)
-        assert min(found["best"], found["tie"]) > 500 and found["none"] > 100, found
-
-    @staticmethod
-    def _assert_best_move_matches_reference(blocks) -> None:
-        """_best_move equals the quadratic scan on blocks, in both block orders.
-
-        Reversing the blocks reverses the order in which pairs of equal sum
-        gap are visited, so a case built around that order is met both ways.
-        """
-        n = sum(map(len, blocks))
-        for order in (blocks, blocks[::-1]):
-            state = _State(Partition.from_blocks(n, order))
-            assert _best_move(state) == naive_best_move(state.assign, state.sums, n)
-
-    def test_equal_largest_gaps_keep_the_lex_smallest_tie(self):
-        # Sums (16, 16, 23): the pairs (0, 2) and (1, 2) both have the
-        # largest gap u = 7 and both reach its floor -24, with (4, 8) in one
-        # and the lex-smaller (2, 6) in the other.  Reaching the floor in
-        # the pair visited first must not end the scan.
-        blocks = [[1, 2, 3, 10], [4, 5, 7], [6, 8, 9]]
-        assert _best_move(_State(Partition.from_blocks(10, blocks))) == (-24, 2, 6)
-        self._assert_best_move_matches_reference(blocks)
-
-    def test_smaller_gap_at_the_best_delta_is_still_scanned(self):
-        # Sums (6, 10, 5, 7): the largest gap u = 5 (block 2 up to block 1)
-        # gives its best -8 at (5, 6), which is exactly the floor
-        # -(4 * 4 // 2) of the gap u = 4 (block 0 up to block 1); that pair
-        # holds the lex-smaller tie (2, 4).
-        blocks = [[1, 2, 3], [4, 6], [5], [7]]
-        assert _best_move(_State(Partition.from_blocks(7, blocks))) == (-8, 2, 4)
-        self._assert_best_move_matches_reference(blocks)
-
-    def test_moves_match_quadratic_reference_up_to_k9(self):
-        # Random partitions with k up to 9, each followed along its own
-        # descent for up to five moves, so that later moves meet smaller
-        # gaps and more ties at the floor.
-        rng = random.Random(15)
-        moves = 0
-        for _ in range(300):
-            k = rng.randint(2, 9)
-            n = rng.randint(k, 80)
-            labels = list(range(1, n + 1))
-            rng.shuffle(labels)
-            bounds = [0, *sorted(rng.sample(range(1, n), k - 1)), n]
-            blocks = [labels[bounds[i] : bounds[i + 1]] for i in range(k)]
-            state = _State(Partition.from_blocks(n, blocks))
-            for _ in range(5):
-                move = _best_move(state)
-                assert move == naive_best_move(state.assign, state.sums, n)
-                if move is None:
-                    break
-                state.exchange(move[1], move[2])
-                moves += 1
-        assert moves > 1000, moves
-
-    def test_exchange_keeps_state_consistent(self):
-        rng = random.Random(6916)
-        for _ in range(300):
-            assign, _, _, n = _random_search_state(rng)
-            state = _state_of(assign, n)
-            sizes = [len(m) for m in state.members]
-            for _ in range(20):
-                a, b = sorted(rng.sample(range(1, n + 1), 2))
-                if state.assign[a] == state.assign[b]:
-                    continue
-                before = (list(state.assign), list(state.sums), [list(m) for m in state.members])
-                state.exchange(a, b)
-                assert state.sums == [sum(m) for m in state.members]
-                assert [len(m) for m in state.members] == sizes
-                assert all(m == sorted(m) for m in state.members)
-                assert sorted(x for m in state.members for x in m) == list(range(1, n + 1))
-                assert all(state.assign[x] == i for i, m in enumerate(state.members) for x in m)
-                state.exchange(a, b)
-                assert (state.assign, state.sums, state.members) == before
-                state.exchange(a, b)
-
     def test_solve_output_digest(self):
         digest = hashlib.sha256()
         for inst in _box(40, [3, 4, 5], 2):
             res = solve(inst, SearchParams(max_restarts=4))
             blocks = res.partition.blocks if res.partition is not None else None
-            row = [inst.n, inst.sizes, res.status.value, blocks, res.stats.swaps, res.stats.restarts]
+            # 0, 0 stand where the exchange descent's swap and restart counts
+            # were written, so the digest pinned before its removal still holds.
+            row = [inst.n, inst.sizes, res.status.value, blocks, 0, 0]
             digest.update(json.dumps(row).encode())
         assert digest.hexdigest() == SOLVE_BOX_SHA256
 
@@ -577,60 +377,11 @@ class TestMoveSearch:
             for n, sizes in STALL_CORPUS:
                 res = solve(Instance.from_sizes(n, sizes), SearchParams(seed=seed, max_restarts=2))
                 blocks = res.partition.blocks if res.partition is not None else None
-                stats = res.stats
-                row = [n, sizes, res.status.value, blocks, stats.swaps, stats.restarts, stats.nodes]
+                # 0, 0: the removed descent's swap and restart counts, as in
+                # test_solve_output_digest.
+                row = [n, sizes, res.status.value, blocks, 0, 0, res.stats.nodes]
                 digest.update(json.dumps(row).encode())
         assert digest.hexdigest() == STALL_CORPUS_SHA256
-
-    def test_descent_digest(self):
-        runs = [
-            (inst, SearchParams(max_restarts=4))
-            for inst in _box(40, [3, 4, 5], 2)
-            if not feasibility(inst).infeasible
-        ]
-        runs += [
-            (Instance.from_sizes(n, sizes), SearchParams(seed=seed, max_restarts=2))
-            for seed in (4, 5)
-            for n, sizes in STALL_CORPUS
-        ]
-        digest = hashlib.sha256()
-        for inst, params in runs:
-            stats = SolveStats()
-            p = local_search(inst, params, stats=stats)
-            blocks = p.blocks if p is not None else None
-            row = [inst.n, inst.sizes, blocks, stats.swaps, stats.restarts]
-            digest.update(json.dumps(row).encode())
-        assert digest.hexdigest() == DESCENT_SHA256
-
-    def test_descent_replays_reference_moves(self):
-        # Each start is greedy_init, then the quadratic reference's best
-        # move, applied with the public swap, until no move improves; the
-        # descent returns that end when it is equitable and None otherwise.
-        rng = random.Random(18)
-        witnesses = runs = 0
-        while runs < 150:
-            inst = random_valid_instance(rng, n_max=40)
-            if inst.k < 3:
-                continue
-            seed = rng.choice((0, rng.randint(1, 2**32)))
-            s = magic_sum(inst.n, inst.k)
-            p = greedy_init(inst, seed)
-            moves = 0
-            while True:
-                assign = [0] + [p.block_of(x) for x in range(1, inst.n + 1)]
-                move = naive_best_move(assign, list(p.sums), inst.n)
-                if move is None:
-                    break
-                q = swap(p, move[1], move[2])
-                assert deviation(q, s) == deviation(p, s) + move[0] < deviation(p, s)
-                p, moves = q, moves + 1
-            stats = SolveStats()
-            out = local_search(inst, SearchParams(seed=seed, max_restarts=0), stats)
-            assert out == (p if is_equitable(p, s) else None), (inst, seed)
-            assert (stats.swaps, stats.restarts) == (moves, 0), (inst, seed)
-            witnesses += out is not None
-            runs += 1
-        assert 20 <= witnesses < runs, witnesses
 
 
 class TestSolve:
@@ -670,13 +421,11 @@ class TestSolve:
         assert tuple(len(b) for b in res.partition.blocks) == (2, 3, 4)
 
     def test_stalled_descent_falls_back_to_exact_search(self):
-        # the seed-0 descent start, which draws no random number, stalls
-        # here; the first bounded search finds a witness inside its 4n
-        # cutoff, so the descent does not run
+        # the first bounded search finds a witness inside its 4n cutoff
         inst = Instance.from_sizes(35, (4, 4, 6, 8, 13))
         res = solve(inst, SearchParams(max_restarts=0))
         assert res.status is SolveStatus.SOLVED
-        assert (res.stats.nodes, res.stats.restarts) == (73, 0)
+        assert (res.stats.nodes, res.stats.search_restarts) == (73, 0)
         assert is_equitable(res.partition, 126)
         assert tuple(len(b) for b in res.partition.blocks) == inst.sizes
 
@@ -700,54 +449,44 @@ class TestSolve:
             assert res.status is SolveStatus.SOLVED
             assert res.partition == second.partition
             assert (res.stats.nodes, res.stats.search_restarts) == (80 + second.nodes, 1)
-            assert (res.stats.swaps, res.stats.restarts) == (0, 0)
 
-    def test_descent_then_index_order_search_settle_what_is_left(self, monkeypatch):
-        # With one search run, the cut-off search leaves the instance to the
-        # seed-0 descent, which stalls on it (its start has no improving
-        # move), and then to the index-order search, which finds the
-        # witness on the rest of the budget.
-        monkeypatch.setattr("equipart.solver.SEARCH_RUNS", 1)
-        descents = []
-
-        def spy(*args, **kwargs):
-            descents.append(local_search(*args, **kwargs))
-            return descents[-1]
-
-        monkeypatch.setattr("equipart.solver.local_search", spy)
+    def test_descent_then_index_order_search_settle_what_is_left(self):
+        # With one search run, the cut-off index-order run leaves the instance
+        # to the last index-order search, which finds the witness on the
+        # rest of the budget.
         inst = Instance.from_sizes(20, (3, 4, 4, 4, 5))
         full = solve_exact(inst, BIG_BUDGET)
         res = solve(inst, SearchParams(max_restarts=0))
-        assert descents == [None]
         assert res.status is SolveStatus.SOLVED
         assert res.partition == full.partition
-        assert res.stats.nodes == 80 + full.nodes
+        assert (res.stats.nodes, res.stats.search_restarts) == (80 + full.nodes, 0)
 
-    def test_descent_settles_what_the_search_budget_leaves(self):
-        # 10 nodes cannot place 32 labels: the search is cut off, spends the
-        # whole budget, and the descent finds the witness
-        inst = Instance.from_sizes(32, (5, 7, 9, 11))
+    def test_small_budget_bounds_a_large_solve(self):
+        # 10 nodes cannot place 10^4 labels: the first run spends the whole
+        # budget and the last search reports the node it did not place
+        inst = Instance.from_sizes(10_000, (1200, 1800, 2000, 2200, 2800))
         res = solve(inst, SearchParams(exact_node_budget=10))
-        assert res.status is SolveStatus.SOLVED
-        assert is_equitable(res.partition, magic_sum(32, 4))
-        assert (res.stats.nodes, res.stats.search_restarts) == (10, 0)
-        assert res.stats.swaps > 0
+        assert res.status is SolveStatus.BUDGET_EXHAUSTED
+        assert res.partition is None
+        assert (res.stats.nodes, res.stats.search_restarts) == (11, 0)
 
     def test_shared_budget_bounds_nodes_over_all_stages(self):
-        # restarts, the descent and the last search draw on one budget: a run
+        # the bounded runs and the last search draw on one budget: a solve
         # places at most that many nodes, and a cut-off one reports budget + 1
         insts = [Instance.from_sizes(n, sizes) for n, sizes in (
             (35, (4, 4, 6, 8, 13)), (20, (3, 4, 4, 4, 5)), (15, (2, 2, 2, 3, 3, 3)),
             (32, (3, 3, 4, 4, 4, 4, 5, 5)), (48, (7, 8, 16, 17)),
         )]
-        for inst in insts:
-            for budget in (0, 1, 7, 60, 100, 300, 1000):
-                res = solve(inst, SearchParams(max_restarts=0, exact_node_budget=budget))
-                assert res.stats.nodes <= budget + 1, (inst, budget)
-                if res.status is SolveStatus.BUDGET_EXHAUSTED:
-                    assert res.stats.nodes == budget + 1, (inst, budget)
-                else:
-                    assert res.status is SolveStatus.SOLVED, (inst, budget)
+        for restarts in (0, 2, 7):
+            for inst in insts:
+                for budget in (0, 1, 7, 60, 100, 300, 1000):
+                    params = SearchParams(max_restarts=restarts, exact_node_budget=budget)
+                    res = solve(inst, params)
+                    assert res.stats.nodes <= budget + 1, (inst, params)
+                    if res.status is SolveStatus.BUDGET_EXHAUSTED:
+                        assert res.stats.nodes == budget + 1, (inst, params)
+                    else:
+                        assert res.status is SolveStatus.SOLVED, (inst, params)
 
     def test_deterministic_for_fixed_seed(self):
         inst = Instance.from_sizes(16, [3, 4, 4, 5])
