@@ -345,12 +345,12 @@ def _add_instance_opts(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_search_opts(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="0 = fully deterministic path")
+    parser.add_argument("--seed", type=int, default=SearchParams.seed, help="same seed, same answer")
     parser.add_argument(
-        "--max-restarts", type=int, default=7,
-        help="bounded search runs after the first, each in a shuffled block order",
+        "--max-restarts", type=int, default=SearchParams.max_restarts,
+        help="shuffled-order runs after the first; the last takes the rest of the budget",
     )
-    parser.add_argument("--exact-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    parser.add_argument("--exact-budget", type=int, default=SearchParams.exact_node_budget)
 
 
 def build_parser() -> argparse.ArgumentParser:

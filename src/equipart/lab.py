@@ -32,12 +32,13 @@ from .solver import DEFAULT_NODE_BUDGET, ExactStatus, solve_exact
 
 
 def enumerate_size_sequences(n: int, k: int, min_part: int) -> Iterator[tuple[int, ...]]:
-    """All non-decreasing k-tuples of integers >= min_part summing to n.
+    """All non-decreasing k-tuples of integers >= max(min_part, 1) summing to n.
 
     Yielded in lexicographic order; empty when no such tuple exists.
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"n and k must be >= 1, got n={n}, k={k}")
+    _check_count("n", n, 1)
+    _check_count("k", k, 1)
+    _check_count("min_part", min_part)
 
     def rec(remaining: int, slots: int, lo: int, prefix: tuple[int, ...]):
         if slots == 0:

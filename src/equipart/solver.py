@@ -11,21 +11,21 @@ and answers in its size slots, block i of size inst.sizes[i]:
   kept floor per block for the upper bounds.  The union bound is the
   paper's prefix condition applied to the search state, and the
   feasibility verdict is its root case.  It is solve()'s one route at
-  k >= 3: 1 + max_restarts bounded runs, the first in index order with a
-  cutoff of 4n max(1, k // 4) nodes, each later one in a freshly shuffled
-  order with twice the cutoff before it, then an index-order run on what
-  is left of the node budget;
+  k >= 3: 1 + max_restarts runs, the first in index order with a cutoff
+  of 4n max(1, k // 4) nodes, each later one in a freshly shuffled order
+  with twice the cutoff before it, the last on all that is left of the
+  node budget;
 * a closed-form constructor for k = 2 (solve_k2) realizing the endpoint
   of the adjacent-exchange sliding sequence;
 * the size-one constructor ({n} plus pairs {i, n-i}) for sizes
   (1, 2, ..., 2).
 
 One budget bounds the nodes of all search runs together, so it bounds
-all of a k >= 3 solve's work.  Completeness rests on the index-order run
-made last, at any n.  Constructive outputs are deterministic; search
-outputs are deterministic for a fixed seed.  Across Python versions the
-random module promises only random()'s stream, not shuffle()'s; it is
-the same on CPython 3.10 to 3.13, where CI runs the tests that pin it.
+all of a k >= 3 solve's work, and the last run keeps all of it that is
+left; each order's search is complete, so the route is complete at any
+n.  Outputs are deterministic, a search's for a fixed seed.  The random
+module promises across versions only random()'s stream, not shuffle()'s;
+it is the same on CPython 3.10 to 3.13, where CI runs the tests that pin it.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ DEFAULT_NODE_BUDGET = 100_000_000
 class SearchParams:
     """Budgets and seeding for solve().
 
-    solve() makes max_restarts bounded search runs after the first, each
-    in a trial order shuffled by random.Random(seed), which takes a seed of
-    any size.
+    solve() makes max_restarts search runs after the first, each in a
+    trial order shuffled by random.Random(seed), which takes a seed of any
+    size; the last run searches on all of exact_node_budget that is left.
     """
 
     seed: int = 0
@@ -282,16 +282,16 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
 
     Constructive routes handle k = 1, the size-one rule, and k = 2.  Other
     instances go to the exact search: 1 + params.max_restarts runs of
-    solve_exact, run r cut off at 4n max(1, k // 4) 2^r nodes.  Run 0 tries
-    the blocks in index order; each later run shuffles the order with
+    solve_exact, run r cut off at 4n max(1, k // 4) 2^r nodes and the last
+    at all that is left of the one exact_node_budget.  Run 0 tries the
+    blocks in index order; each later run shuffles the order with
     random.Random(params.seed), so restarts escape an unlucky early choice
     while the answer stays deterministic for a fixed seed.  Any order
-    prunes the same states, so FOUND is SOLVED and NOT_FOUND is a proof,
-    PROVEN_INFEASIBLE.  When every run is cut off, an index-order
-    solve_exact runs on what is left of the budget.  All runs draw on the
-    one exact_node_budget: stats.nodes sums them, and a run cut off reports
-    budget + 1, the node it did not place.  stats.search_restarts counts
-    the bounded runs after the first.
+    prunes the same states, so any run's FOUND is SOLVED and its NOT_FOUND
+    is a proof, PROVEN_INFEASIBLE.  The runs stop at a witness, a proof or
+    the end of the budget.  stats.nodes sums the runs' nodes; a solve cut
+    off reports budget + 1, the node it did not place.
+    stats.search_restarts counts the runs after the first.
 
     A SOLVED result always carries an equitable partition whose block i has
     size inst.sizes[i]; every route's answer is certified against that, and
@@ -335,16 +335,12 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
         if r:
             stats.search_restarts += 1
             rng.shuffle(order)
-        exact = solve_exact(inst, min(cutoff << r, remaining), order)
-        if exact.status is not ExactStatus.BUDGET:
+        cap = min(cutoff << r, remaining) if r < params.max_restarts else remaining
+        exact = solve_exact(inst, cap, order)
+        if exact.status is not ExactStatus.BUDGET or cap == remaining:
             break
-        placed = exact.nodes - 1  # it reports the node it did not place
-        stats.nodes += placed
-        remaining -= placed
-        if not remaining:
-            break
-    if exact.status is ExactStatus.BUDGET:
-        exact = solve_exact(inst, remaining)
+        stats.nodes += cap  # a cut-off run placed all of its cap
+        remaining -= cap
     stats.nodes += exact.nodes
     if exact.status is ExactStatus.FOUND:
         return finish(SolveStatus.SOLVED, exact.partition)

@@ -153,13 +153,17 @@ class TestSolve:
         assert (got, payload["status"]) == (code, status)
         assert payload["detail"]["verdict"] == "condition_holds_conjectured"
 
-    def test_stalled_descent_settled_by_exact_search(self, capsys):
+    def test_single_search_run_settles_within_its_cutoff(self, capsys):
         code, payload = run_json(
             capsys, "solve", "--n", "35", "--sizes", "4,4,6,8,13", "--max-restarts", "0"
         )
         assert code == 0
         assert payload["status"] == "solved"
         assert payload["stats"]["nodes"] == 73
+
+    def test_search_defaults_are_search_params(self):
+        args = cli.build_parser().parse_args(["solve", "--n", "5", "--sizes", "5"])
+        assert cli._search_params(args) == solver.SearchParams()
 
     def test_stats_count_search_restarts(self, capsys):
         # index order spends its 4n = 80 nodes, and restart 1 finds a witness

@@ -27,6 +27,7 @@ class TestEnumerateSizeSequences:
             (2, 2, 2, 2),
         ]
         assert list(enumerate_size_sequences(8, 4, 2)) == [(2, 2, 2, 2)]
+        assert list(enumerate_size_sequences(8, 4, 0)) == list(enumerate_size_sequences(8, 4, 1))
         assert list(enumerate_size_sequences(3, 4, 1)) == []
 
     def test_sequences_are_sorted_and_sum(self):
@@ -40,8 +41,11 @@ class TestEnumerateSizeSequences:
         assert seqs == sorted(seqs)
 
     def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            list(enumerate_size_sequences(0, 3, 1))
+        # a float or bool n, k or min_part is rejected, not fed to range()
+        for args in ((0, 3, 1), (5, 0, 1), (5.0, 2, 1), (5, 2, 1.5), (True, 1, 1),
+                     (5, True, 1), (5, 2, -1)):
+            with pytest.raises(ValueError):
+                list(enumerate_size_sequences(*args))
 
 
 class TestSweep:

@@ -359,7 +359,7 @@ class TestSolveP1Eq1:
             solve_p1_eq_1(Instance.from_sizes(9, [1, 2, 6]))
 
 
-class TestMoveSearch:
+class TestSolveDigests:
     def test_solve_output_digest(self):
         digest = hashlib.sha256()
         for inst in _box(40, [3, 4, 5], 2):
@@ -420,7 +420,7 @@ class TestSolve:
         res = solve(Instance.from_sizes(9, [2, 3, 4]))
         assert tuple(len(b) for b in res.partition.blocks) == (2, 3, 4)
 
-    def test_stalled_descent_falls_back_to_exact_search(self):
+    def test_first_run_finds_a_witness_within_its_cutoff(self):
         # the first bounded search finds a witness inside its 4n cutoff
         inst = Instance.from_sizes(35, (4, 4, 6, 8, 13))
         res = solve(inst, SearchParams(max_restarts=0))
@@ -429,7 +429,7 @@ class TestSolve:
         assert is_equitable(res.partition, 126)
         assert tuple(len(b) for b in res.partition.blocks) == inst.sizes
 
-    def test_stall_beyond_node_budget_is_budget_exhausted(self):
+    def test_search_beyond_node_budget_is_budget_exhausted(self):
         res = solve(Instance.from_sizes(35, (4, 4, 6, 8, 13)),
                     SearchParams(max_restarts=0, exact_node_budget=10))
         assert res.status is SolveStatus.BUDGET_EXHAUSTED
@@ -450,20 +450,37 @@ class TestSolve:
             assert res.partition == second.partition
             assert (res.stats.nodes, res.stats.search_restarts) == (80 + second.nodes, 1)
 
-    def test_descent_then_index_order_search_settle_what_is_left(self):
-        # With one search run, the cut-off index-order run leaves the instance
-        # to the last index-order search, which finds the witness on the
-        # rest of the budget.
+    def test_last_run_takes_the_rest_of_the_budget(self):
+        # With one run, that run is the last: it is not cut off at 4n = 80
+        # nodes but searches in index order on the whole budget, so solve()
+        # places each of the full search's nodes once.
         inst = Instance.from_sizes(20, (3, 4, 4, 4, 5))
         full = solve_exact(inst, BIG_BUDGET)
         res = solve(inst, SearchParams(max_restarts=0))
         assert res.status is SolveStatus.SOLVED
         assert res.partition == full.partition
-        assert (res.stats.nodes, res.stats.search_restarts) == (80 + full.nodes, 0)
+        assert (res.stats.nodes, res.stats.search_restarts) == (full.nodes, 0) == (138, 0)
+
+    def test_last_restart_searches_on_what_run_0_left(self):
+        # Run 0 spends its 4n = 80 nodes.  Restart 1 is the last run, so its
+        # shuffled order is not cut off at 160 nodes but searches on the
+        # budget run 0 left: it finds a witness after 717 nodes within 920,
+        # and is cut off within 620.
+        inst = Instance.from_sizes(20, (3, 3, 3, 4, 7))
+        assert solve_exact(inst, 80).status is ExactStatus.BUDGET
+        order = list(range(5))
+        random.Random(0).shuffle(order)
+        for budget, status in ((1000, SolveStatus.SOLVED), (700, SolveStatus.BUDGET_EXHAUSTED)):
+            last = solve_exact(inst, budget - 80, order)
+            res = solve(inst, SearchParams(max_restarts=1, exact_node_budget=budget))
+            assert res.status is status
+            assert res.partition == last.partition
+            assert (res.stats.nodes, res.stats.search_restarts) == (80 + last.nodes, 1)
+        assert (last.nodes, res.stats.nodes) == (621, 701)
 
     def test_small_budget_bounds_a_large_solve(self):
-        # 10 nodes cannot place 10^4 labels: the first run spends the whole
-        # budget and the last search reports the node it did not place
+        # 10 nodes cannot place 10^4 labels: run 0's cap is the whole budget,
+        # so it is the last run, and it reports the node it did not place
         inst = Instance.from_sizes(10_000, (1200, 1800, 2000, 2200, 2800))
         res = solve(inst, SearchParams(exact_node_budget=10))
         assert res.status is SolveStatus.BUDGET_EXHAUSTED
