@@ -13,8 +13,6 @@ from .core import (
     Instance,
     Partition,
     deviation,
-    implements,
-    is_equitable,
     magic_sum,
     swap,
     swap_delta,
@@ -55,8 +53,6 @@ __all__ = [
     "Instance",
     "Partition",
     "deviation",
-    "implements",
-    "is_equitable",
     "magic_sum",
     "swap",
     "swap_delta",

@@ -5,7 +5,9 @@ when every block sums to the magic sum s = n(n+1)/(2k).  The squared
 deviation d = sum_i (S(A_i) - s)^2 is zero exactly on equitable
 partitions, and exchanging two elements a < b between blocks changes it
 by 2t(t - u) with t = b - a and u = S(block of b) - S(block of a),
-independently of s.
+independently of s.  deviation(), swap() and swap_delta() state that
+exchange lemma; no solver route runs it, and the acceptance suite checks
+it on random partitions.
 
 Partition is the package's one representation of such a split; read
 block i as part i, it is also the labeling of the complete multipartite
@@ -22,7 +24,6 @@ fixed-width ports of this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 MAX_N = 2**31
 
@@ -136,9 +137,10 @@ class Partition:
     marks per label of [n], allocated only once the labels number exactly
     n, so a short input claiming a huge n is rejected before anything of
     size n exists.  The block sequence keeps its given (input-size) order,
-    and sums are derived; they cannot be passed in.  Values are immutable:
-    every operation returns a new partition, so instances may be shared
-    freely between workers.
+    and sums are derived; they cannot be passed in.  Values are immutable
+    and hold nothing but n, the blocks and their sums: every operation
+    returns a new partition, so instances may be shared freely between
+    workers.
     """
 
     n: int
@@ -179,22 +181,6 @@ class Partition:
     def k(self) -> int:
         return len(self.blocks)
 
-    @cached_property
-    def _block_index(self) -> dict[int, int]:
-        return {x: i for i, b in enumerate(self.blocks) for x in b}
-
-    def block_of(self, label: int) -> int:
-        """Index of the block containing label."""
-        try:
-            return self._block_index[label]
-        except KeyError:
-            raise ValueError(f"label {label} not in [1, {self.n}]") from None
-
-
-def implements(p: Partition, sizes) -> bool:
-    """True when the multiset of block sizes matches the size sequence."""
-    return sorted(len(b) for b in p.blocks) == sorted(sizes)
-
 
 def deviation(p: Partition, s: int) -> int:
     """Squared deviation of the block sums from the target s.
@@ -202,10 +188,6 @@ def deviation(p: Partition, s: int) -> int:
     Zero exactly when every block sums to s.
     """
     return sum((t - s) ** 2 for t in p.sums)
-
-
-def is_equitable(p: Partition, s: int) -> bool:
-    return deviation(p, s) == 0
 
 
 def swap(p: Partition, a: int, b: int) -> Partition:
@@ -221,13 +203,12 @@ def swap(p: Partition, a: int, b: int) -> Partition:
     return Partition.from_blocks(p.n, blocks)
 
 
-def swap_delta(p: Partition, a: int, b: int, s: int) -> int:
+def swap_delta(p: Partition, a: int, b: int) -> int:
     """Change in deviation caused by swap(p, a, b): exactly 2t(t - u).
 
-    Here t = b - a and u = S(block of b) - S(block of a).  The value does
-    not depend on the target s (the s terms cancel); the parameter is kept
-    so the contract deviation(swap(p,a,b), s) = deviation(p, s) + delta
-    reads off the signature.  Positive iff t > u, zero iff t = u.
+    Here t = b - a and u = S(block of b) - S(block of a).  The s terms
+    cancel, so deviation(swap(p, a, b), s) = deviation(p, s) + delta holds
+    for every target s.  Positive iff t > u, zero iff t = u.
     """
     ia, ib = _cross_blocks(p, a, b)
     t = b - a
@@ -238,8 +219,10 @@ def _cross_blocks(p: Partition, a: int, b: int) -> tuple[int, int]:
     """Blocks of a and b, which must satisfy a < b and lie in distinct blocks."""
     if a >= b:
         raise ValueError(f"expected a < b, got a={a}, b={b}")
-    ia = p.block_of(a)
-    ib = p.block_of(b)
+    ia, ib = (next((i for i, block in enumerate(p.blocks) if x in block), None) for x in (a, b))
+    for x, i in ((a, ia), (b, ib)):
+        if i is None:
+            raise ValueError(f"label {x} not in [1, {p.n}]")
     if ia == ib:
         raise ValueError(f"{a} and {b} are both in block {ia}")
     return ia, ib

@@ -21,7 +21,6 @@ configuration.
 from __future__ import annotations
 
 import copy
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -34,22 +33,31 @@ from .solver import DEFAULT_NODE_BUDGET, ExactStatus, solve_exact
 def enumerate_size_sequences(n: int, k: int, min_part: int) -> Iterator[tuple[int, ...]]:
     """All non-decreasing k-tuples of integers >= max(min_part, 1) summing to n.
 
-    Yielded in lexicographic order; empty when no such tuple exists.
+    Yielded in lexicographic order; empty when no such tuple exists.  Each
+    tuple is built from the one before in a loop, without recursion, so k
+    is not bounded by the interpreter's stack.
     """
     _check_count("n", n, 1)
     _check_count("k", k, 1)
     _check_count("min_part", min_part)
-
-    def rec(remaining: int, slots: int, lo: int, prefix: tuple[int, ...]):
-        if slots == 0:
-            if remaining == 0:
-                yield prefix
+    lo = max(min_part, 1)
+    if n < k * lo:
+        return
+    parts = [lo] * (k - 1) + [n - (k - 1) * lo]
+    while True:
+        yield tuple(parts)
+        # The successor grows the rightmost part i that can take one more,
+        # sets the parts after it up to the last to the new value, and gives
+        # the last what is left; tail is the sum of the parts after i.
+        tail = parts[-1]
+        i = k - 2
+        while i >= 0 and (k - i) * (parts[i] + 1) > parts[i] + tail:
+            tail += parts[i]
+            i -= 1
+        if i < 0:
             return
-        # Parts are non-decreasing, so the current one is at most remaining/slots.
-        for p in range(lo, remaining // slots + 1):
-            yield from rec(remaining - p, slots - 1, p, prefix + (p,))
-
-    yield from rec(n, k, max(min_part, 1), ())
+        v = parts[i] + 1
+        parts[i:] = [v] * (k - 1 - i) + [parts[i] + tail - (k - 1 - i) * v]
 
 
 def _box(n_max: int, ks, min_part: int) -> Iterator[Instance]:
@@ -110,10 +118,6 @@ class SweepReport:
             "rows": [dict(vars(r)) for r in self.rows],
             "mismatches": [dict(vars(r)) for r in self.mismatches],
         }
-
-    def to_json(self) -> str:
-        """Canonical serialization: identical configs give identical bytes."""
-        return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
 
 
 def _sweep_row(task: tuple[Instance, int]) -> SweepRow:

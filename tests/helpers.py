@@ -92,13 +92,18 @@ def random_partition(rng: random.Random, max_n: int = 50) -> Partition:
     return Partition.from_blocks(n, blocks)
 
 
+def block_of(p: Partition, label: int) -> int:
+    """Index of the block of p that holds label, by a plain scan."""
+    return next(i for i, block in enumerate(p.blocks) if label in block)
+
+
 def random_cross_block_pair(rng: random.Random, p: Partition) -> tuple[int, int]:
     """Labels a < b lying in distinct blocks of p."""
     while True:
         a, b = rng.sample(range(1, p.n + 1), 2)
         if a > b:
             a, b = b, a
-        if p.block_of(a) != p.block_of(b):
+        if block_of(p, a) != block_of(p, b):
             return a, b
 
 
@@ -159,6 +164,11 @@ def hash_set_partition_blocks(n, blocks):
     if sum(map(len, blocks)) != n or len(set().union(*blocks)) != n:
         return None
     return blocks
+
+
+def canon(obj) -> str:
+    """Canonical JSON: keys sorted, no spaces, so equal reports give equal bytes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True)

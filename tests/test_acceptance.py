@@ -22,7 +22,7 @@ from equipart.graphs import verify_closed_magic_cycle
 from equipart.lab import check_symmetric, sweep
 from equipart.solver import SolveStatus, solve, solve_k2
 
-from helpers import random_cross_block_pair, random_partition, verify_open_checked
+from helpers import block_of, canon, random_cross_block_pair, random_partition, verify_open_checked
 
 SWAP_TRIALS = 10_000
 SWAP_SEED = 0x5EED_2026
@@ -38,10 +38,6 @@ REPORT_SHA256 = {
     "c6_symmetric": "f04e8084b9f47eabc3c11132160aafa2f23052e58d25022ad37c2f5c940c51d2",
     "c7_conjecture_probe": "4a2d168fb4166581bbfaa605f35bb283545fad2d73e9a9af266557939b322bc0",
 }
-
-
-def _canon(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _solver_conformance_report(found_rows) -> dict:
@@ -84,11 +80,11 @@ def _swap_delta_report() -> dict:
         p = random_partition(rng, max_n=50)
         a, b = random_cross_block_pair(rng, p)
         s = (p.n * (p.n + 1) // 2) // p.k
-        delta = swap_delta(p, a, b, s)
+        delta = swap_delta(p, a, b)
         if deviation(swap(p, a, b), s) - deviation(p, s) == delta:
             exact += 1
         t = b - a
-        u = p.sums[p.block_of(b)] - p.sums[p.block_of(a)]
+        u = p.sums[block_of(p, b)] - p.sums[block_of(p, a)]
         if t > u:
             signs["positive"] += 1
             sign_law_ok &= delta > 0
@@ -171,13 +167,13 @@ def build_reports() -> dict[str, str]:
     symmetric = check_symmetric(21)
     k2_report, k2_elapsed = _k2_report()
     reports = {
-        "c1_proven_range_sweep": proven_range_sweep.to_json(),
-        "c2_size_one_sweep": size_one_sweep.to_json(),
-        "c3_solver_conformance": _canon(_solver_conformance_report(found_rows)),
-        "c4_swap_delta": _canon(_swap_delta_report()),
-        "c5_k2_construction": _canon(k2_report),
-        "c6_symmetric": symmetric.to_json(),
-        "c7_conjecture_probe": conjecture_sweep.to_json(),
+        "c1_proven_range_sweep": canon(proven_range_sweep.to_jsonable()),
+        "c2_size_one_sweep": canon(size_one_sweep.to_jsonable()),
+        "c3_solver_conformance": canon(_solver_conformance_report(found_rows)),
+        "c4_swap_delta": canon(_swap_delta_report()),
+        "c5_k2_construction": canon(k2_report),
+        "c6_symmetric": canon(symmetric.to_jsonable()),
+        "c7_conjecture_probe": canon(conjecture_sweep.to_jsonable()),
     }
     reports["_k2_elapsed"] = json.dumps(k2_elapsed)  # timing kept out of c5's report
     return reports

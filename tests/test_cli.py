@@ -5,6 +5,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -399,9 +402,10 @@ class TestStreamedJson:
 
 
 #: sha256 of the --format json file that each oracle_sweep benchmark command
-#: writes.  The acceptance digests pin SweepReport.to_json(); these pin the
-#: CLI's own layout of the same report, one row per line.  Change them only
-#: when a change of output is intended.
+#: writes.  The acceptance digests pin the compact canonical JSON of
+#: SweepReport.to_jsonable(); these pin the CLI's own layout of the same
+#: report, one row per line.  Change them only when a change of output is
+#: intended.
 SWEEP_JSON_SHA256 = {
     ("40", "3,4,5"): "c56d9f1fc8d33f791fc365d77aa167f08c1f3ab60f35076bc049b9ef6bde1368",
     ("32", "6"): "6c58d126e83f4763b7db1e2beabdb39c30fc9de5c19e032eb69b516233442d2f",
@@ -432,6 +436,17 @@ class TestSweepCommands:
         )
         assert code == 3
         assert "budget" in out
+
+    def test_thousand_part_box_exits_three_without_a_traceback(self):
+        # a run cut off by its budget exits 3; a crash would print a traceback and exit 1
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "equipart.cli", "sweep", "--nmax", "2000", "--k", "1000",
+             "--budget", "10"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (3, "")
+        assert "unresolved rows (budget exhausted): 1" in proc.stdout
 
     def test_json_report(self, capsys):
         code, payload = run_json(capsys, "sweep", "--nmax", "8", "--k", "4,3", "--min-part", "2")

@@ -12,15 +12,13 @@ from equipart.core import (
     Instance,
     Partition,
     deviation,
-    implements,
-    is_equitable,
     magic_sum,
     swap,
     swap_delta,
 )
 from equipart.solver import solve_k2
 
-from helpers import hash_set_partition_blocks, random_cross_block_pair, random_partition
+from helpers import block_of, hash_set_partition_blocks, random_cross_block_pair, random_partition
 
 
 def part(n, *blocks):
@@ -96,7 +94,6 @@ class TestPartition:
         assert p.blocks == ((1, 2), (3, 4))
         assert p.sums == (3, 7)
         assert p.k == 2
-        assert p.block_of(3) == 1
 
     @pytest.mark.parametrize(
         "n,blocks",
@@ -128,11 +125,11 @@ class TestPartition:
         with pytest.raises(TypeError):
             Partition(n=4, blocks=((1, 2), (3, 4)), sums=(3, 8))
 
-    def test_implements(self):
+    def test_blocks_keep_their_slot_order(self):
+        # block i stays in slot i whatever its size: nothing re-sorts the blocks
         p = part(6, [4, 5, 6], [1, 2], [3])
-        assert implements(p, (1, 2, 3))
-        assert implements(p, (3, 2, 1))
-        assert not implements(p, (2, 2, 2))
+        assert tuple(map(len, p.blocks)) == (3, 2, 1)
+        assert p.sums == (15, 3, 3)
 
 
 #: A label as a caller may pass one: mostly ints near [1, n], some not ints at all.
@@ -275,8 +272,8 @@ class TestDeviation:
 
     def test_zero_iff_equitable(self):
         p = part(4, [1, 4], [2, 3])
-        assert is_equitable(p, 5)
-        assert not is_equitable(p, 4)
+        assert set(p.sums) == {5} and deviation(p, 5) == 0
+        assert set(p.sums) != {4} and deviation(p, 4) > 0
 
 
 class TestSwap:
@@ -302,33 +299,38 @@ class TestSwap:
         p = part(4, [1, 2], [3, 4])
         with pytest.raises(ValueError):
             swap(p, 3, 1)
-        with pytest.raises(ValueError):
-            swap(p, 1, 5)
+        for a, b in ((1, 5), (0, 3), (1.5, 3)):
+            with pytest.raises(ValueError, match="not in"):
+                swap(p, a, b)
+            with pytest.raises(ValueError, match="not in"):
+                swap_delta(p, a, b)
 
 
 class TestSwapDelta:
     def test_examples(self):
         p = part(4, [1, 2], [3, 4])
-        assert swap_delta(p, 1, 3, 5) == -8
+        assert swap_delta(p, 1, 3) == -8
         assert deviation(swap(p, 1, 3), 5) == deviation(p, 5) - 8
-        assert swap_delta(p, 2, 3, 5) == -6
+        assert swap_delta(p, 2, 3) == -6
         assert deviation(swap(p, 2, 3), 5) == deviation(p, 5) - 6
 
     def test_zero_delta_when_gap_matches_sum_difference(self):
         # b - a = 3 = S({3,4,5}) - S({1,2,6})
         p = part(6, [1, 2, 6], [3, 4, 5])
-        assert swap_delta(p, 1, 4, 7) == 0
+        assert swap_delta(p, 1, 4) == 0
         q = swap(p, 1, 4)
         assert deviation(q, 7) == deviation(p, 7)
         assert sorted(q.sums) == sorted(p.sums)
 
     def test_delta_independent_of_target(self):
         p = part(6, [1, 2, 6], [3, 4, 5])
-        assert swap_delta(p, 2, 3, 0) == swap_delta(p, 2, 3, 100)
+        q = swap(p, 2, 3)
+        for s in (0, 7, 100):
+            assert deviation(q, s) - deviation(p, s) == swap_delta(p, 2, 3)
 
 
-class TestEquivalent:
-    """Two partitions are equivalent when their block-sum multisets agree."""
+class TestBlockSumMultiset:
+    """Block-sum multisets, and the swaps that leave them as they are."""
 
     def test_examples(self):
         assert sorted(part(4, [1, 2], [3, 4]).sums) != sorted(part(4, [2, 3], [1, 4]).sums)
@@ -345,7 +347,7 @@ class TestEquivalent:
         p = part(6, [2, 5], [1, 3, 4], [6])
         q = swap(p, 2, 3)
         assert sorted(p.sums) == sorted(q.sums)
-        assert swap_delta(p, 2, 3, 6) == 0
+        assert swap_delta(p, 2, 3) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +369,12 @@ def partition_and_pair(draw):
 @given(partition_and_pair())
 def test_swap_delta_contract(data):
     p, a, b, s = data
-    delta = swap_delta(p, a, b, s)
+    delta = swap_delta(p, a, b)
     q = swap(p, a, b)
     assert deviation(q, s) == deviation(p, s) + delta
     # sign trichotomy against t - u
     t = b - a
-    u = p.sums[p.block_of(b)] - p.sums[p.block_of(a)]
+    u = p.sums[block_of(p, b)] - p.sums[block_of(p, a)]
     if t > u:
         assert delta > 0
     elif t == u:

@@ -21,8 +21,8 @@ class TestLabeling:
         p = part(8, [1, 8], [2, 7], [3, 6], [4, 5])
         g = labeling_from_partition(p)
         assert [len(b) for b in g.blocks] == [2, 2, 2, 2]
-        assert g.block_of(8) == 0
-        assert g.block_of(5) == 3
+        assert 8 in g.blocks[0]
+        assert 5 in g.blocks[3]
 
     def test_small(self):
         g = labeling_from_partition(part(3, [3], [1, 2]))

@@ -5,6 +5,7 @@ import functools
 import os
 import subprocess
 import sys
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -15,6 +16,8 @@ from equipart.lab import (
     enumerate_size_sequences,
     sweep,
 )
+
+from helpers import canon
 
 
 class TestEnumerateSizeSequences:
@@ -39,6 +42,23 @@ class TestEnumerateSizeSequences:
     def test_lexicographic_order(self):
         seqs = list(enumerate_size_sequences(12, 3, 1))
         assert seqs == sorted(seqs)
+
+    def test_matches_sorted_combinations(self):
+        # the reference: every multiset of k parts in [lo, n], in the order
+        # combinations_with_replacement draws them, kept when it sums to n
+        for n in range(1, 19):
+            for k in range(1, 7):
+                for min_part in range(4):
+                    lo = max(min_part, 1)
+                    expected = [c for c in combinations_with_replacement(range(lo, n + 1), k)
+                                if sum(c) == n]
+                    assert list(enumerate_size_sequences(n, k, min_part)) == expected
+
+    def test_thousands_of_parts(self):
+        # one stack frame per part overflowed the interpreter's stack near k = 1000
+        assert list(enumerate_size_sequences(3000, 1500, 2)) == [(2,) * 1500]
+        seqs = list(enumerate_size_sequences(3002, 1500, 2))
+        assert seqs == [(2,) * 1499 + (4,), (2,) * 1498 + (3, 3)]
 
     def test_invalid_bounds(self):
         # a float or bool n, k or min_part is rejected, not fed to range()
@@ -88,13 +108,13 @@ class TestSweep:
         assert report.budget_rows == report.totals["budget"]
 
     def test_byte_identical_reports(self):
-        a = sweep(12, {2, 3}, 2).to_json()
-        b = sweep(12, {2, 3}, 2).to_json()
+        a = canon(sweep(12, {2, 3}, 2).to_jsonable())
+        b = canon(sweep(12, {2, 3}, 2).to_jsonable())
         assert a == b
 
     def test_workers_do_not_change_output(self):
-        serial = sweep(10, {2, 3}, 2, workers=1).to_json()
-        parallel = sweep(10, {2, 3}, 2, workers=2).to_json()
+        serial = canon(sweep(10, {2, 3}, 2, workers=1).to_jsonable())
+        parallel = canon(sweep(10, {2, 3}, 2, workers=2).to_jsonable())
         assert serial == parallel
 
     @pytest.mark.parametrize("cpus,expected", [(2, [2]), (1, []), (None, [])])
@@ -121,7 +141,7 @@ class TestSweep:
         monkeypatch.setattr(lab.os, "cpu_count", lambda: cpus)
         report = sweep(10, {2, 3}, 2, workers=10_000)
         assert requested == expected
-        assert report.to_json() == sweep(10, {2, 3}, 2).to_json()
+        assert canon(report.to_jsonable()) == canon(sweep(10, {2, 3}, 2).to_jsonable())
 
     def test_cli_import_leaves_multiprocessing_unloaded(self):
         # a serial run pays nothing for the worker pool it never starts
@@ -194,7 +214,7 @@ class TestToJsonable:
     @SMALL_REPORTS
     def test_edits_leave_the_report_alone(self, make):
         report = make()
-        before = report.to_json()
+        before = canon(report.to_jsonable())
         payload = report.to_jsonable()
         for key in ("config", "totals"):
             payload[key]["extra"] = 1
@@ -204,7 +224,7 @@ class TestToJsonable:
         for row in payload["rows"] + payload["mismatches"]:
             row["agree"] = None
         payload["rows"].clear()
-        assert report.to_json() == before
+        assert canon(report.to_jsonable()) == before
 
 
 class TestCheckSymmetric:
