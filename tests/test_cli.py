@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -468,6 +469,120 @@ class TestSweepCommands:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["totals"]["rows"] == 1
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_command_lines():
+    """The README's `equipart ...` lines with no pipe, trailing comments dropped."""
+    with open(README, encoding="utf-8") as handle:
+        lines = [line.split("#")[0].strip() for line in handle if line.startswith("equipart ")]
+    return [line[len("equipart "):] for line in lines if "|" not in line]
+
+
+def _masked_sha256(out):
+    """sha256 of stdout with the one run-to-run figure, the elapsed seconds, masked."""
+    out = re.sub(r'("elapsed": |elapsed=)[0-9.e-]+', r"\1#", out)
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def _instance_lines(n, sizes):
+    return [f"{command} --n {n} --sizes {sizes}{fmt}"
+            for command in ("check", "solve", "label") for fmt in ("", " --format json")]
+
+
+#: Exit code and masked stdout sha256 of each command line: the README's lines
+#: that need no pipe, then check, solve and label in text and JSON on the
+#: size-one route (7; 1,2,2,2), the size-one verdict (9; 1,2,6) and a prefix
+#: condition that first fails at j = 4 (15; 2,2,2,2,7).  Change them only
+#: when a change of output is intended.
+GOLDEN_STDOUT = {
+    "check --n 12 --k 3 --sizes 2,2,8": (
+        1, "3f052965be80fb3e4bfed954f84d91e3928c4d0ec47298edb21f9b196872e84a"),
+    "solve --n 8 --k 4 --sizes 2,2,2,2 --format json": (
+        0, "4dd59ddbd82ddec42d8dda41566c5659ea8c7b28b5a595bb2e0d29d758ecd8a3"),
+    "solve --n 20 --k 5 --sizes 3,4,4,4,5": (
+        0, "d5b85e01199db43feb952b3f2b17bb524244c81d2bfa42a99ba3a0e29bfbade2"),
+    "solve --n 32 --k 4 --sizes 5,7,9,11 --exact-budget 10": (
+        3, "42615396908cc4e0046cb29961b5299aa57c776f89139e025310806901aa8c21"),
+    "label --n 7 --k 4 --sizes 1,2,2,2": (
+        0, "30329e219bf5fe98b2d7bda41658ee7ad773cc68b16a335b759c79d4e9b4314d"),
+    "sweep --nmax 20 --k 2,3,4 --min-part 2 --workers 4": (
+        0, "7d12b937ecc532b529ac99fc50aa79837c467aca71bc4e6b0b9a017f47fb2237"),
+    "sweep --nmax 32 --k 6 --budget 250000": (
+        0, "9b91b84182faf4bda55bd071bc7a2992c661529640ddbfb949aea4d5fd8ba059"),
+    "symmetric --max-total 21": (
+        0, "95bd171f41fecdbb1aaa73a645da9f923405feb615f0df5443dae9f20e90f19d"),
+    "check --n 7 --sizes 1,2,2,2": (
+        0, "4e032a418245a656294d1334e390728a1c8eb8a003d66462a8d95f1ae5ad69e8"),
+    "check --n 7 --sizes 1,2,2,2 --format json": (
+        0, "35b616fc749fe1e294b30157fee4dab6bd1d4a59995f67ecb651965f6073a9a2"),
+    "solve --n 7 --sizes 1,2,2,2": (
+        0, "8fc84eacd24ec82ae28592ef8be1d0f1306a0a8342d53d22f8a9ef1efbfebd2d"),
+    "solve --n 7 --sizes 1,2,2,2 --format json": (
+        0, "19e495c695d42323627302d177debbf3f5e731562f7da166fb1e9f2ac53d9247"),
+    "label --n 7 --sizes 1,2,2,2": (
+        0, "30329e219bf5fe98b2d7bda41658ee7ad773cc68b16a335b759c79d4e9b4314d"),
+    "label --n 7 --sizes 1,2,2,2 --format json": (
+        0, "19e495c695d42323627302d177debbf3f5e731562f7da166fb1e9f2ac53d9247"),
+    "check --n 9 --sizes 1,2,6": (
+        1, "7174ef04e4a096f51d261c9afb3239d9195ed3430aad0df176013e76205852fc"),
+    "check --n 9 --sizes 1,2,6 --format json": (
+        1, "1496a424f6ff886c7691137db6d61c191703583d49dca94d9306157d4d1046b7"),
+    "solve --n 9 --sizes 1,2,6": (
+        1, "52fab39e6fe189ae60b71e6214cf662599f4493988596824f65ce80b82f1d310"),
+    "solve --n 9 --sizes 1,2,6 --format json": (
+        1, "db06a59312c2e04f02a2ed9116290f8e41fdbcd77f3fc388a9ea2c0d3c028035"),
+    "label --n 9 --sizes 1,2,6": (
+        1, "96c47d3f4b3cc0e5f594cc4ac975ba231f2188e06f3db4c22896caa8b722e13d"),
+    "label --n 9 --sizes 1,2,6 --format json": (
+        1, "db06a59312c2e04f02a2ed9116290f8e41fdbcd77f3fc388a9ea2c0d3c028035"),
+    "check --n 15 --sizes 2,2,2,2,7": (
+        1, "7db6df4559da9b20282fef8df5dd3ed7338ffec197a75a48fff69c0704d243ff"),
+    "check --n 15 --sizes 2,2,2,2,7 --format json": (
+        1, "ea260fac2fecede698bfa8482216d8b595341e8b53fd3cd7da2e5fdfc46e7a75"),
+    "solve --n 15 --sizes 2,2,2,2,7": (
+        1, "fe6e8a11e9bbbfec78888fe305ac533400885bc8344ca7343a5dbfb76804e935"),
+    "solve --n 15 --sizes 2,2,2,2,7 --format json": (
+        1, "33ce4c55dd7ca4a6ca75797a8e147c27d0e6af8cb6a853b161e4cd97c469e43d"),
+    "label --n 15 --sizes 2,2,2,2,7": (
+        1, "ec5d29775d3df23c9dc4011f606c31302f116a53239b247750d681fb754541b7"),
+    "label --n 15 --sizes 2,2,2,2,7 --format json": (
+        1, "33ce4c55dd7ca4a6ca75797a8e147c27d0e6af8cb6a853b161e4cd97c469e43d"),
+}
+
+#: The same pins for verify and verify --closed of `solve --n 7 --sizes 1,2,2,2`.
+GOLDEN_VERIFY = {
+    "": (
+        0, "b67e116cb058b157da41446719f4f0eeae68767bfcab751857c30854b14c5823"),
+    "--closed": (
+        0, "84da4def2e611e2f81aacad4e7921896564befb40826937f7cf55c7a815326bd"),
+    "--format json": (
+        0, "36d558957f7cdb233d15c313f6a721f28e10800081552cb93a8920092b08ab77"),
+    "--closed --format json": (
+        0, "76d08805b64093ebb765c2f5916a244fb4af3f61ffb5f6b8ebacf35255936401"),
+}
+
+
+class TestGoldenOutput:
+    def test_every_readme_line_is_pinned(self):
+        assert set(_readme_command_lines()) <= set(GOLDEN_STDOUT)
+
+    @pytest.mark.parametrize("line", list(GOLDEN_STDOUT))
+    def test_stdout_bytes(self, capsys, line):
+        code, out, err = run_cli(capsys, *line.split())
+        assert err == ""
+        assert (code, _masked_sha256(out)) == GOLDEN_STDOUT[line]
+
+    @pytest.mark.parametrize("flags", list(GOLDEN_VERIFY))
+    def test_verify_bytes(self, capsys, tmp_path, flags):
+        path = tmp_path / "solved.json"
+        run_cli(capsys, "solve", "--n", "7", "--sizes", "1,2,2,2", "--format", "json",
+                "-o", str(path))
+        code, out, err = run_cli(capsys, "verify", "--input", str(path), *flags.split())
+        assert err == ""
+        assert (code, _masked_sha256(out)) == GOLDEN_VERIFY[flags]
 
 
 json_values = st.recursive(
