@@ -21,7 +21,6 @@ from .feasibility import (
     FeasibilityStatus,
     Verdict,
     feasibility,
-    necessary_condition,
     prefix_top_sum,
 )
 from .graphs import (
@@ -46,7 +45,6 @@ from .solver import (
     solve,
     solve_exact,
     solve_k2,
-    solve_p1_eq_1,
 )
 
 __all__ = [
@@ -59,7 +57,6 @@ __all__ = [
     "FeasibilityStatus",
     "Verdict",
     "feasibility",
-    "necessary_condition",
     "prefix_top_sum",
     "MagicCheck",
     "labeling_from_partition",
@@ -78,7 +75,6 @@ __all__ = [
     "solve",
     "solve_exact",
     "solve_k2",
-    "solve_p1_eq_1",
 ]
 
 __version__ = "0.1.0"

@@ -98,7 +98,7 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], text: Callable[[], 
 def _verdict_detail(inst: Instance, verdict: Verdict) -> dict[str, Any] | None:
     if verdict.status is FeasibilityStatus.INFEASIBLE_CONDITION:
         j = verdict.failing_index
-        lhs = prefix_top_sum(inst.n, inst.prefix_sums[j - 1])
+        lhs = prefix_top_sum(inst.n, sum(inst.sizes[:j]))
         return {"failing_index": j, "prefix_sum": lhs, "required": j * verdict.s}
     if verdict.status is FeasibilityStatus.INFEASIBLE_SIZE_ONE:
         return {"reason": verdict.reason}
@@ -159,16 +159,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_NEGATIVE
 
 
-def _search_params(args: argparse.Namespace) -> SearchParams:
-    return SearchParams(
-        seed=args.seed,
-        max_restarts=args.max_restarts,
-        exact_node_budget=args.exact_budget,
-    )
-
-
 def _solve_payload(args: argparse.Namespace, inst: Instance) -> tuple[dict[str, Any], int]:
-    result = solve(inst, _search_params(args))
+    result = solve(inst, SearchParams(
+        seed=args.seed, max_restarts=args.max_restarts, exact_node_budget=args.exact_budget))
     payload = _base_payload(inst.n, inst.sizes)
     payload["status"] = result.status.value
     payload["stats"] = {

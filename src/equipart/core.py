@@ -114,16 +114,6 @@ class Instance:
     def k(self) -> int:
         return len(self.sizes)
 
-    @property
-    def prefix_sums(self) -> tuple[int, ...]:
-        """P_j = p_1 + ... + p_j for j = 1..k."""
-        out = []
-        acc = 0
-        for p in self.sizes:
-            acc += p
-            out.append(acc)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -216,13 +206,15 @@ def swap_delta(p: Partition, a: int, b: int) -> int:
 
 
 def _cross_blocks(p: Partition, a: int, b: int) -> tuple[int, int]:
-    """Blocks of a and b, which must satisfy a < b and lie in distinct blocks."""
-    if a >= b:
-        raise ValueError(f"expected a < b, got a={a}, b={b}")
+    """Blocks of a and b, int labels that must satisfy a < b and lie in distinct blocks."""
     ia, ib = (next((i for i, block in enumerate(p.blocks) if x in block), None) for x in (a, b))
     for x, i in ((a, ia), (b, ib)):
         if i is None:
-            raise ValueError(f"label {x} not in [1, {p.n}]")
+            raise ValueError(f"label {x!r} not in [1, {p.n}]")
+    if not _all_ints((a, b)):  # 1.0 or True finds label 1's block by ==
+        raise ValueError("labels must be integers")
+    if a >= b:
+        raise ValueError(f"expected a < b, got a={a}, b={b}")
     if ia == ib:
         raise ValueError(f"{a} and {b} are both in block {ia}")
     return ia, ib

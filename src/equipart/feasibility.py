@@ -60,10 +60,6 @@ class Verdict:
     def predicts_feasible(self) -> bool:
         return self.status in _POSITIVE
 
-    @property
-    def infeasible(self) -> bool:
-        return not self.predicts_feasible
-
 
 def prefix_top_sum(n: int, P: int) -> int:
     """Sum of the P largest elements of [n]: P*n - P(P-1)/2.
@@ -116,11 +112,6 @@ def condition_failing_index(inst: Instance) -> int | None:
     """
     s = _integral_magic_sum(inst.n, inst.k)
     return _failing_prefix(inst.sizes, [s] * inst.k, inst.n)
-
-
-def necessary_condition(inst: Instance) -> bool:
-    """True iff every prefix of blocks could be filled from the top of [n]."""
-    return condition_failing_index(inst) is None
 
 
 def _size_one_verdict(inst: Instance, s: int) -> Verdict:

@@ -1,6 +1,6 @@
 """Solvers producing equitable partitions of [n].
 
-Three routes, picked by the pipeline in solve().  Each takes the Instance
+Two solvers, picked by the pipeline in solve().  Each takes the Instance
 and answers in its size slots, block i of size inst.sizes[i]:
 
 * a complete backtracking oracle (solve_exact) assigning elements from n
@@ -16,9 +16,11 @@ and answers in its size slots, block i of size inst.sizes[i]:
   with twice the cutoff before it, the last on all that is left of the
   node budget;
 * a closed-form constructor for k = 2 (solve_k2) realizing the endpoint
-  of the adjacent-exchange sliding sequence;
-* the size-one constructor ({n} plus pairs {i, n-i}) for sizes
-  (1, 2, ..., 2).
+  of the adjacent-exchange sliding sequence.
+
+solve() builds the other two answers itself: [n] for k = 1, and {n} plus
+the pairs {i, n - i} for the sizes (1, 2, ..., 2) the size-one verdict
+passes.
 
 One budget bounds the nodes of all search runs together, so it bounds
 all of a k >= 3 solve's work, and the last run keeps all of it that is
@@ -37,7 +39,13 @@ from enum import Enum
 from itertools import chain
 
 from .core import Instance, Partition, _all_ints, _check_count, _integral_magic_sum
-from .feasibility import Verdict, _failing_prefix, feasibility, necessary_condition
+from .feasibility import (
+    Verdict,
+    _failing_prefix,
+    condition_failing_index,
+    feasibility,
+    prefix_top_sum,
+)
 
 #: Exact-search node budget used when callers do not supply one.
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -203,24 +211,12 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     blocks: list[list[int]] = [[] for _ in range(k)]
     for x in range(1, n + 1):
         blocks[order[tried[x]]].append(x)
+    # Block i holds sizes[i] labels, ascending, and sizes never decreases: this
+    # keeps the slot order and orders each equal-size run by least element.
+    blocks.sort(key=lambda b: (len(b), b[0]))
     return ExactResult(
-        status=ExactStatus.FOUND,
-        partition=Partition.from_blocks(n, _order_equal_size_runs(sizes, blocks)),
-        nodes=nodes,
+        status=ExactStatus.FOUND, partition=Partition.from_blocks(n, blocks), nodes=nodes
     )
-
-
-def _order_equal_size_runs(
-    sizes: tuple[int, ...], blocks: list[list[int]]
-) -> list[list[int]]:
-    """Within each run of equal sizes, order blocks by least element."""
-    out: list[list[int]] = []
-    start = 0
-    for end in range(1, len(sizes) + 1):
-        if end == len(sizes) or sizes[end] != sizes[start]:
-            out.extend(sorted(blocks[start:end], key=min))
-            start = end
-    return out
 
 
 def solve_k2(inst: Instance) -> Partition:
@@ -241,10 +237,8 @@ def solve_k2(inst: Instance) -> Partition:
     p1 = inst.sizes[0]
     if p1 < 2:
         raise ValueError("solve_k2 requires the smaller block size >= 2")
-    if not necessary_condition(inst):
-        raise ValueError(
-            f"top-{p1} sum {inst.n * p1 - p1 * (p1 - 1) // 2} cannot reach {s}"
-        )
+    if condition_failing_index(inst) is not None:
+        raise ValueError(f"top-{p1} sum {prefix_top_sum(inst.n, p1)} cannot reach {s}")
     n = inst.n
     deficit = s - p1 * (p1 + 1) // 2
     gain = n - p1
@@ -264,24 +258,12 @@ def solve_k2(inst: Instance) -> Partition:
     return p
 
 
-def solve_p1_eq_1(inst: Instance) -> Partition:
-    """{n} plus the pairs {i, n-i}: every block sums to n."""
-    if inst.sizes != (1,) + (2,) * (inst.k - 1) or inst.k != (inst.n + 1) // 2:
-        raise ValueError(
-            f"size-one construction needs sizes (1, 2, ..., 2) with "
-            f"k=(n+1)/2, got n={inst.n}, sizes={inst.sizes}"
-        )
-    n = inst.n
-    blocks: list[list[int]] = [[n]]
-    blocks.extend([i, n - i] for i in range(1, (n - 1) // 2 + 1))
-    return Partition.from_blocks(n, blocks)
-
-
 def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
     """Feasibility verdict, then the cheapest applicable solving route.
 
-    Constructive routes handle k = 1, the size-one rule, and k = 2.  Other
-    instances go to the exact search: 1 + params.max_restarts runs of
+    Constructive routes handle k = 1, the size-one rule ({n} and the pairs
+    {i, n - i}, once the verdict has passed the sizes) and k = 2 (solve_k2).
+    Other instances go to the exact search: 1 + params.max_restarts runs of
     solve_exact, run r cut off at 4n max(1, k // 4) 2^r nodes and the last
     at all that is left of the one exact_node_budget.  Run 0 tries the
     blocks in index order; each later run shuffles the order with
@@ -315,15 +297,17 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
         stats.elapsed = time.perf_counter() - start_time
         return SolveResult(status=status, partition=partition, verdict=verdict, stats=stats)
 
-    if verdict.infeasible:
+    if not verdict.predicts_feasible:
         return finish(SolveStatus.PROVEN_INFEASIBLE, None)
     if verdict.s is None:
         raise RuntimeError(f"feasible verdict without a magic sum: {verdict}")
 
     if inst.k == 1:
         return finish(SolveStatus.SOLVED, Partition.from_blocks(inst.n, [range(1, inst.n + 1)]))
-    if inst.sizes[0] == 1:
-        return finish(SolveStatus.SOLVED, solve_p1_eq_1(inst))
+    if inst.sizes[0] == 1:  # the verdict passed sizes (1, 2, ..., 2) with s = n
+        n = inst.n
+        pairs = ([i, n - i] for i in range(1, (n - 1) // 2 + 1))
+        return finish(SolveStatus.SOLVED, Partition.from_blocks(n, chain([[n]], pairs)))
     if inst.k == 2:
         return finish(SolveStatus.SOLVED, solve_k2(inst))
 

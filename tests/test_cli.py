@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -167,7 +168,8 @@ class TestSolve:
 
     def test_search_defaults_are_search_params(self):
         args = cli.build_parser().parse_args(["solve", "--n", "5", "--sizes", "5"])
-        assert cli._search_params(args) == solver.SearchParams()
+        assert (args.seed, args.max_restarts, args.exact_budget) == dataclasses.astuple(
+            solver.SearchParams())
 
     def test_stats_count_search_restarts(self, capsys):
         # index order spends its 4n = 80 nodes, and restart 1 finds a witness
@@ -485,11 +487,6 @@ def _masked_sha256(out):
     """sha256 of stdout with the one run-to-run figure, the elapsed seconds, masked."""
     out = re.sub(r'("elapsed": |elapsed=)[0-9.e-]+', r"\1#", out)
     return hashlib.sha256(out.encode()).hexdigest()
-
-
-def _instance_lines(n, sizes):
-    return [f"{command} --n {n} --sizes {sizes}{fmt}"
-            for command in ("check", "solve", "label") for fmt in ("", " --format json")]
 
 
 #: Exit code and masked stdout sha256 of each command line: the README's lines

@@ -60,7 +60,6 @@ class TestInstance:
     def test_valid(self):
         inst = Instance(n=8, sizes=(2, 2, 2, 2))
         assert inst.k == 4
-        assert inst.prefix_sums == (2, 4, 6, 8)
 
     def test_from_sizes_normalizes_order(self):
         inst = Instance.from_sizes(9, [4, 2, 3])
@@ -299,7 +298,7 @@ class TestSwap:
         p = part(4, [1, 2], [3, 4])
         with pytest.raises(ValueError):
             swap(p, 3, 1)
-        for a, b in ((1, 5), (0, 3), (1.5, 3)):
+        for a, b in ((1, 5), (0, 3), (1.5, 3), ("1", 3), (None, 3)):
             with pytest.raises(ValueError, match="not in"):
                 swap(p, a, b)
             with pytest.raises(ValueError, match="not in"):
@@ -327,6 +326,13 @@ class TestSwapDelta:
         q = swap(p, 2, 3)
         for s in (0, 7, 100):
             assert deviation(q, s) - deviation(p, s) == swap_delta(p, 2, 3)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 3), (True, 3), (1, 3.0)])
+    @pytest.mark.parametrize("exchange", [swap, swap_delta])
+    def test_label_equal_to_an_int_is_not_one(self, exchange, a, b):
+        # 1.0 == 1 and True == 1 find label 1's block; neither is a label
+        with pytest.raises(ValueError, match="labels must be integers"):
+            exchange(part(4, [1, 2], [3, 4]), a, b)
 
 
 class TestBlockSumMultiset:

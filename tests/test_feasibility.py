@@ -1,6 +1,7 @@
 """Feasibility pipeline: divisibility, size-one rule, prefix condition."""
 
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from equipart.feasibility import (
     _failing_prefix,
     condition_failing_index,
     feasibility,
-    necessary_condition,
     prefix_top_sum,
 )
 from equipart.lab import _box, enumerate_size_sequences
@@ -46,9 +46,9 @@ class TestPrefixTopSum:
 
 class TestNecessaryCondition:
     def test_examples(self):
-        assert necessary_condition(Instance.from_sizes(8, [2, 2, 2, 2]))
-        assert not necessary_condition(Instance.from_sizes(12, [2, 2, 8]))
-        assert necessary_condition(Instance.from_sizes(9, [2, 3, 4]))
+        assert condition_failing_index(Instance.from_sizes(8, [2, 2, 2, 2])) is None
+        assert condition_failing_index(Instance.from_sizes(12, [2, 2, 8])) is not None
+        assert condition_failing_index(Instance.from_sizes(9, [2, 3, 4])) is None
 
     def test_smallest_failing_index_reported(self):
         assert condition_failing_index(Instance.from_sizes(12, [2, 2, 8])) == 1
@@ -59,7 +59,7 @@ class TestNecessaryCondition:
 
     def test_requires_integral_magic_sum(self):
         with pytest.raises(ValueError):
-            necessary_condition(Instance.from_sizes(6, [1, 1, 2, 2]))
+            condition_failing_index(Instance.from_sizes(6, [1, 1, 2, 2]))
 
     def test_last_index_is_always_equality(self):
         for n in range(1, 25):
@@ -80,9 +80,9 @@ class TestNecessaryCondition:
             s = magic_sum(inst.n, inst.k)
             by_prefix = all(
                 prefix_top_sum(inst.n, P) >= j * s
-                for j, P in enumerate(inst.prefix_sums, start=1)
+                for j, P in enumerate(accumulate(inst.sizes), start=1)
             )
-            assert by_prefix == necessary_condition(inst)
+            assert by_prefix == (condition_failing_index(inst) is None)
 
 
 class TestUnionBound:

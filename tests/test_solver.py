@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import equipart
 from equipart.core import Instance, Partition, magic_sum
-from equipart.feasibility import FeasibilityStatus, feasibility, necessary_condition
+from equipart.feasibility import FeasibilityStatus, condition_failing_index, feasibility
 from equipart.lab import _box, enumerate_size_sequences
 from equipart.solver import (
     ExactStatus,
@@ -24,7 +24,6 @@ from equipart.solver import (
     solve,
     solve_exact,
     solve_k2,
-    solve_p1_eq_1,
 )
 
 from helpers import (
@@ -52,7 +51,7 @@ SOLVE_BOX_SHA256 = "08b2ff39d2e09fe56b70ec967148489ff72753718a5cdc1f524fb3296699
 EXACT_BOX_SHA256 = "7a799a59b90408445f61acdcb44ad0341faa12943c4eaa88cda73c3b164b932d"
 
 #: sha256 over json.dumps([n, sizes, blocks]) of solve_k2(inst) for every
-#: k = 2 instance that passes necessary_condition with p_1 >= 2 and n <= 300,
+#: k = 2 instance that passes the prefix condition with p_1 >= 2 and n <= 300,
 #: then for four p_1 at each of n = 99,999, 100,000, 100,003 (the two
 #: smallest feasible, n // 3 and n // 2), one update per instance.  It pins
 #: the construction's blocks; change it only when a change of blocks is
@@ -187,7 +186,8 @@ class TestSolveExact:
                 assert res.nodes == 0, inst
                 assert solve_exact(inst, budget=0) == res, inst
             if inst.k <= 4:
-                assert (res.status is ExactStatus.NOT_FOUND) == feasibility(inst).infeasible, inst
+                found = res.status is not ExactStatus.NOT_FOUND
+                assert found == feasibility(inst).predicts_feasible, inst
         assert total <= 250_000
 
     @pytest.mark.parametrize("budget", [-1, -5, 10.5, 10.0, True, None])
@@ -276,7 +276,7 @@ class TestSolveK2:
                 continue
             for p1 in range(2, n // 2 + 1):
                 inst = Instance.from_sizes(n, [p1, n - p1])
-                if not necessary_condition(inst):
+                if condition_failing_index(inst) is not None:
                     continue
                 p = solve_k2(inst)
                 assert list(p.blocks[0]) == sorted(k2_greedy_trace(n, p1, s))
@@ -298,15 +298,15 @@ class TestSolveK2:
                 for p1 in range(2, n // 2 + 1):
                     yield n, p1
             for n in (99_999, 100_000, 100_003):
-                feasible = [p1 for p1 in range(2, n // 2 + 1)
-                            if necessary_condition(Instance.from_sizes(n, [p1, n - p1]))]
+                feasible = [p1 for p1 in range(2, n // 2 + 1) if condition_failing_index(
+                    Instance.from_sizes(n, [p1, n - p1])) is None]
                 yield from ((n, p1) for p1 in (feasible[0], feasible[1], n // 3, n // 2))
 
         digest = hashlib.sha256()
         rows = 0
         for n, p1 in box():
             inst = Instance.from_sizes(n, [p1, n - p1])
-            if magic_sum(n, 2) is None or not necessary_condition(inst):
+            if magic_sum(n, 2) is None or condition_failing_index(inst) is not None:
                 continue
             digest.update(json.dumps([n, inst.sizes, solve_k2(inst).blocks]).encode())
             rows += 1
@@ -321,36 +321,39 @@ class TestSolveK2:
                 continue
             for p1 in (max(2, n // 3), n // 2):
                 inst = Instance.from_sizes(n, [p1, n - p1])
-                if not necessary_condition(inst):
+                if condition_failing_index(inst) is not None:
                     continue
                 p = solve_k2(inst)
                 assert Partition.from_blocks(n, p.blocks) == p
 
 
-class TestSolveP1Eq1:
+class TestSizeOneRoute:
     def test_examples(self):
-        assert solve_p1_eq_1(Instance.from_sizes(7, [1, 2, 2, 2])).blocks == (
+        assert solve(Instance.from_sizes(7, [1, 2, 2, 2])).partition.blocks == (
             (7,),
             (1, 6),
             (2, 5),
             (3, 4),
         )
-        assert solve_p1_eq_1(Instance.from_sizes(5, [1, 2, 2])).blocks == (
+        assert solve(Instance.from_sizes(5, [1, 2, 2])).partition.blocks == (
             (5,),
             (1, 4),
             (2, 3),
         )
-        assert solve_p1_eq_1(Instance.from_sizes(3, [1, 2])).blocks == ((3,), (1, 2))
+        assert solve(Instance.from_sizes(3, [1, 2])).partition.blocks == ((3,), (1, 2))
 
     def test_every_block_sums_to_n(self):
-        for n in range(1, 40, 2):
-            inst = Instance.from_sizes(n, [1] + [2] * ((n - 1) // 2))
-            p = solve_p1_eq_1(inst)
-            assert all(t == n for t in p.sums)
+        for n in [*range(1, 40, 2), 100_001]:
+            res = solve(Instance.from_sizes(n, [1] + [2] * ((n - 1) // 2)))
+            assert res.status is SolveStatus.SOLVED
+            assert res.stats.nodes == 0
+            assert res.partition.blocks[0] == (n,)
+            assert all(t == n for t in res.partition.sums)
 
     def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError):
-            solve_p1_eq_1(Instance.from_sizes(9, [1, 2, 6]))
+        res = solve(Instance.from_sizes(9, [1, 2, 6]))
+        assert res.status is SolveStatus.PROVEN_INFEASIBLE
+        assert res.verdict.status is FeasibilityStatus.INFEASIBLE_SIZE_ONE
 
 
 class TestSolveDigests:
@@ -515,13 +518,13 @@ class TestSolve:
             solve(Instance.from_sizes(4, [2, 2]))
 
     def test_blocks_out_of_slot_order_raise(self, monkeypatch):
-        # equitable, but slot 0 holds a pair where the size-one block belongs
+        # equitable, but slot 0 holds the size-4 block where the size-3 one belongs
         monkeypatch.setattr(
-            "equipart.solver.solve_p1_eq_1",
-            lambda inst: Partition.from_blocks(7, [[3, 4], [2, 5], [1, 6], [7]]),
+            "equipart.solver.solve_k2",
+            lambda inst: Partition.from_blocks(7, [[2, 3, 4, 5], [1, 6, 7]]),
         )
         with pytest.raises(RuntimeError):
-            solve(Instance.from_sizes(7, [1, 2, 2, 2]))
+            solve(Instance.from_sizes(7, [3, 4]))
 
     def test_non_equitable_output_raises_under_optimize(self):
         script = textwrap.dedent(
@@ -571,7 +574,7 @@ def test_condition_equivalent_to_oracle_for_k_le_4(n, k, data):
     sizes = data.draw(st.sampled_from(sequences))
     inst = Instance(n=n, sizes=sizes)
     res = solve_exact(inst, budget=BIG_BUDGET)
-    assert (res.status is ExactStatus.FOUND) == necessary_condition(inst)
+    assert (res.status is ExactStatus.FOUND) == (condition_failing_index(inst) is None)
 
 
 def _assert_solved_in_slot_order(inst: Instance) -> None:
