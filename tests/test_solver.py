@@ -18,6 +18,7 @@ from equipart.core import Instance, Partition, magic_sum
 from equipart.feasibility import FeasibilityStatus, condition_failing_index, feasibility
 from equipart.lab import _box, enumerate_size_sequences
 from equipart.solver import (
+    ExactResult,
     ExactStatus,
     SearchParams,
     SolveStatus,
@@ -72,6 +73,24 @@ STALL_CORPUS = (
 #: answers and node counts at n > 100, beyond SOLVE_BOX_SHA256's n <= 40.
 STALL_CORPUS_SHA256 = "b752cba8d32d955410700cc6592acbd2f5f7888f3f7117cb43aaa8f9fa8440b0"
 
+#: (n, sizes, status, nodes, search_restarts, sha256 of json.dumps(blocks)) of
+#: solve(inst) at n near 10^4, k = 3, 4, 5: for each k a balanced instance,
+#: then one pushed onto the prefix-condition boundary.  Each solves in run 0.
+LARGE_N_SOLVES = (
+    (9999, (2000, 3000, 4999), "solved", 22997, 0,
+     "f15c098f225562166c8f8a40a6de9f012582e3070e0508b6a71be8cd762933bb"),
+    (9999, (1835, 3000, 5164), "solved", 15633, 0,
+     "9846d3e3bdcda6074d479e770d3bffba662093be2fd2ec2060c4fce08530ce10"),
+    (10000, (1500, 2000, 2500, 4000), "solved", 29000, 0,
+     "ffb728ecae85c7ee345043a9c477694efa770fe53d4cff7eb73db0ac3252ab98"),
+    (10000, (1340, 2000, 2500, 4160), "solved", 22440, 0,
+     "abf0bfa5ee9e85e8386264d1e8ff77131cfcd62b6842c79496c46c533d39a78d"),
+    (10000, (1200, 1800, 2000, 2200, 2800), "solved", 33600, 0,
+     "f048c7b52011b175fb85d853be424a3304cc6b08396b8293d8aaba6a2c81f42e"),
+    (10000, (1056, 1800, 2000, 2200, 2944), "solved", 27192, 0,
+     "e5c0d74d6b1bb5bbbbe3e0fd417c9fe1e5119725974cf6633484b00d8734fc9d"),
+)
+
 class TestSearchParams:
     def test_fields(self):
         # the exact search is bounded by its node budget alone, not by a size cutoff
@@ -125,7 +144,25 @@ class TestSolveExact:
         res = solve_exact(Instance.from_sizes(16, [4, 4, 4, 4]), budget=3)
         assert res.status is ExactStatus.BUDGET
         assert res.partition is None
-        assert res.nodes >= 3
+        assert res.nodes == 4
+
+    @pytest.mark.parametrize("n, sizes, nodes", [
+        (15, (3, 5, 7), 24),
+        (16, (4, 4, 4, 4), 40),
+        (24, (4, 5, 6, 9), 63),
+        (20, (3, 4, 4, 4, 5), 138),
+    ])
+    def test_every_budget_below_the_witness_reports_budget_plus_one(self, n, sizes, nodes):
+        # Every child the search tries is a node, whether it is placed or
+        # fails its bounds at once, so the witness's node count is pinned: a
+        # budget b cut anywhere before the witness reports b + 1, and that
+        # count itself is enough.
+        inst = Instance.from_sizes(n, sizes)
+        ref = solve_exact(inst, BIG_BUDGET)
+        assert ref.status is ExactStatus.FOUND and ref.nodes == nodes
+        for b in range(ref.nodes):
+            assert solve_exact(inst, b) == ExactResult(ExactStatus.BUDGET, None, b + 1)
+        assert solve_exact(inst, ref.nodes) == ref
 
     def test_requires_integral_magic_sum(self):
         with pytest.raises(ValueError):
@@ -379,6 +416,13 @@ class TestSolveDigests:
                 row = [n, sizes, res.status.value, blocks, 0, 0, res.stats.nodes]
                 digest.update(json.dumps(row).encode())
         assert digest.hexdigest() == STALL_CORPUS_SHA256
+
+    @pytest.mark.parametrize("n, sizes, status, nodes, restarts, blocks_sha256", LARGE_N_SOLVES)
+    def test_large_n_solves(self, n, sizes, status, nodes, restarts, blocks_sha256):
+        res = solve(Instance.from_sizes(n, sizes))
+        blocks = hashlib.sha256(json.dumps(res.partition.blocks).encode()).hexdigest()
+        assert (res.status.value, res.stats.nodes, res.stats.search_restarts, blocks) == (
+            status, nodes, restarts, blocks_sha256)
 
 
 class TestSolve:
