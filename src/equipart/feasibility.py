@@ -14,8 +14,9 @@ Verdicts are deterministic: a failing prefix condition reports the
 smallest failing index j.
 
 The prefix condition is checked by _failing_prefix, the bound on unions
-of blocks that the exact search in solver runs at every node: the
-condition is that bound at the root, where no label is placed yet.
+of blocks that the exact search in solver runs at the root and at every
+placed node with four or more open blocks: the condition is that bound
+at the root, where no label is placed yet.
 """
 
 from __future__ import annotations

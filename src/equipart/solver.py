@@ -7,14 +7,14 @@ and answers in its size slots, block i of size inst.sizes[i]:
   down to 1, each trying the blocks in a given order (index order by
   default), with symmetry breaking between equal-size blocks.  Every node
   is pruned by completion sums, per block and over unions of blocks; a
-  node tests only the block it changed, against its lower bound, and one
-  kept floor per block for the upper bounds.  The union bound is the
-  paper's prefix condition applied to the search state, and the
-  feasibility verdict is its root case.  It is solve()'s one route at
-  k >= 3: 1 + max_restarts runs, the first in index order with a cutoff
-  of 4n max(1, k // 4) nodes, each later one in a freshly shuffled order
-  with twice the cutoff before it, the last on all that is left of the
-  node budget;
+  child is tested before it is placed, against the lower bound of the
+  block it changes and one kept floor per block for the upper bounds.  The
+  union bound is the paper's prefix condition applied to the search
+  state, and the feasibility verdict is its root case.  It is solve()'s
+  one route at k >= 3: 1 + max_restarts runs, the first in index order
+  with a cutoff of 4n max(1, k // 4) nodes, each later one in a freshly
+  shuffled order with twice the cutoff before it, the last on all that is
+  left of the node budget;
 * a closed-form constructor for k = 2 (solve_k2) realizing the endpoint
   of the adjacent-exchange sliding sequence.
 
@@ -120,13 +120,14 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     block's remaining sum must lie between the smallest and largest
     completions, and so must the summed need of the open blocks taken by
     largest need per slot (feasibility._failing_prefix; at the root this is
-    the prefix condition).  Placing a label changes one block, so a node
-    tests that block's lower bound tri(left) <= need; for the upper bounds
-    each block keeps the floor ceil((need + tri(left)) / left) on the
-    pool's top e + 1, recomputed only for the block placed or restored, and
-    the node passes while max(floors) <= e + 1.  Every other block passed
-    the same test at the parent.  Both bounds prune only states with no
-    completion, so NOT_FOUND is a proof of absence.  Equal-size blocks are
+    the prefix condition).  Placing a label changes one block, so a child
+    is tested before it is placed, on that block's lower bound
+    tri(left) <= need; for the upper bounds each block keeps the floor
+    ceil((need + tri(left)) / left), recomputed only for the block placed
+    or restored, and a child with pool {1, ..., m} passes while
+    max(floors) <= m + 1.  Only a child that passes is placed and given the
+    union test.  Both bounds prune only states with no completion, so
+    NOT_FOUND is a proof of absence.  Equal-size blocks are
     interchangeable, so an element may open only the first empty block of
     each size class; blocks within an equal-size run are re-ordered by
     least element on output.
@@ -136,9 +137,10 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     position in `order`, so every order prunes the same states and a
     NOT_FOUND under any order is a proof of absence.
 
-    At most `budget` nodes are placed; BUDGET reports budget + 1, the node
-    it did not place.  Raises ValueError for a budget that is not an int >= 0
-    or an order that is not a permutation of range(k).
+    At most `budget` nodes are tried, a child that fails before it is placed
+    included; BUDGET reports budget + 1, the node it did not try.  Raises
+    ValueError for a budget that is not an int >= 0 or an order that is not
+    a permutation of range(k).
     """
     _check_count("budget", budget)
     if order is None:
@@ -156,58 +158,65 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     floors = [-(-(s + tri[j]) // j) for j in sizes]
     open_blocks = k
     nodes = 0
+    # At the root the union bound is the prefix condition, which implies each
+    # block's bounds: its first union is the smallest block, its (k - 1)-th
+    # the complement of the largest, and those two bounds are the tightest.
+    if _failing_prefix(left, need, n) is not None:
+        return ExactResult(status=ExactStatus.NOT_FOUND, partition=None, nodes=0)
     # Depth-first with an explicit cursor, not recursion, so n is not bounded
     # by the interpreter's stack.  Label e lies in block order[tried[e]], and
     # tried[e] is -1 while e is unplaced; labels e + 1, ..., n are placed.
     tried = [-1] * (n + 1)
     e = n
-    i = k - 1  # the block last placed; at the root the largest, whose bound implies all
-    while True:
-        # Every block must still be completable from {1, ..., e}: j labels
-        # from it sum to at least tri[j] (the j smallest) and at most
-        # j * (e + 1) - tri[j] (the j largest).  The parent passed this and only
-        # block i has changed, so i's lower bound and the floors are the test.
-        if need[i] < tri[left[i]] or max(floors) > e + 1:
-            e += 1  # not completable: move the last placed label on
-        elif e == 0:
-            break  # every label placed
-        # So must the unions of open blocks that _failing_prefix checks.
-        # With three open blocks or fewer each such union is one block or
-        # the complement of one, which the test above has covered.
-        elif open_blocks > 3 and _failing_prefix(left, need, e) is not None:
-            e += 1  # a union is not completable
+    while e:  # until every label is placed
         # Put label e in its next block, backtracking while it has none left.
         # Full blocks are skipped, and so is an empty block after an empty
         # block of the same size (the two are interchangeable).
-        while e <= n:
-            p = tried[e]
-            if p >= 0:
-                i = order[p]
-                open_blocks += not left[i]
-                left[i] += 1
-                need[i] += e
-                floors[i] = -(-(need[i] + tri[left[i]]) // left[i])
-            p += 1
-            while p < k and (
-                left[i := order[p]] == 0
-                or (left[i] == sizes[i] and i > 0 and left[i - 1] == sizes[i - 1] == sizes[i])
-            ):
+        p = tried[e]
+        if p >= 0:
+            i = order[p]
+            open_blocks += not left[i]
+            left[i] += 1
+            need[i] += e
+            floors[i] = -(-(need[i] + tri[left[i]]) // left[i])
+        p += 1
+        while p < k:
+            i = order[p]
+            j = left[i]
+            if j == 0 or (j == sizes[i] and i > 0 and left[i - 1] == sizes[i - 1] == j):
                 p += 1
-            if p < k:
-                break
+                continue
+            nodes += 1
+            if nodes > budget:
+                return ExactResult(status=ExactStatus.BUDGET, partition=None, nodes=nodes)
+            # Every block must stay completable from {1, ..., e - 1}: j labels
+            # sum to at least tri[j] and at most j * e - tri[j].  Only block i
+            # changes, so i's lower bound and the floors test the child.
+            j -= 1
+            d = need[i] - e
+            if d >= tri[j]:
+                f = floors[i]
+                floors[i] = -(-(d + tri[j]) // j) if j else 0
+                if max(floors) <= e:
+                    break  # place e in block i
+                floors[i] = f
+            p += 1
+        else:
             tried[e] = -1
-            e += 1
-        if e > n:
-            return ExactResult(status=ExactStatus.NOT_FOUND, partition=None, nodes=nodes)
-        nodes += 1
-        if nodes > budget:
-            return ExactResult(status=ExactStatus.BUDGET, partition=None, nodes=nodes)
-        left[i] -= 1
-        need[i] -= e
-        floors[i] = -(-(need[i] + tri[left[i]]) // left[i]) if left[i] else 0
-        open_blocks -= not left[i]
+            e += 1  # no block left: move the last placed label on
+            if e > n:
+                return ExactResult(status=ExactStatus.NOT_FOUND, partition=None, nodes=nodes)
+            continue
+        left[i] = j
+        need[i] = d
+        open_blocks -= not j
         tried[e] = p
         e -= 1
+        # The unions of open blocks that _failing_prefix checks must stay
+        # completable too.  With three open blocks or fewer (none once e = 0)
+        # each is one block or the complement of one, which the test covered.
+        if open_blocks > 3 and _failing_prefix(left, need, e) is not None:
+            e += 1  # a union is not completable: move label e on
     blocks: list[list[int]] = [[] for _ in range(k)]
     for x in range(1, n + 1):
         blocks[order[tried[x]]].append(x)
