@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equipart import cli, solver
+from equipart import cli, lab, solver
 from equipart.cli import main
 
 from helpers import joined_json_text
@@ -415,6 +415,26 @@ SWEEP_JSON_SHA256 = {
 }
 
 
+def _oracle_never_finds(monkeypatch, budget_at_n=None):
+    """Make the lab's oracle answer not_found, or budget at n = budget_at_n.
+
+    Every row the condition predicts feasible then disagrees.  The patch
+    does not reach worker processes, so the runs use one worker.
+    """
+    def exact(inst, budget, order=None):
+        status = "BUDGET" if inst.n == budget_at_n else "NOT_FOUND"
+        return solver.ExactResult(solver.ExactStatus[status], None, 0)
+
+    monkeypatch.setattr(lab, "solve_exact", exact)
+
+
+#: The text line for the (m, p) = (2, 2) row when the oracle finds no labeling.
+SYMMETRIC_CANDIDATE = (
+    "counterexample candidate: SymmetricRow(m=2, p=2, n=4, criterion=True, "
+    "oracle='not_found', agree=False)"
+)
+
+
 class TestSweepCommands:
     @pytest.mark.parametrize("nmax, ks", list(SWEEP_JSON_SHA256))
     def test_benchmark_sweep_json_bytes(self, capsys, tmp_path, nmax, ks):
@@ -462,6 +482,34 @@ class TestSweepCommands:
         assert code == 0
         assert "mismatches: 0" in out
 
+    def test_counterexample_candidate_exits_one(self, capsys, monkeypatch):
+        _oracle_never_finds(monkeypatch)
+        argv = ("sweep", "--nmax", "8", "--k", "4", "--workers", "1")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert (
+            "counterexample candidate: SweepRow(n=8, k=4, sizes=(2, 2, 2, 2), "
+            "verdict='feasible_proven', predicted=True, oracle='not_found', agree=False)"
+        ) in out.splitlines()
+        code, payload = run_json(capsys, *argv)
+        assert code == 1
+        assert payload["totals"]["mismatches"] == 1
+        assert payload["mismatches"] == payload["rows"]
+
+    def test_symmetric_counterexample_candidate_exits_one(self, capsys, monkeypatch):
+        _oracle_never_finds(monkeypatch)
+        code, out, _ = run_cli(capsys, "symmetric", "--max-total", "4", "--workers", "1")
+        assert code == 1
+        assert SYMMETRIC_CANDIDATE in out.splitlines()
+
+    def test_mismatch_outranks_an_unresolved_row(self, capsys, monkeypatch):
+        # (1, 3) is cut off by its budget and (2, 2) disagrees: the mismatch sets the exit code
+        _oracle_never_finds(monkeypatch, budget_at_n=3)
+        code, out, _ = run_cli(capsys, "symmetric", "--max-total", "4", "--workers", "1")
+        assert code == 1
+        unresolved = "unresolved rows (budget exhausted): 1"
+        assert out.splitlines()[-2:] == [SYMMETRIC_CANDIDATE, unresolved]
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -492,8 +540,10 @@ def _masked_sha256(out):
 #: Exit code and masked stdout sha256 of each command line: the README's lines
 #: that need no pipe, then check, solve and label in text and JSON on the
 #: size-one route (7; 1,2,2,2), the size-one verdict (9; 1,2,6) and a prefix
-#: condition that first fails at j = 4 (15; 2,2,2,2,7).  Change them only
-#: when a change of output is intended.
+#: condition that first fails at j = 4 (15; 2,2,2,2,7), then check on a magic
+#: sum that does not divide (5; 2,3) and on the second size-one reason, a
+#: size-1 block beside a block that is not a pair (7; 1,1,2,3).  Change them
+#: only when a change of output is intended.
 GOLDEN_STDOUT = {
     "check --n 12 --k 3 --sizes 2,2,8": (
         1, "3f052965be80fb3e4bfed954f84d91e3928c4d0ec47298edb21f9b196872e84a"),
@@ -547,6 +597,12 @@ GOLDEN_STDOUT = {
         1, "ec5d29775d3df23c9dc4011f606c31302f116a53239b247750d681fb754541b7"),
     "label --n 15 --sizes 2,2,2,2,7 --format json": (
         1, "33ce4c55dd7ca4a6ca75797a8e147c27d0e6af8cb6a853b161e4cd97c469e43d"),
+    "check --n 5 --sizes 2,3": (
+        1, "13b314e02f2e6fbfe279361597cc117ff751252e26528c7be9871a06784fb694"),
+    "check --n 7 --sizes 1,1,2,3": (
+        1, "6875c2bf912b27e78bcdc1456bd7d36f5c633d30c838a1370403e8d43c8d8cf5"),
+    "check --n 7 --sizes 1,1,2,3 --format json": (
+        1, "32906f2c6a7c97b232402afe1ddcf1f555803143db9aa876e948ea5de0bed777"),
 }
 
 #: The same pins for verify and verify --closed of `solve --n 7 --sizes 1,2,2,2`.
@@ -580,6 +636,16 @@ class TestGoldenOutput:
         code, out, err = run_cli(capsys, "verify", "--input", str(path), *flags.split())
         assert err == ""
         assert (code, _masked_sha256(out)) == GOLDEN_VERIFY[flags]
+
+    def test_closed_verify_at_k3_notes_the_forced_constant(self, capsys, tmp_path):
+        path = tmp_path / "solved.json"
+        run_cli(capsys, "solve", "--n", "9", "--sizes", "2,3,4", "--format", "json",
+                "-o", str(path))
+        code, out, err = run_cli(capsys, "verify", "--closed", "--input", str(path))
+        assert err == ""
+        assert (code, _masked_sha256(out)) == (
+            0, "fbfbfbe9572534c9b602f7b27445bde71516ef24ccc9c3314106f512fa746b0d")
+        assert "note: k=3 closed neighborhoods cover all vertices; constant is forced" in out
 
 
 json_values = st.recursive(

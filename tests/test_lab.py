@@ -226,6 +226,22 @@ class TestToJsonable:
         payload["rows"].clear()
         assert canon(report.to_jsonable()) == before
 
+    @SMALL_REPORTS
+    def test_totals_recount_the_rows(self, make):
+        # key order is part of the result: rows, mismatches, the three oracle
+        # answers, then each verdict in the order it first appears
+        report = make()
+        rows = report.rows
+        expected = {"rows": len(rows), "mismatches": sum(not r.agree for r in rows)}
+        for oracle in ("found", "not_found", "budget"):
+            expected[oracle] = sum(r.oracle == oracle for r in rows)
+        for r in rows:
+            if isinstance(r, lab.SweepRow):
+                key = f"verdict_{r.verdict}"
+                expected[key] = expected.get(key, 0) + 1
+        assert list(report.totals.items()) == list(expected.items())
+        assert report.mismatches == tuple(r for r in rows if not r.agree)
+
 
 class TestCheckSymmetric:
     def test_small_box_rows(self):
