@@ -12,7 +12,9 @@ Exit codes: 0 solved/feasible/magic or clean sweep; 1 infeasible, not
 magic, or mismatches present; 2 usage or input error; 3 inconclusive
 (conjectured verdict, budget exhaustion, or unresolved sweep rows).  A
 solve or label exits by its result, not the verdict: proven_infeasible
-exits 1 even on a conjectured verdict, budget_exhausted exits 3.
+exits 1 even on a conjectured verdict, budget_exhausted exits 3.  A sweep
+or symmetric report with both mismatches and unresolved rows exits 1: a
+mismatch wins.
 
 No colors and no environment configuration are used, so NO_COLOR is
 honored trivially.
@@ -281,29 +283,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if check.is_magic else EXIT_NEGATIVE
 
 
-def _report_exit(report: SweepReport) -> int:
-    if report.totals["mismatches"] > 0:
+def _emit_report(args: argparse.Namespace, report: SweepReport, title: str) -> int:
+    """Write a sweep or symmetric report as JSON or text, and return its exit code.
+
+    The code is 1 on any mismatch, else 3 on an unresolved (budget) row,
+    else 0: a report with both a mismatch and an unresolved row exits 1.
+    """
+    def text() -> str:
+        cfg = " ".join(f"{k}={v}" for k, v in report.config.items() if k != "sweep")
+        lines = [
+            f"{title}: {cfg}",
+            f"rows: {report.totals['rows']}  mismatches: {report.totals['mismatches']}  "
+            f"budget: {report.totals['budget']}",
+        ]
+        for key in sorted(report.totals):
+            if key.startswith("verdict_"):
+                lines.append(f"  {key[8:]}: {report.totals[key]}")
+        for row in report.mismatches:
+            lines.append(f"counterexample candidate: {row!r}")
+        if report.budget_rows:
+            lines.append(f"unresolved rows (budget exhausted): {report.budget_rows}")
+        return "\n".join(lines)
+
+    _emit(args, report.to_jsonable(), text)
+    if report.totals["mismatches"]:
         return EXIT_NEGATIVE
-    if report.budget_rows > 0:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
-
-
-def _report_text(report: SweepReport, title: str) -> str:
-    cfg = " ".join(f"{k}={v}" for k, v in report.config.items() if k != "sweep")
-    lines = [
-        f"{title}: {cfg}",
-        f"rows: {report.totals['rows']}  mismatches: {report.totals['mismatches']}  "
-        f"budget: {report.totals['budget']}",
-    ]
-    for key in sorted(report.totals):
-        if key.startswith("verdict_"):
-            lines.append(f"  {key[8:]}: {report.totals[key]}")
-    for row in report.mismatches:
-        lines.append(f"counterexample candidate: {row!r}")
-    if report.budget_rows:
-        lines.append(f"unresolved rows (budget exhausted): {report.budget_rows}")
-    return "\n".join(lines)
+    return EXIT_INCONCLUSIVE if report.budget_rows else EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -316,14 +321,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         budget=args.budget,
         workers=args.workers,
     )
-    _emit(args, report.to_jsonable(), lambda: _report_text(report, "sweep"))
-    return _report_exit(report)
+    return _emit_report(args, report, "sweep")
 
 
 def cmd_symmetric(args: argparse.Namespace) -> int:
     report = check_symmetric(args.max_total, budget=args.budget, workers=args.workers)
-    _emit(args, report.to_jsonable(), lambda: _report_text(report, "symmetric"))
-    return _report_exit(report)
+    return _emit_report(args, report, "symmetric")
 
 
 def _add_output_opts(parser: argparse.ArgumentParser) -> None:

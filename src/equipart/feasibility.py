@@ -118,24 +118,12 @@ def condition_failing_index(inst: Instance) -> int | None:
 def _size_one_verdict(inst: Instance, s: int) -> Verdict:
     """Decide instances with a size-1 block: it must be {n}, the rest pairs."""
     if s != inst.n:
-        return Verdict(
-            status=FeasibilityStatus.INFEASIBLE_SIZE_ONE,
-            s=s,
-            reason=(
-                f"a size-1 block must be {{{inst.n}}}, but the magic sum is "
-                f"{s} != {inst.n}"
-            ),
-        )
-    if inst.sizes != (1,) + (2,) * (inst.k - 1):
-        return Verdict(
-            status=FeasibilityStatus.INFEASIBLE_SIZE_ONE,
-            s=s,
-            reason=(
-                "with a size-1 block every other block must have size 2, "
-                f"got sizes {inst.sizes}"
-            ),
-        )
-    return Verdict(status=FeasibilityStatus.FEASIBLE_PROVEN, s=s)
+        reason = f"a size-1 block must be {{{inst.n}}}, but the magic sum is {s} != {inst.n}"
+    elif inst.sizes != (1,) + (2,) * (inst.k - 1):
+        reason = f"with a size-1 block every other block must have size 2, got sizes {inst.sizes}"
+    else:
+        return Verdict(status=FeasibilityStatus.FEASIBLE_PROVEN, s=s)
+    return Verdict(status=FeasibilityStatus.INFEASIBLE_SIZE_ONE, s=s, reason=reason)
 
 
 def feasibility(inst: Instance) -> Verdict:

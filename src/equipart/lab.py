@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import copy
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from .core import Instance, _check_count, magic_sum
 from .feasibility import feasibility
-from .solver import DEFAULT_NODE_BUDGET, ExactStatus, solve_exact
+from .solver import DEFAULT_NODE_BUDGET, solve_exact
 
 
 def enumerate_size_sequences(n: int, k: int, min_part: int) -> Iterator[tuple[int, ...]]:
@@ -120,15 +121,18 @@ class SweepReport:
         }
 
 
+def _agrees(predicted: bool, oracle: str) -> bool:
+    """A budget row is unresolved, so it agrees; any other must find what was predicted."""
+    return oracle == "budget" or predicted == (oracle == "found")
+
+
 def _sweep_row(task: tuple[Instance, int]) -> SweepRow:
     inst, budget = task
     verdict = feasibility(inst)
-    status = solve_exact(inst, budget=budget).status
-    # A budget row is unresolved: no evidence of disagreement, counted under "budget".
-    found = status is ExactStatus.FOUND
-    agree = status is ExactStatus.BUDGET or verdict.predicts_feasible == found
+    oracle = solve_exact(inst, budget=budget).status.value
     return SweepRow(n=inst.n, k=inst.k, sizes=inst.sizes, verdict=verdict.status.value,
-                    predicted=verdict.predicts_feasible, oracle=status.value, agree=agree)
+                    predicted=verdict.predicts_feasible, oracle=oracle,
+                    agree=_agrees(verdict.predicts_feasible, oracle))
 
 
 def _check_budget_workers(budget: int, workers: int) -> None:
@@ -162,14 +166,15 @@ def _run_tasks(worker, tasks, workers: int) -> list:
 
 def _assemble(rows: list, config: dict, extra_totals: dict[str, int]) -> SweepReport:
     mismatches = tuple(r for r in rows if not r.agree)
+    answers = Counter(r.oracle for r in rows)
     totals = {
         "rows": len(rows),
         "mismatches": len(mismatches),
-        "found": sum(1 for r in rows if r.oracle == "found"),
-        "not_found": sum(1 for r in rows if r.oracle == "not_found"),
-        "budget": sum(1 for r in rows if r.oracle == "budget"),
+        "found": answers["found"],
+        "not_found": answers["not_found"],
+        "budget": answers["budget"],
+        **extra_totals,
     }
-    totals.update(extra_totals)
     return SweepReport(
         rows=tuple(rows), mismatches=mismatches, totals=totals, config=config
     )
@@ -201,11 +206,7 @@ def sweep(
         "min_part": min_part,
         "budget": budget,
     }
-    verdict_counts: dict[str, int] = {}
-    for r in rows:
-        key = f"verdict_{r.verdict}"
-        verdict_counts[key] = verdict_counts.get(key, 0) + 1
-    return _assemble(rows, config, verdict_counts)
+    return _assemble(rows, config, Counter(f"verdict_{r.verdict}" for r in rows))
 
 
 def _symmetric_row(task: tuple[int, int, int]) -> SymmetricRow:
@@ -220,8 +221,8 @@ def _symmetric_row(task: tuple[int, int, int]) -> SymmetricRow:
     else:
         exact = solve_exact(Instance(n=n, sizes=(m,) * p), budget=budget)
         oracle = exact.status.value
-    agree = True if oracle == "budget" else criterion == (oracle == "found")
-    return SymmetricRow(m=m, p=p, n=n, criterion=criterion, oracle=oracle, agree=agree)
+    return SymmetricRow(m=m, p=p, n=n, criterion=criterion, oracle=oracle,
+                        agree=_agrees(criterion, oracle))
 
 
 def check_symmetric(
