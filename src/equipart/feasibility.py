@@ -75,7 +75,7 @@ def prefix_top_sum(n: int, P: int) -> int:
     return P * n - P * (P - 1) // 2
 
 
-def _failing_prefix(left: Sequence[int], need: Sequence[int], e: int) -> int | None:
+def _failing_prefix(left: Sequence[int], need: Sequence[int], e: int, inner: bool = False) -> int | None:
     """Smallest j such that the j open blocks of largest need / left overflow.
 
     The labels {1, ..., e} are still to place; open block i has left[i] > 0
@@ -87,13 +87,17 @@ def _failing_prefix(left: Sequence[int], need: Sequence[int], e: int) -> int | N
     state, this bound on a union is the lower bound on its complement, so
     it covers the prefixes of the opposite order too.  Full blocks are
     skipped; the last prefix is then an identity, kept as a self-test.
+    With each of the m open blocks within its own bounds too, as at a placed
+    search state, j = 1, m - 1 and m cannot fail: inner=True skips them.
     """
     L = D = 0
     top2 = 2 * e + 1
     # need / left orders the blocks; a float keeps the key cheap, and -left
     # breaks a tie (also one of rounding) towards the smaller block.
     order = sorted([(d / slots, -slots, d) for slots, d in zip(left, need) if slots], reverse=True)
-    for j, (_, minus_slots, d) in enumerate(order, start=1):
+    if inner:
+        L, D, order = -order[0][1], order[0][2], order[1:-2]
+    for j, (_, minus_slots, d) in enumerate(order, start=1 + inner):
         L -= minus_slots
         D += d
         if 2 * D > L * (top2 - L):  # L(e + 1) - tri(L) = L(2e + 1 - L) / 2
@@ -139,7 +143,7 @@ def feasibility(inst: Instance) -> Verdict:
         return Verdict(status=FeasibilityStatus.INFEASIBLE_DIVISIBILITY)
     if inst.sizes[0] == 1:
         return _size_one_verdict(inst, s)
-    j = condition_failing_index(inst)
+    j = _failing_prefix(inst.sizes, [s] * inst.k, inst.n)
     if j is not None:
         return Verdict(
             status=FeasibilityStatus.INFEASIBLE_CONDITION, s=s, failing_index=j

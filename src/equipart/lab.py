@@ -2,10 +2,11 @@
 
 sweep() enumerates every size sequence in a bound box, predicts
 feasibility from the verdict pipeline, and settles the truth with the
-exhaustive search.  A resolved disagreement is a counterexample
-candidate, not a bug: for k <= 4 none can exist (that range is proven),
-while for k >= 5 one would be a reportable finding against the
-sufficiency conjecture.
+exhaustive search; a row the prefix condition refutes is settled by that
+proof, the search's root test.  A resolved disagreement is a
+counterexample candidate, not a bug: for k <= 4 none can exist (that
+range is proven), while for k >= 5 one would be a reportable finding
+against the sufficiency conjecture.
 
 check_symmetric() covers the equal-part-size family: p parts of size m
 exist iff the magic sum divides, except that part size 1 collapses to
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .core import Instance, _check_count, magic_sum
-from .feasibility import feasibility
+from .feasibility import FeasibilityStatus, feasibility
 from .solver import DEFAULT_NODE_BUDGET, solve_exact
 
 
@@ -129,7 +130,8 @@ def _agrees(predicted: bool, oracle: str) -> bool:
 def _sweep_row(task: tuple[Instance, int]) -> SweepRow:
     inst, budget = task
     verdict = feasibility(inst)
-    oracle = solve_exact(inst, budget=budget).status.value
+    refuted = verdict.status is FeasibilityStatus.INFEASIBLE_CONDITION  # the search's own root test
+    oracle = "not_found" if refuted else solve_exact(inst, budget=budget).status.value
     return SweepRow(n=inst.n, k=inst.k, sizes=inst.sizes, verdict=verdict.status.value,
                     predicted=verdict.predicts_feasible, oracle=oracle,
                     agree=_agrees(verdict.predicts_feasible, oracle))
@@ -192,8 +194,10 @@ def sweep(
     Covers every n <= n_max and k in k_set with an integral magic sum,
     and every non-decreasing size sequence with parts >= min_part.  With
     min_part = 1, size-one cases are predicted by the size-one rule (the
-    verdict pipeline applies it before the prefix condition).  Budget
-    exhaustion is recorded per row and never counted as a mismatch.
+    verdict pipeline applies it before the prefix condition).  A row the
+    prefix condition refutes is not_found without a search, since the
+    search would stop on that same test at node 0.  Budget exhaustion is
+    recorded per row and never counted as a mismatch.
     """
     ks = _check_box(n_max, k_set, min_part)
     _check_budget_workers(budget, workers)

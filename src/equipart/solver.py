@@ -126,11 +126,12 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     ceil((need + tri(left)) / left), recomputed only for the block placed
     or restored, and a child with pool {1, ..., m} passes while
     max(floors) <= m + 1.  Only a child that passes is placed and given the
-    union test.  Both bounds prune only states with no completion, so
-    NOT_FOUND is a proof of absence.  Equal-size blocks are
-    interchangeable, so an element may open only the first empty block of
-    each size class; blocks within an equal-size run are re-ordered by
-    least element on output.
+    union test, which then skips what the block tests settle: one block, all
+    open blocks but one, and all of them.  Both bounds prune only states
+    with no completion, so NOT_FOUND is a proof of absence.  Equal-size
+    blocks are interchangeable, so an element may open only the first empty
+    block of each size class; blocks within an equal-size run are re-ordered
+    by least element on output.
 
     Each label tries the blocks in `order`, a permutation of range(k); None
     means index order.  The equal-size rule is keyed by block index, not by
@@ -212,10 +213,11 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
         open_blocks -= not j
         tried[e] = p
         e -= 1
-        # The unions of open blocks that _failing_prefix checks must stay
-        # completable too.  With three open blocks or fewer (none once e = 0)
-        # each is one block or the complement of one, which the test covered.
-        if open_blocks > 3 and _failing_prefix(left, need, e) is not None:
+        # The unions of open blocks must stay completable too.  Each open block
+        # meets its own bounds, so of m open blocks only the prefixes j = 2 ...
+        # m - 2 can fail: j = 1 is one block, j = m - 1 the complement of one
+        # and j = m the whole pool.  With m <= 3 (m = 0 once e = 0) none is left.
+        if open_blocks > 3 and _failing_prefix(left, need, e, inner=True) is not None:
             e += 1  # a union is not completable: move label e on
     blocks: list[list[int]] = [[] for _ in range(k)]
     for x in range(1, n + 1):

@@ -105,14 +105,15 @@ class TestUnionBound:
             failing += expected is not None
         assert failing > 0
 
-    def test_dead_states_have_no_completion(self):
-        # random partial states: labels n, ..., e + 1 placed at random
+    @staticmethod
+    def _random_states(count, k_max=5, n_max=14):
+        """count random partial states (e, left, need): labels n, ..., e + 1 placed at random."""
         rng = random.Random(3)
-        states = dead = beyond_single_blocks = 0
-        while states < 5000:
-            n, k = rng.randint(6, 14), rng.randint(3, 5)
+        states = 0
+        while states < count:
+            n, k = rng.randint(6, n_max), rng.randint(3, k_max)
             s = magic_sum(n, k)
-            if s is None:
+            if s is None or n < k:
                 continue
             sizes = [1] * k
             for _ in range(n - k):
@@ -124,14 +125,47 @@ class TestUnionBound:
                 left[i] -= 1
                 need[i] -= x
             states += 1
+            yield e, left, need
+
+    @staticmethod
+    def _blocks_completable(e, left, need):
+        """Every block's need lies between its smallest and largest completion from {1, ..., e}."""
+        return all(j * (j + 1) // 2 <= d <= j * (2 * e + 1 - j) // 2 for j, d in zip(left, need))
+
+    def test_dead_states_have_no_completion(self):
+        dead = beyond_single_blocks = 0
+        for e, left, need in self._random_states(5000):
             if _failing_prefix(left, need, e) is None:
                 continue
             dead += 1
             assert not naive_completion_exists(e, left, need), (e, left, need)
             # a state every single block of which could still be completed
-            if all(j * (j + 1) // 2 <= d <= j * (2 * e + 1 - j) // 2 for j, d in zip(left, need)):
-                beyond_single_blocks += 1
+            beyond_single_blocks += self._blocks_completable(e, left, need)
         assert dead > 1000 and beyond_single_blocks > 20
+
+    def test_inner_prefixes_prune_like_all_prefixes(self):
+        # At a placed search state every open block meets its own bounds; there
+        # the search's check of j = 2 ... m - 2 prunes exactly when all do.
+        # k up to 8 and n up to 30 give states that first fail past j = 2.
+        kept = pruned = deep = 0
+        for e, left, need in self._random_states(30000, k_max=8, n_max=30):
+            if not self._blocks_completable(e, left, need):
+                continue
+            kept += 1
+            full = _failing_prefix(left, need, e)
+            if sum(map(bool, left)) <= 3:  # the search's guard: no prefix is left to check
+                assert full is None, (e, left, need)
+                continue
+            assert _failing_prefix(left, need, e, inner=True) == full, (e, left, need)
+            pruned += full is not None
+            deep += full is not None and full > 2
+        assert kept > 3000 and pruned > 200 and deep > 10
+
+    def test_root_keeps_the_complement_of_the_largest_block(self):
+        # at the root no block's own bounds are checked yet, so j = k - 1 can
+        # fail: (14; 3, 3, 8) has s = 35 < tri(8), the largest block's minimum
+        assert condition_failing_index(Instance.from_sizes(14, [3, 3, 8])) == 2
+        assert condition_failing_index(Instance.from_sizes(15, [2, 2, 2, 2, 7])) == 4
 
 
 class TestFeasibility:

@@ -10,12 +10,14 @@ from itertools import combinations_with_replacement
 import pytest
 
 from equipart import lab
+from equipart.core import Instance
 from equipart.lab import (
     SweepReport,
     check_symmetric,
     enumerate_size_sequences,
     sweep,
 )
+from equipart.solver import solve_exact
 
 from helpers import canon
 
@@ -116,6 +118,28 @@ class TestSweep:
         serial = canon(sweep(10, {2, 3}, 2, workers=1).to_jsonable())
         parallel = canon(sweep(10, {2, 3}, 2, workers=2).to_jsonable())
         assert serial == parallel
+
+    def test_condition_refuted_rows_skip_the_search(self, monkeypatch):
+        # the verdict's refutation is the search's root test, so the row is
+        # settled without a search; every other row is searched once
+        unpatched = sweep(40, {3, 4, 5}, 2, 250_000).to_jsonable()
+        searched = []
+
+        def counting(inst, *args, **kwargs):
+            searched.append((inst.n, inst.sizes))
+            return solve_exact(inst, *args, **kwargs)
+
+        monkeypatch.setattr(lab, "solve_exact", counting)
+        report = sweep(40, {3, 4, 5}, 2, 250_000)
+        refuted = [r for r in report.rows if r.verdict == "infeasible_condition"]
+        assert refuted and all(r.oracle == "not_found" for r in refuted)
+        # what the search would have said, at any budget: not_found at node 0
+        for r in refuted:
+            exact = solve_exact(Instance(n=r.n, sizes=r.sizes), budget=0)
+            assert (exact.status.value, exact.nodes) == ("not_found", 0), r
+        assert searched == [(r.n, r.sizes) for r in report.rows
+                            if r.verdict != "infeasible_condition"]
+        assert report.to_jsonable() == unpatched
 
     @pytest.mark.parametrize("cpus,expected", [(2, [2]), (1, []), (None, [])])
     def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, expected):
