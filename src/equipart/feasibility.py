@@ -13,7 +13,7 @@ The decision pipeline, in order:
 Verdicts are deterministic: a failing prefix condition reports the
 smallest failing index j.
 
-The prefix condition is checked by _failing_prefix, the bound on unions
+The prefix condition is checked by _failing_union, the bound on unions
 of blocks that the exact search in solver runs at the root and at every
 placed node with four or more open blocks: the condition is that bound
 at the root, where no label is placed yet.
@@ -75,34 +75,55 @@ def prefix_top_sum(n: int, P: int) -> int:
     return P * n - P * (P - 1) // 2
 
 
-def _failing_prefix(left: Sequence[int], need: Sequence[int], e: int, inner: bool = False) -> int | None:
-    """Smallest j such that the j open blocks of largest need / left overflow.
+#: The union key of a full block: it ranks below every open block's and adds
+#: no slots and no need, so the prefixes past the open blocks repeat the last.
+_FULL_KEY = (float("-inf"), 0, 0)
 
-    The labels {1, ..., e} are still to place; open block i has left[i] > 0
-    slots whose labels must sum to need[i].  Any L of those labels sum to
-    at most L(e + 1) - tri(L), so a union of open blocks with L slots and
-    summed need D above that has no completion.  The unions checked are the
-    prefixes of the open blocks by largest need per slot (ties to fewer
-    slots).  When sum(left) = e and sum(need) = tri(e), as in a search
-    state, this bound on a union is the lower bound on its complement, so
-    it covers the prefixes of the opposite order too.  Full blocks are
-    skipped; the last prefix is then an identity, kept as a self-test.
-    With each of the m open blocks within its own bounds too, as at a placed
-    search state, j = 1, m - 1 and m cannot fail: inner=True skips them.
+
+def _failing_union(keys: Sequence[tuple[float, int, int]], e: int, m: int, inner: bool = False) -> int | None:
+    """Smallest j such that the j blocks of largest key overflow, or None.
+
+    The labels {1, ..., e} are still to place.  keys holds one key per
+    block: (need / left, -left, need) for an open block, which has left > 0
+    slots whose labels must sum to need, and _FULL_KEY for a full block; m
+    blocks are open.  Any L of the labels sum to at most L(e + 1) - tri(L),
+    so a union of open blocks with L slots and summed need D above that has
+    no completion.  The unions checked are the prefixes of the open blocks by
+    largest key: largest need per slot, ties to fewer slots.  When sum(left)
+    = e and sum(need) = tri(e), as in a search state, this bound on a union
+    is the lower bound on its complement, so it covers the prefixes of the
+    opposite order too; the last prefix is then an identity, kept as a
+    self-test.  With each open block within its own bounds too, as at a
+    placed search state, j = 1, m - 1 and m cannot fail: inner=True skips
+    them.  The keys are handed in, not built here, so the search can keep
+    them from node to node.
     """
     L = D = 0
     top2 = 2 * e + 1
-    # need / left orders the blocks; a float keeps the key cheap, and -left
-    # breaks a tie (also one of rounding) towards the smaller block.
-    order = sorted([(d / slots, -slots, d) for slots, d in zip(left, need) if slots], reverse=True)
+    # need / left is a float to keep the key cheap; -left breaks a tie (also
+    # one of rounding) towards the smaller block.
+    order = sorted(keys, reverse=True)
     if inner:
-        L, D, order = -order[0][1], order[0][2], order[1:-2]
+        _, L, D = order[0]
+        L, order = -L, order[1 : m - 2]
     for j, (_, minus_slots, d) in enumerate(order, start=1 + inner):
         L -= minus_slots
         D += d
         if 2 * D > L * (top2 - L):  # L(e + 1) - tri(L) = L(2e + 1 - L) / 2
             return j
     return None
+
+
+def _failing_prefix(left: Sequence[int], need: Sequence[int], e: int, inner: bool = False) -> int | None:
+    """_failing_union on the keys of the open blocks of (left, need).
+
+    Block i has left[i] slots still to fill from {1, ..., e}, whose labels
+    must sum to need[i]; full blocks (left[i] = 0) are skipped.  The verdict
+    and the search's root test call this; the search keeps its keys below
+    the root and calls _failing_union itself.
+    """
+    keys = [(d / slots, -slots, d) for slots, d in zip(left, need) if slots]
+    return _failing_union(keys, e, len(keys), inner)
 
 
 def condition_failing_index(inst: Instance) -> int | None:

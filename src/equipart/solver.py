@@ -40,8 +40,10 @@ from itertools import chain
 
 from .core import Instance, Partition, _all_ints, _check_count, _integral_magic_sum
 from .feasibility import (
+    _FULL_KEY,
     Verdict,
     _failing_prefix,
+    _failing_union,
     condition_failing_index,
     feasibility,
     prefix_top_sum,
@@ -127,8 +129,12 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     or restored, and a child with pool {1, ..., m} passes while
     max(floors) <= m + 1.  Only a child that passes is placed and given the
     union test, which then skips what the block tests settle: one block, all
-    open blocks but one, and all of them.  Both bounds prune only states
-    with no completion, so NOT_FOUND is a proof of absence.  Equal-size
+    open blocks but one, and all of them, so it runs only with four or more
+    open blocks.  For it each block keeps its key (need / left, -left,
+    need), rewritten only for the block restored or placed, and the test
+    ranks the kept keys (feasibility._failing_union); at k <= 3 the test
+    never runs below the root and no keys are kept.  Both bounds prune only
+    states with no completion, so NOT_FOUND is a proof of absence.  Equal-size
     blocks are interchangeable, so an element may open only the first empty
     block of each size class; blocks within an equal-size run are re-ordered
     by least element on output.
@@ -157,6 +163,9 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     # An open block's need fits under j(e + 1) - tri[j] exactly while e + 1 is
     # at least its floor; a full block passed its last check with need 0.
     floors = [-(-(s + tri[j]) // j) for j in sizes]
+    # Block i's union key, kept only where the union test runs (k >= 4): see
+    # feasibility._failing_union.
+    keys = [(s / j, -j, s) for j in sizes] if k > 3 else []
     open_blocks = k
     nodes = 0
     # At the root the union bound is the prefix condition, which implies each
@@ -177,9 +186,11 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
         if p >= 0:
             i = order[p]
             open_blocks += not left[i]
-            left[i] += 1
-            need[i] += e
-            floors[i] = -(-(need[i] + tri[left[i]]) // left[i])
+            j = left[i] = left[i] + 1
+            d = need[i] = need[i] + e
+            floors[i] = -(-(d + tri[j]) // j)
+            if keys:
+                keys[i] = (d / j, -j, d)
         p += 1
         while p < k:
             i = order[p]
@@ -217,8 +228,13 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
         # meets its own bounds, so of m open blocks only the prefixes j = 2 ...
         # m - 2 can fail: j = 1 is one block, j = m - 1 the complement of one
         # and j = m the whole pool.  With m <= 3 (m = 0 once e = 0) none is left.
-        if open_blocks > 3 and _failing_prefix(left, need, e, inner=True) is not None:
-            e += 1  # a union is not completable: move label e on
+        # Block i's key is written only here, where the test reads it: a state
+        # below a placement with m <= 3 also has m <= 3, and a restore writes
+        # the key back.
+        if open_blocks > 3:
+            keys[i] = (d / j, -j, d) if j else _FULL_KEY
+            if _failing_union(keys, e, open_blocks, True) is not None:
+                e += 1  # a union is not completable: move label e on
     blocks: list[list[int]] = [[] for _ in range(k)]
     for x in range(1, n + 1):
         blocks[order[tried[x]]].append(x)
@@ -324,12 +340,13 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
 
     remaining = params.exact_node_budget
     order = list(range(inst.k))
-    rng = random.Random(params.seed)
     cutoff = 4 * inst.n * max(1, inst.k // 4)
     for r in range(params.max_restarts + 1):
         if r:
+            if r == 1:  # seeded here, as most solves never restart
+                shuffle = random.Random(params.seed).shuffle
             stats.search_restarts += 1
-            rng.shuffle(order)
+            shuffle(order)
         cap = min(cutoff << r, remaining) if r < params.max_restarts else remaining
         exact = solve_exact(inst, cap, order)
         if exact.status is not ExactStatus.BUDGET or cap == remaining:

@@ -66,6 +66,27 @@ def naive_completion_exists(e: int, left, need) -> bool:
     return rec(list(range(1, e + 1)), 0)
 
 
+def reference_failing_prefix(left, need, e, inner=False):
+    """The union bound by building and sorting each open block's key per call.
+
+    The reference for the routine that ranks keys it is handed: the smallest
+    j whose j open blocks of largest need / left (ties to fewer slots)
+    overflow {1, ..., e}, or None; inner=True checks only j = 2 ... m - 2 of
+    the m open blocks.
+    """
+    L = D = 0
+    top2 = 2 * e + 1
+    order = sorted([(d / slots, -slots, d) for slots, d in zip(left, need) if slots], reverse=True)
+    if inner:
+        L, D, order = -order[0][1], order[0][2], order[1:-2]
+    for j, (_, minus_slots, d) in enumerate(order, start=1 + inner):
+        L -= minus_slots
+        D += d
+        if 2 * D > L * (top2 - L):
+            return j
+    return None
+
+
 def k2_greedy_trace(n: int, p1: int, s: int) -> list[int]:
     """Literal position-by-position raise for the two-block construction."""
     block = list(range(1, p1 + 1))

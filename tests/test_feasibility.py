@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 
 from equipart.core import Instance, magic_sum
 from equipart.feasibility import (
+    _FULL_KEY,
     FeasibilityStatus,
     _failing_prefix,
+    _failing_union,
     condition_failing_index,
     feasibility,
     prefix_top_sum,
 )
 from equipart.lab import _box, enumerate_size_sequences
 
-from helpers import naive_completion_exists, naive_equitable_exists
+from helpers import naive_completion_exists, naive_equitable_exists, reference_failing_prefix
 
 
 class TestPrefixTopSum:
@@ -160,6 +162,48 @@ class TestUnionBound:
             pruned += full is not None
             deep += full is not None and full > 2
         assert kept > 3000 and pruned > 200 and deep > 10
+
+    @staticmethod
+    def _tie_states(count):
+        """count states (e, left, need) where 2 or 3 blocks of different sizes share need / left."""
+        rng = random.Random(7)
+        for _ in range(count):
+            k = rng.randint(4, 8)
+            q, r = rng.randint(1, 3), rng.randint(1, 20)
+            group = rng.sample(range(1, 5), rng.randint(2, 3))
+            blocks = [(q * c, r * c) for c in group]  # need / left = r / q for each
+            while len(blocks) < k:
+                j = rng.randint(0, 6)
+                blocks.append((j, rng.randint(j * (j + 1) // 2, j * (j + 12)) if j else 0))
+            rng.shuffle(blocks)
+            left, need = map(list, zip(*blocks))
+            yield max(0, sum(left) + rng.randint(-4, 4)), left, need
+
+    def test_routine_matches_the_build_and_sort_reference(self):
+        # _failing_union ranks the keys it is handed.  Called as the search
+        # calls it, with one key per block in block order, _FULL_KEY for a full
+        # block and the open-block count, and through _failing_prefix, it
+        # returns the reference's j at the root and inner.  inner=True is
+        # defined where each open block meets its own bounds; there the full
+        # blocks' keys change nothing, also with one open block.
+        states = [*self._random_states(20000, k_max=8, n_max=30), *self._tie_states(3000)]
+        with_full = tie_decides = inner_pruned = 0
+        for e, left, need in states:
+            keys = [(d / j, -j, d) if j else _FULL_KEY for j, d in zip(left, need)]
+            m = sum(map(bool, left))
+            for inner in (False, True)[: 1 + (m > 0)]:  # inner starts from an open block
+                want = reference_failing_prefix(left, need, e, inner)
+                assert _failing_prefix(left, need, e, inner) == want, (e, left, need, inner)
+                if not inner or self._blocks_completable(e, left, need):
+                    assert _failing_union(keys, e, m, inner) == want, (e, left, need, inner)
+                    inner_pruned += inner and want is not None
+            with_full += 0 < m < len(left)
+            # the failing union ends inside a run of equal need / left, so the
+            # tie-break by fewer slots decides which union failed
+            j = reference_failing_prefix(left, need, e)
+            ranked = sorted((d / s for s, d in zip(left, need) if s), reverse=True)
+            tie_decides += j is not None and j < m and ranked[j - 1] == ranked[j]
+        assert with_full > 10000 and tie_decides > 1000 and inner_pruned > 200
 
     def test_root_keeps_the_complement_of_the_largest_block(self):
         # at the root no block's own bounds are checked yet, so j = k - 1 can

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 import equipart
 from equipart.core import Instance, Partition, magic_sum
-from equipart.feasibility import FeasibilityStatus, condition_failing_index, feasibility
+from equipart.feasibility import (
+    _FULL_KEY,
+    FeasibilityStatus,
+    _failing_union,
+    condition_failing_index,
+    feasibility,
+)
 from equipart.lab import _box, enumerate_size_sequences
 from equipart.solver import (
     ExactResult,
@@ -31,6 +37,7 @@ from helpers import (
     k2_greedy_trace,
     naive_equitable_exists,
     random_valid_instance,
+    reference_failing_prefix,
 )
 
 BIG_BUDGET = 10**8
@@ -260,6 +267,59 @@ class TestSolveExact:
                 else:
                     deep_proofs += res.nodes > 0
         assert deep_proofs >= 7
+
+    def test_kept_union_keys_equal_rebuilt_keys(self, monkeypatch):
+        # The search writes block i's union key only where it places or
+        # restores block i.  At every union test the kept keys equal keys
+        # rebuilt from the search's own left and need, and the routine answers
+        # as the build-and-sort reference does.
+        calls = []
+
+        def checked(keys, e, m, inner=False):
+            search = sys._getframe(1).f_locals
+            left, need = search["left"], search["need"]
+            assert keys == [(d / j, -j, d) if j else _FULL_KEY for j, d in zip(left, need)]
+            assert (e, m, inner) == (search["e"], sum(map(bool, left)), True)
+            got = _failing_union(keys, e, m, inner)
+            assert got == reference_failing_prefix(left, need, e, inner)
+            calls.append((got is not None, 0 in left))
+            return got
+
+        monkeypatch.setattr("equipart.solver._failing_union", checked)
+        rng = random.Random(28)
+        for inst in _box(28, [4, 5, 6], 2):
+            for order in (None, rng.sample(range(inst.k), inst.k)):
+                solve_exact(inst, 20_000, order)
+        pruned, with_full = map(sum, zip(*calls))
+        assert len(calls) > 20_000 and pruned > 9_000 and with_full > 1_500, (pruned, with_full)
+
+    def test_small_k_calls_the_union_routine_only_at_the_root(self, monkeypatch):
+        # With k <= 3 no placed node has four open blocks, so the search keeps
+        # no keys and reaches the routine only through its root test,
+        # _failing_prefix; from k = 4 the placed nodes call it too.
+        root, inner = [], []
+
+        def counting(calls):
+            def count(*args):
+                calls.append(args)
+                return _failing_union(*args)
+            return count
+
+        # "equipart.feasibility" names the function the package exports
+        monkeypatch.setattr(sys.modules["equipart.feasibility"], "_failing_union", counting(root))
+        monkeypatch.setattr("equipart.solver._failing_union", counting(inner))
+        box = list(_box(30, [1, 2, 3], 1))
+        for inst in box:
+            solve_exact(inst, BIG_BUDGET)
+        assert (len(root), len(inner)) == (len(box), 0)
+        solve_exact(Instance.from_sizes(16, (3, 4, 4, 5)), BIG_BUDGET)
+        assert len(root) == len(box) + 1 and inner
+        # the root test runs at every k: these fail the prefix condition at
+        # j = 2 and j = 4, and take no node
+        for n, sizes in ((14, (3, 3, 8)), (15, (2, 2, 2, 2, 7))):
+            for budget in (0, BIG_BUDGET):
+                res = solve_exact(Instance.from_sizes(n, sizes), budget)
+                assert (res.status, res.nodes) == (ExactStatus.NOT_FOUND, 0)
 
     def test_index_order_is_the_default(self):
         for inst in _box(30, [3, 4, 5, 6], 2):
@@ -545,6 +605,25 @@ class TestSolve:
                         assert res.stats.nodes == budget + 1, (inst, params)
                     else:
                         assert res.status is SolveStatus.SOLVED, (inst, params)
+
+    def test_shuffle_generator_is_seeded_on_the_first_restart(self, monkeypatch):
+        # random.Random(seed) is built once a run is cut off, and only once:
+        # a solve settled by run 0 builds none, one with two restarts one.
+        built = []
+
+        class Counting(random.Random):
+            def __init__(self, seed):
+                built.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr("equipart.solver.random.Random", Counting)
+        for n, sizes, seed, restarts in (
+            (16, (3, 4, 4, 5), 3, 0), (20, (3, 4, 4, 4, 5), 3, 1), (20, (3, 3, 3, 4, 7), 0, 2),
+        ):
+            res = solve(Instance.from_sizes(n, sizes), SearchParams(seed=seed))
+            assert res.status is SolveStatus.SOLVED
+            assert (res.stats.search_restarts, built) == (restarts, [seed][:restarts])
+            built.clear()
 
     def test_deterministic_for_fixed_seed(self):
         inst = Instance.from_sizes(16, [3, 4, 4, 5])
