@@ -118,11 +118,15 @@ def _failing_prefix(left: Sequence[int], need: Sequence[int], e: int, inner: boo
     """_failing_union on the keys of the open blocks of (left, need).
 
     Block i has left[i] slots still to fill from {1, ..., e}, whose labels
-    must sum to need[i]; full blocks (left[i] = 0) are skipped.  The verdict
-    and the search's root test call this; the search keeps its keys below
-    the root and calls _failing_union itself.
+    must sum to need[i]; full blocks (left[i] = 0) are skipped.  With
+    inner=True and fewer than four open blocks no prefix is left to check,
+    so the answer is None, also with no open block.  The verdict and the
+    search's root test call this; the search keeps its keys below the root
+    and calls _failing_union itself.
     """
     keys = [(d / slots, -slots, d) for slots, d in zip(left, need) if slots]
+    if inner and len(keys) < 4:
+        return None
     return _failing_union(keys, e, len(keys), inner)
 
 

@@ -7,14 +7,15 @@ and answers in its size slots, block i of size inst.sizes[i]:
   down to 1, each trying the blocks in a given order (index order by
   default), with symmetry breaking between equal-size blocks.  Every node
   is pruned by completion sums, per block and over unions of blocks; a
-  child is tested before it is placed, against the lower bound of the
-  block it changes and one kept floor per block for the upper bounds.  The
-  union bound is the paper's prefix condition applied to the search
-  state, and the feasibility verdict is its root case.  It is solve()'s
-  one route at k >= 3: 1 + max_restarts runs, the first in index order
-  with a cutoff of 4n max(1, k // 4) nodes, each later one in a freshly
-  shuffled order with twice the cutoff before it, the last on all that is
-  left of the node budget;
+  child is tested before it is placed, against the two bounds of the
+  block it changes and a count, taken once per label, of the blocks that
+  cannot be completed without that label.  The union bound is the paper's
+  prefix condition applied to the search state, and the feasibility
+  verdict is its root case.  It is solve()'s one route at k >= 3:
+  1 + max_restarts runs, the first in index order with a cutoff of
+  4n max(1, k // 4) nodes, each later one in a freshly shuffled order with
+  twice the cutoff before it, the last on all that is left of the node
+  budget;
 * a closed-form constructor for k = 2 (solve_k2) realizing the endpoint
   of the adjacent-exchange sliding sequence.
 
@@ -126,18 +127,26 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     is tested before it is placed, on that block's lower bound
     tri(left) <= need; for the upper bounds each block keeps the floor
     ceil((need + tri(left)) / left), recomputed only for the block placed
-    or restored, and a child with pool {1, ..., m} passes while
-    max(floors) <= m + 1.  Only a child that passes is placed and given the
-    union test, which then skips what the block tests settle: one block, all
-    open blocks but one, and all of them, so it runs only with four or more
-    open blocks.  For it each block keeps its key (need / left, -left,
-    need), rewritten only for the block restored or placed, and the test
-    ranks the kept keys (feasibility._failing_union); at k <= 3 the test
-    never runs below the root and no keys are kept.  Both bounds prune only
-    states with no completion, so NOT_FOUND is a proof of absence.  Equal-size
-    blocks are interchangeable, so an element may open only the first empty
-    block of each size class; blocks within an equal-size run are re-ordered
-    by least element on output.
+    or restored: the need fits under the largest sum of left labels of
+    {1, ..., m} exactly when m + 1 is at least the floor.  When label e
+    starts every floor is at most e + 1: the root test implies each block's
+    bounds, the child placed at the label above kept every floor at most
+    e + 1, and a restore returns a state that already held.  Placing e in
+    block i keeps i's own floor at most e, as need falls by e and
+    tri(left) by left.  So a child into block i passes when its lower bound
+    holds and no other block's floor equals e + 1, which one count of the
+    floors at e + 1 per label tells; only the child placed writes its floor.
+    Only a child that passes is placed and given the union test, which
+    then skips what the block tests settle: one block, all open blocks but
+    one, and all of them, so it runs only with four or more open blocks.
+    For it each block keeps its key (need / left, -left, need), rewritten
+    only for the block restored or placed, and the test ranks the kept keys
+    (feasibility._failing_union); at k <= 3 the test never runs below the
+    root and no keys are kept.  Both bounds prune only states with no
+    completion, so NOT_FOUND is a proof of absence.  Equal-size blocks are
+    interchangeable, so an element may open only the first empty block of
+    each size class; blocks within an equal-size run are re-ordered by least
+    element on output.
 
     Each label tries the blocks in `order`, a permutation of range(k); None
     means index order.  The equal-size rule is keyed by block index, not by
@@ -191,6 +200,9 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
             floors[i] = -(-(d + tri[j]) // j)
             if keys:
                 keys[i] = (d / j, -j, d)
+        # Every floor is at most e + 1 here (see the docstring), so a child
+        # passes its upper bounds when no other floor equals e + 1.
+        top = floors.count(e + 1)
         p += 1
         while p < k:
             i = order[p]
@@ -203,15 +215,12 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
                 return ExactResult(status=ExactStatus.BUDGET, partition=None, nodes=nodes)
             # Every block must stay completable from {1, ..., e - 1}: j labels
             # sum to at least tri[j] and at most j * e - tri[j].  Only block i
-            # changes, so i's lower bound and the floors test the child.
+            # changes, so i's lower bound and the count of the other blocks'
+            # floors at e + 1 test the child; i's own upper bound holds.
             j -= 1
             d = need[i] - e
-            if d >= tri[j]:
-                f = floors[i]
-                floors[i] = -(-(d + tri[j]) // j) if j else 0
-                if max(floors) <= e:
-                    break  # place e in block i
-                floors[i] = f
+            if d >= tri[j] and top == (floors[i] == e + 1):
+                break  # place e in block i
             p += 1
         else:
             tried[e] = -1
@@ -221,6 +230,7 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
             continue
         left[i] = j
         need[i] = d
+        floors[i] = -(-(d + tri[j]) // j) if j else 0
         open_blocks -= not j
         tried[e] = p
         e -= 1

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own search paths:
 expected values are produced by naive enumeration or literal traces so
 the tests check the fast implementations against something slower and
-simpler.
+simpler.  The one exception is reference_solve_exact, an earlier loop of
+the search kept as a differential reference; it shares the union routine.
 """
 
 from __future__ import annotations
@@ -12,8 +13,17 @@ import json
 import random
 from itertools import combinations
 
-from equipart.core import MAX_N, Instance, Partition
+from equipart.core import (
+    MAX_N,
+    Instance,
+    Partition,
+    _all_ints,
+    _check_count,
+    _integral_magic_sum,
+)
+from equipart.feasibility import _FULL_KEY, _failing_prefix, _failing_union
 from equipart.graphs import MagicCheck, verify_distance_magic
+from equipart.solver import ExactResult, ExactStatus
 
 
 def naive_equitable_exists(n: int, sizes, s: int) -> bool:
@@ -72,12 +82,14 @@ def reference_failing_prefix(left, need, e, inner=False):
     The reference for the routine that ranks keys it is handed: the smallest
     j whose j open blocks of largest need / left (ties to fewer slots)
     overflow {1, ..., e}, or None; inner=True checks only j = 2 ... m - 2 of
-    the m open blocks.
+    the m open blocks, none when m < 4.
     """
     L = D = 0
     top2 = 2 * e + 1
     order = sorted([(d / slots, -slots, d) for slots, d in zip(left, need) if slots], reverse=True)
     if inner:
+        if len(order) < 4:
+            return None
         L, D, order = -order[0][1], order[0][2], order[1:-2]
     for j, (_, minus_slots, d) in enumerate(order, start=1 + inner):
         L -= minus_slots
@@ -85,6 +97,114 @@ def reference_failing_prefix(left, need, e, inner=False):
         if 2 * D > L * (top2 - L):
             return j
     return None
+
+
+def reference_solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> ExactResult:
+    """solve_exact as written before its child test counted floors: the reference.
+
+    Each child saves its block's floor, rewrites it, takes max(floors) over
+    all k blocks and restores the floor when the child fails; otherwise the
+    body is the library's search.  It shares the union routine
+    (_failing_union, checked against reference_failing_prefix on its own),
+    so a differential test against it checks the child test: the search
+    that counts the floors at e + 1 once per label must give the same
+    status, nodes and blocks.
+    """
+    _check_count("budget", budget)
+    if order is None:
+        order = list(range(inst.k))
+    elif not _all_ints(order) or sorted(order) != list(range(inst.k)):
+        raise ValueError(f"order must be a permutation of range({inst.k}), got {order}")
+    s = _integral_magic_sum(inst.n, inst.k)
+    n, k, sizes = inst.n, inst.k, inst.sizes
+    # Block i still has left[i] slots to fill, whose labels must sum to need[i].
+    left = list(sizes)
+    need = [s] * k
+    tri = [j * (j + 1) // 2 for j in range(sizes[-1] + 1)]
+    # An open block's need fits under j(e + 1) - tri[j] exactly while e + 1 is
+    # at least its floor; a full block passed its last check with need 0.
+    floors = [-(-(s + tri[j]) // j) for j in sizes]
+    # Block i's union key, kept only where the union test runs (k >= 4): see
+    # feasibility._failing_union.
+    keys = [(s / j, -j, s) for j in sizes] if k > 3 else []
+    open_blocks = k
+    nodes = 0
+    # At the root the union bound is the prefix condition, which implies each
+    # block's bounds: its first union is the smallest block, its (k - 1)-th
+    # the complement of the largest, and those two bounds are the tightest.
+    if _failing_prefix(left, need, n) is not None:
+        return ExactResult(status=ExactStatus.NOT_FOUND, partition=None, nodes=0)
+    # Depth-first with an explicit cursor, not recursion, so n is not bounded
+    # by the interpreter's stack.  Label e lies in block order[tried[e]], and
+    # tried[e] is -1 while e is unplaced; labels e + 1, ..., n are placed.
+    tried = [-1] * (n + 1)
+    e = n
+    while e:  # until every label is placed
+        # Put label e in its next block, backtracking while it has none left.
+        # Full blocks are skipped, and so is an empty block after an empty
+        # block of the same size (the two are interchangeable).
+        p = tried[e]
+        if p >= 0:
+            i = order[p]
+            open_blocks += not left[i]
+            j = left[i] = left[i] + 1
+            d = need[i] = need[i] + e
+            floors[i] = -(-(d + tri[j]) // j)
+            if keys:
+                keys[i] = (d / j, -j, d)
+        p += 1
+        while p < k:
+            i = order[p]
+            j = left[i]
+            if j == 0 or (j == sizes[i] and i > 0 and left[i - 1] == sizes[i - 1] == j):
+                p += 1
+                continue
+            nodes += 1
+            if nodes > budget:
+                return ExactResult(status=ExactStatus.BUDGET, partition=None, nodes=nodes)
+            # Every block must stay completable from {1, ..., e - 1}: j labels
+            # sum to at least tri[j] and at most j * e - tri[j].  Only block i
+            # changes, so i's lower bound and the floors test the child.
+            j -= 1
+            d = need[i] - e
+            if d >= tri[j]:
+                f = floors[i]
+                floors[i] = -(-(d + tri[j]) // j) if j else 0
+                if max(floors) <= e:
+                    break  # place e in block i
+                floors[i] = f
+            p += 1
+        else:
+            tried[e] = -1
+            e += 1  # no block left: move the last placed label on
+            if e > n:
+                return ExactResult(status=ExactStatus.NOT_FOUND, partition=None, nodes=nodes)
+            continue
+        left[i] = j
+        need[i] = d
+        open_blocks -= not j
+        tried[e] = p
+        e -= 1
+        # The unions of open blocks must stay completable too.  Each open block
+        # meets its own bounds, so of m open blocks only the prefixes j = 2 ...
+        # m - 2 can fail: j = 1 is one block, j = m - 1 the complement of one
+        # and j = m the whole pool.  With m <= 3 (m = 0 once e = 0) none is left.
+        # Block i's key is written only here, where the test reads it: a state
+        # below a placement with m <= 3 also has m <= 3, and a restore writes
+        # the key back.
+        if open_blocks > 3:
+            keys[i] = (d / j, -j, d) if j else _FULL_KEY
+            if _failing_union(keys, e, open_blocks, True) is not None:
+                e += 1  # a union is not completable: move label e on
+    blocks: list[list[int]] = [[] for _ in range(k)]
+    for x in range(1, n + 1):
+        blocks[order[tried[x]]].append(x)
+    # Block i holds sizes[i] labels, ascending, and sizes never decreases: this
+    # keeps the slot order and orders each equal-size run by least element.
+    blocks.sort(key=lambda b: (len(b), b[0]))
+    return ExactResult(
+        status=ExactStatus.FOUND, partition=Partition.from_blocks(n, blocks), nodes=nodes
+    )
 
 
 def k2_greedy_trace(n: int, p1: int, s: int) -> list[int]:

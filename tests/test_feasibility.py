@@ -185,25 +185,26 @@ class TestUnionBound:
         # block and the open-block count, and through _failing_prefix, it
         # returns the reference's j at the root and inner.  inner=True is
         # defined where each open block meets its own bounds; there the full
-        # blocks' keys change nothing, also with one open block.
+        # blocks' keys change nothing, also with one open block or none.
         states = [*self._random_states(20000, k_max=8, n_max=30), *self._tie_states(3000)]
-        with_full = tie_decides = inner_pruned = 0
+        with_full = no_open = tie_decides = inner_pruned = 0
         for e, left, need in states:
             keys = [(d / j, -j, d) if j else _FULL_KEY for j, d in zip(left, need)]
             m = sum(map(bool, left))
-            for inner in (False, True)[: 1 + (m > 0)]:  # inner starts from an open block
+            for inner in (False, True):
                 want = reference_failing_prefix(left, need, e, inner)
                 assert _failing_prefix(left, need, e, inner) == want, (e, left, need, inner)
                 if not inner or self._blocks_completable(e, left, need):
                     assert _failing_union(keys, e, m, inner) == want, (e, left, need, inner)
                     inner_pruned += inner and want is not None
             with_full += 0 < m < len(left)
+            no_open += m == 0
             # the failing union ends inside a run of equal need / left, so the
             # tie-break by fewer slots decides which union failed
             j = reference_failing_prefix(left, need, e)
             ranked = sorted((d / s for s, d in zip(left, need) if s), reverse=True)
             tie_decides += j is not None and j < m and ranked[j - 1] == ranked[j]
-        assert with_full > 10000 and tie_decides > 1000 and inner_pruned > 200
+        assert with_full > 10000 and no_open > 1000 and tie_decides > 1000 and inner_pruned > 200
 
     def test_root_keeps_the_complement_of_the_largest_block(self):
         # at the root no block's own bounds are checked yet, so j = k - 1 can

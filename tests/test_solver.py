@@ -38,6 +38,7 @@ from helpers import (
     naive_equitable_exists,
     random_valid_instance,
     reference_failing_prefix,
+    reference_solve_exact,
 )
 
 BIG_BUDGET = 10**8
@@ -267,6 +268,39 @@ class TestSolveExact:
                 else:
                     deep_proofs += res.nodes > 0
         assert deep_proofs >= 7
+
+    def test_matches_the_max_floors_reference(self):
+        # The child test counts the floors at e + 1 once per label instead of
+        # taking max(floors) per child; it must accept exactly the same
+        # children, so status, nodes and blocks equal the reference's at every
+        # budget, also one that ends mid-search.
+        rng = random.Random(29)
+        runs = []
+        while len(runs) < 1500:
+            k = rng.randint(3, 8)
+            n = rng.randint(2 * k, 60)
+            if n * (n + 1) // 2 % k:
+                continue
+            low = rng.choice((1, 2))
+            sizes = [low] * k
+            for _ in range(n - low * k):
+                sizes[rng.randrange(k)] += 1
+            runs.append((Instance.from_sizes(n, sizes), rng.sample(range(k), k)))
+        for n, sizes in STALL_CORPUS:
+            inst = Instance.from_sizes(n, sizes)
+            runs += [(inst, None), (inst, rng.sample(range(inst.k), inst.k))]
+        found = backtracked = cut = 0
+        for inst, order in runs:
+            full = reference_solve_exact(inst, 200_000, order)
+            found += full.status is ExactStatus.FOUND
+            backtracked += full.nodes > 2 * inst.n
+            mid = {rng.randrange(2, full.nodes) for _ in range(2)} if full.nodes > 2 else set()
+            cut += len(mid)
+            for budget in sorted({0, 1, 200_000, *mid}):
+                want = full if budget == 200_000 else reference_solve_exact(inst, budget, order)
+                # an ExactResult is its status, partition and nodes
+                assert solve_exact(inst, budget, order) == want, (inst, order, budget)
+        assert found > 800 and backtracked > 500 and cut > 1500, (found, backtracked, cut)
 
     def test_kept_union_keys_equal_rebuilt_keys(self, monkeypatch):
         # The search writes block i's union key only where it places or
