@@ -35,20 +35,13 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 
 from .core import Instance, Partition, _all_ints, _check_count, _integral_magic_sum
-from .feasibility import (
-    _FULL_KEY,
-    Verdict,
-    _failing_prefix,
-    _failing_union,
-    condition_failing_index,
-    feasibility,
-    prefix_top_sum,
-)
+from .feasibility import Verdict, condition_failing_index, feasibility, prefix_top_sum
 
 #: Exact-search node budget used when callers do not supply one.
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -114,6 +107,42 @@ class SolveResult:
     stats: SolveStats = field(compare=False, default_factory=SolveStats)
 
 
+#: The union key of a full block: it ranks below every open block's, so the
+#: unions the search checks hold only open blocks.
+_FULL_KEY = (float("-inf"), 0, 0)
+
+
+def _failing_union(keys: Sequence[tuple[float, int, int]], e: int, m: int) -> bool:
+    """Whether a union of open blocks overflows {1, ..., e} at a placed state.
+
+    keys holds one key per block: (need / left, -left, need) for an open
+    block, which has left > 0 slots whose labels must sum to need, and
+    _FULL_KEY for a full block; m >= 4 blocks are open.  Any L of the labels
+    sum to at most L(e + 1) - tri(L), so a union of open blocks with L slots
+    and summed need D above that has no completion.  The unions checked are
+    the prefixes of the open blocks by largest key: largest need per slot,
+    ties to fewer slots.  As sum(left) = e and sum(need) = tri(e) in a search
+    state, this bound on a union is the lower bound on its complement, so it
+    covers the prefixes of the opposite order too.  Each open block is
+    within its own bounds at a placed state, so the prefixes j = 1 (one
+    block), m - 1 (the complement of one) and m (the whole pool) cannot
+    fail: only j = 2 ... m - 2 are checked.  The keys are handed in, not
+    built here, so the search can keep them from node to node.
+    """
+    top2 = 2 * e + 1
+    # need / left is a float to keep the key cheap; -left breaks a tie (also
+    # one of rounding) towards the smaller block.
+    order = sorted(keys, reverse=True)
+    _, L, D = order[0]
+    L = -L
+    for _, minus_slots, d in order[1 : m - 2]:
+        L -= minus_slots
+        D += d
+        if 2 * D > L * (top2 - L):  # L(e + 1) - tri(L) = L(2e + 1 - L) / 2
+            return True
+    return False
+
+
 def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> ExactResult:
     """Complete backtracking search for an equitable partition.
 
@@ -122,28 +151,28 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     block, or a union of blocks, cannot be completed from that pool: each
     block's remaining sum must lie between the smallest and largest
     completions, and so must the summed need of the open blocks taken by
-    largest need per slot (feasibility._failing_prefix; at the root this is
-    the prefix condition).  Placing a label changes one block, so a child
-    is tested before it is placed, on that block's lower bound
-    tri(left) <= need; for the upper bounds each block keeps the floor
-    ceil((need + tri(left)) / left), recomputed only for the block placed
-    or restored: the need fits under the largest sum of left labels of
-    {1, ..., m} exactly when m + 1 is at least the floor.  When label e
-    starts every floor is at most e + 1: the root test implies each block's
-    bounds, the child placed at the label above kept every floor at most
-    e + 1, and a restore returns a state that already held.  Placing e in
-    block i keeps i's own floor at most e, as need falls by e and
-    tri(left) by left.  So a child into block i passes when its lower bound
-    holds and no other block's floor equals e + 1, which one count of the
-    floors at e + 1 per label tells; only the child placed writes its floor.
-    Only a child that passes is placed and given the union test, which
-    then skips what the block tests settle: one block, all open blocks but
-    one, and all of them, so it runs only with four or more open blocks.
-    For it each block keeps its key (need / left, -left, need), rewritten
-    only for the block restored or placed, and the test ranks the kept keys
-    (feasibility._failing_union); at k <= 3 the test never runs below the
-    root and no keys are kept.  Both bounds prune only states with no
-    completion, so NOT_FOUND is a proof of absence.  Equal-size blocks are
+    largest need per slot.  At the root that union bound is the prefix
+    condition, so the root test is the verdict's condition_failing_index.
+    Placing a label changes one block, so a child is tested before it is
+    placed, on that block's lower bound tri(left) <= need; for the upper
+    bounds each block keeps the floor ceil((need + tri(left)) / left),
+    recomputed only for the block placed or restored: the need fits under
+    the largest sum of left labels of {1, ..., m} exactly when m + 1 is at
+    least the floor.  When label e starts every floor is at most e + 1: the
+    root test implies each block's bounds, the child placed at the label
+    above kept every floor at most e + 1, and a restore returns a state that
+    already held.  Placing e in block i keeps i's own floor at most e, as
+    need falls by e and tri(left) by left.  So a child into block i passes
+    when its lower bound holds and no other block's floor equals e + 1,
+    which one count of the floors at e + 1 per label tells; only the child
+    placed writes its floor.  Only a child that passes is placed and given
+    the union test, which then skips what the block tests settle: one block,
+    all open blocks but one, and all of them, so it runs only with four or
+    more open blocks.  For it each block keeps its key (need / left, -left,
+    need), rewritten only for the block restored or placed, and the test
+    ranks the kept keys (_failing_union); at k <= 3 the test never runs
+    below the root and no keys are kept.  Both bounds prune only states with
+    no completion, so NOT_FOUND is a proof of absence.  Equal-size blocks are
     interchangeable, so an element may open only the first empty block of
     each size class; blocks within an equal-size run are re-ordered by least
     element on output.
@@ -173,14 +202,15 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     # at least its floor; a full block passed its last check with need 0.
     floors = [-(-(s + tri[j]) // j) for j in sizes]
     # Block i's union key, kept only where the union test runs (k >= 4): see
-    # feasibility._failing_union.
+    # _failing_union.
     keys = [(s / j, -j, s) for j in sizes] if k > 3 else []
     open_blocks = k
     nodes = 0
     # At the root the union bound is the prefix condition, which implies each
     # block's bounds: its first union is the smallest block, its (k - 1)-th
     # the complement of the largest, and those two bounds are the tightest.
-    if _failing_prefix(left, need, n) is not None:
+    # Sizes never decrease, so the unions by largest s / p_i are the prefixes.
+    if condition_failing_index(n, sizes, s) is not None:
         return ExactResult(status=ExactStatus.NOT_FOUND, partition=None, nodes=0)
     # Depth-first with an explicit cursor, not recursion, so n is not bounded
     # by the interpreter's stack.  Label e lies in block order[tried[e]], and
@@ -243,7 +273,7 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
         # the key back.
         if open_blocks > 3:
             keys[i] = (d / j, -j, d) if j else _FULL_KEY
-            if _failing_union(keys, e, open_blocks, True) is not None:
+            if _failing_union(keys, e, open_blocks):
                 e += 1  # a union is not completable: move label e on
     blocks: list[list[int]] = [[] for _ in range(k)]
     for x in range(1, n + 1):
@@ -274,7 +304,7 @@ def solve_k2(inst: Instance) -> Partition:
     p1 = inst.sizes[0]
     if p1 < 2:
         raise ValueError("solve_k2 requires the smaller block size >= 2")
-    if condition_failing_index(inst) is not None:
+    if condition_failing_index(inst.n, inst.sizes, s) is not None:
         raise ValueError(f"top-{p1} sum {prefix_top_sum(inst.n, p1)} cannot reach {s}")
     n = inst.n
     deficit = s - p1 * (p1 + 1) // 2

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own search paths:
 expected values are produced by naive enumeration or literal traces so
 the tests check the fast implementations against something slower and
 simpler.  The one exception is reference_solve_exact, an earlier loop of
-the search kept as a differential reference; it shares the union routine.
+the search kept as a differential reference; below the root it shares the
+search's union routine, solver._failing_union.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from equipart.core import (
     _check_count,
     _integral_magic_sum,
 )
-from equipart.feasibility import _FULL_KEY, _failing_prefix, _failing_union
 from equipart.graphs import MagicCheck, verify_distance_magic
-from equipart.solver import ExactResult, ExactStatus
+from equipart.solver import _FULL_KEY, ExactResult, ExactStatus, _failing_union
 
 
 def naive_equitable_exists(n: int, sizes, s: int) -> bool:
@@ -79,10 +79,11 @@ def naive_completion_exists(e: int, left, need) -> bool:
 def reference_failing_prefix(left, need, e, inner=False):
     """The union bound by building and sorting each open block's key per call.
 
-    The reference for the routine that ranks keys it is handed: the smallest
-    j whose j open blocks of largest need / left (ties to fewer slots)
-    overflow {1, ..., e}, or None; inner=True checks only j = 2 ... m - 2 of
-    the m open blocks, none when m < 4.
+    The reference for the search's union routine, which ranks keys it is
+    handed, and at the root for the verdict: the smallest j whose j open
+    blocks of largest need / left (ties to fewer slots) overflow
+    {1, ..., e}, or None; inner=True checks only j = 2 ... m - 2 of the m
+    open blocks, none when m < 4.
     """
     L = D = 0
     top2 = 2 * e + 1
@@ -104,11 +105,12 @@ def reference_solve_exact(inst: Instance, budget: int, order: list[int] | None =
 
     Each child saves its block's floor, rewrites it, takes max(floors) over
     all k blocks and restores the floor when the child fails; otherwise the
-    body is the library's search.  It shares the union routine
-    (_failing_union, checked against reference_failing_prefix on its own),
-    so a differential test against it checks the child test: the search
-    that counts the floors at e + 1 once per label must give the same
-    status, nodes and blocks.
+    body is the library's search.  Its root test is reference_failing_prefix,
+    not the verdict's condition_failing_index.  Below the root it shares the
+    union routine, solver._failing_union, which is checked against
+    reference_failing_prefix on its own; so a differential test against it
+    checks the child test: the search that counts the floors at e + 1 once
+    per label must give the same status, nodes and blocks.
     """
     _check_count("budget", budget)
     if order is None:
@@ -125,14 +127,14 @@ def reference_solve_exact(inst: Instance, budget: int, order: list[int] | None =
     # at least its floor; a full block passed its last check with need 0.
     floors = [-(-(s + tri[j]) // j) for j in sizes]
     # Block i's union key, kept only where the union test runs (k >= 4): see
-    # feasibility._failing_union.
+    # solver._failing_union.
     keys = [(s / j, -j, s) for j in sizes] if k > 3 else []
     open_blocks = k
     nodes = 0
     # At the root the union bound is the prefix condition, which implies each
     # block's bounds: its first union is the smallest block, its (k - 1)-th
     # the complement of the largest, and those two bounds are the tightest.
-    if _failing_prefix(left, need, n) is not None:
+    if reference_failing_prefix(left, need, n) is not None:
         return ExactResult(status=ExactStatus.NOT_FOUND, partition=None, nodes=0)
     # Depth-first with an explicit cursor, not recursion, so n is not bounded
     # by the interpreter's stack.  Label e lies in block order[tried[e]], and
@@ -194,7 +196,7 @@ def reference_solve_exact(inst: Instance, budget: int, order: list[int] | None =
         # the key back.
         if open_blocks > 3:
             keys[i] = (d / j, -j, d) if j else _FULL_KEY
-            if _failing_union(keys, e, open_blocks, True) is not None:
+            if _failing_union(keys, e, open_blocks):
                 e += 1  # a union is not completable: move label e on
     blocks: list[list[int]] = [[] for _ in range(k)]
     for x in range(1, n + 1):

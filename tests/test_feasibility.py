@@ -1,6 +1,5 @@
 """Feasibility pipeline: divisibility, size-one rule, prefix condition."""
 
-import random
 from itertools import accumulate
 
 import pytest
@@ -9,17 +8,14 @@ from hypothesis import strategies as st
 
 from equipart.core import Instance, magic_sum
 from equipart.feasibility import (
-    _FULL_KEY,
     FeasibilityStatus,
-    _failing_prefix,
-    _failing_union,
     condition_failing_index,
     feasibility,
     prefix_top_sum,
 )
 from equipart.lab import _box, enumerate_size_sequences
 
-from helpers import naive_completion_exists, naive_equitable_exists, reference_failing_prefix
+from helpers import naive_equitable_exists, reference_failing_prefix
 
 
 class TestPrefixTopSum:
@@ -46,22 +42,17 @@ class TestPrefixTopSum:
         assert prefix_top_sum(n, P) == sum(range(n - P + 1, n + 1))
 
 
-class TestNecessaryCondition:
+class TestConditionFailingIndex:
     def test_examples(self):
-        assert condition_failing_index(Instance.from_sizes(8, [2, 2, 2, 2])) is None
-        assert condition_failing_index(Instance.from_sizes(12, [2, 2, 8])) is not None
-        assert condition_failing_index(Instance.from_sizes(9, [2, 3, 4])) is None
+        assert condition_failing_index(8, (2, 2, 2, 2), 9) is None
+        assert condition_failing_index(12, (2, 2, 8), 26) is not None
+        assert condition_failing_index(9, (2, 3, 4), 15) is None
 
     def test_smallest_failing_index_reported(self):
-        assert condition_failing_index(Instance.from_sizes(12, [2, 2, 8])) == 1
+        assert condition_failing_index(12, (2, 2, 8), 26) == 1
         # fails at j=2 while j=1 passes: top-6 = 75 < 2*40
-        inst = Instance.from_sizes(15, [3, 3, 9])
-        assert condition_failing_index(inst) == 2
+        assert condition_failing_index(15, (3, 3, 9), 40) == 2
         assert prefix_top_sum(15, 3) >= 40
-
-    def test_requires_integral_magic_sum(self):
-        with pytest.raises(ValueError):
-            condition_failing_index(Instance.from_sizes(6, [1, 1, 2, 2]))
 
     def test_last_index_is_always_equality(self):
         for n in range(1, 25):
@@ -84,11 +75,11 @@ class TestNecessaryCondition:
                 prefix_top_sum(inst.n, P) >= j * s
                 for j, P in enumerate(accumulate(inst.sizes), start=1)
             )
-            assert by_prefix == (condition_failing_index(inst) is None)
+            assert by_prefix == (condition_failing_index(inst.n, inst.sizes, s) is None)
 
 
 class TestUnionBound:
-    """_failing_prefix, the bound the exact search runs at every node."""
+    """condition_failing_index is the exact search's union bound at the root."""
 
     def test_root_case_is_the_papers_inequality(self):
         # PAPER.md: sum_{i=1}^{P_j} (n - i + 1) >= j * C(n + 1, 2) / k for every
@@ -103,114 +94,29 @@ class TestUnionBound:
                 if k * top < j * n * (n + 1) // 2:
                     expected = j
                     break
-            assert condition_failing_index(inst) == expected, inst
+            assert condition_failing_index(n, inst.sizes, magic_sum(n, k)) == expected, inst
             failing += expected is not None
         assert failing > 0
 
-    @staticmethod
-    def _random_states(count, k_max=5, n_max=14):
-        """count random partial states (e, left, need): labels n, ..., e + 1 placed at random."""
-        rng = random.Random(3)
-        states = 0
-        while states < count:
-            n, k = rng.randint(6, n_max), rng.randint(3, k_max)
-            s = magic_sum(n, k)
-            if s is None or n < k:
-                continue
-            sizes = [1] * k
-            for _ in range(n - k):
-                sizes[rng.randrange(k)] += 1
-            left, need = sizes[:], [s] * k
-            e = rng.randint(0, n)
-            for x in range(n, e, -1):
-                i = rng.choice([i for i in range(k) if left[i]])
-                left[i] -= 1
-                need[i] -= x
-            states += 1
-            yield e, left, need
-
-    @staticmethod
-    def _blocks_completable(e, left, need):
-        """Every block's need lies between its smallest and largest completion from {1, ..., e}."""
-        return all(j * (j + 1) // 2 <= d <= j * (2 * e + 1 - j) // 2 for j, d in zip(left, need))
-
-    def test_dead_states_have_no_completion(self):
-        dead = beyond_single_blocks = 0
-        for e, left, need in self._random_states(5000):
-            if _failing_prefix(left, need, e) is None:
-                continue
-            dead += 1
-            assert not naive_completion_exists(e, left, need), (e, left, need)
-            # a state every single block of which could still be completed
-            beyond_single_blocks += self._blocks_completable(e, left, need)
-        assert dead > 1000 and beyond_single_blocks > 20
-
-    def test_inner_prefixes_prune_like_all_prefixes(self):
-        # At a placed search state every open block meets its own bounds; there
-        # the search's check of j = 2 ... m - 2 prunes exactly when all do.
-        # k up to 8 and n up to 30 give states that first fail past j = 2.
-        kept = pruned = deep = 0
-        for e, left, need in self._random_states(30000, k_max=8, n_max=30):
-            if not self._blocks_completable(e, left, need):
-                continue
-            kept += 1
-            full = _failing_prefix(left, need, e)
-            if sum(map(bool, left)) <= 3:  # the search's guard: no prefix is left to check
-                assert full is None, (e, left, need)
-                continue
-            assert _failing_prefix(left, need, e, inner=True) == full, (e, left, need)
-            pruned += full is not None
-            deep += full is not None and full > 2
-        assert kept > 3000 and pruned > 200 and deep > 10
-
-    @staticmethod
-    def _tie_states(count):
-        """count states (e, left, need) where 2 or 3 blocks of different sizes share need / left."""
-        rng = random.Random(7)
-        for _ in range(count):
-            k = rng.randint(4, 8)
-            q, r = rng.randint(1, 3), rng.randint(1, 20)
-            group = rng.sample(range(1, 5), rng.randint(2, 3))
-            blocks = [(q * c, r * c) for c in group]  # need / left = r / q for each
-            while len(blocks) < k:
-                j = rng.randint(0, 6)
-                blocks.append((j, rng.randint(j * (j + 1) // 2, j * (j + 12)) if j else 0))
-            rng.shuffle(blocks)
-            left, need = map(list, zip(*blocks))
-            yield max(0, sum(left) + rng.randint(-4, 4)), left, need
-
-    def test_routine_matches_the_build_and_sort_reference(self):
-        # _failing_union ranks the keys it is handed.  Called as the search
-        # calls it, with one key per block in block order, _FULL_KEY for a full
-        # block and the open-block count, and through _failing_prefix, it
-        # returns the reference's j at the root and inner.  inner=True is
-        # defined where each open block meets its own bounds; there the full
-        # blocks' keys change nothing, also with one open block or none.
-        states = [*self._random_states(20000, k_max=8, n_max=30), *self._tie_states(3000)]
-        with_full = no_open = tie_decides = inner_pruned = 0
-        for e, left, need in states:
-            keys = [(d / j, -j, d) if j else _FULL_KEY for j, d in zip(left, need)]
-            m = sum(map(bool, left))
-            for inner in (False, True):
-                want = reference_failing_prefix(left, need, e, inner)
-                assert _failing_prefix(left, need, e, inner) == want, (e, left, need, inner)
-                if not inner or self._blocks_completable(e, left, need):
-                    assert _failing_union(keys, e, m, inner) == want, (e, left, need, inner)
-                    inner_pruned += inner and want is not None
-            with_full += 0 < m < len(left)
-            no_open += m == 0
-            # the failing union ends inside a run of equal need / left, so the
-            # tie-break by fewer slots decides which union failed
-            j = reference_failing_prefix(left, need, e)
-            ranked = sorted((d / s for s, d in zip(left, need) if s), reverse=True)
-            tie_decides += j is not None and j < m and ranked[j - 1] == ranked[j]
-        assert with_full > 10000 and no_open > 1000 and tie_decides > 1000 and inner_pruned > 200
+    def test_verdict_is_the_union_bound_at_the_root(self):
+        # The root state has every block open with need s and the pool all of
+        # [n]; there the union bound, ranking blocks by need per slot, must
+        # fail at the same j as the verdict's loop over the sorted sizes.
+        got = {}
+        for inst in _box(40, range(2, 9), 1):
+            s = magic_sum(inst.n, inst.k)
+            j = condition_failing_index(inst.n, inst.sizes, s)
+            assert j == reference_failing_prefix(inst.sizes, [s] * inst.k, inst.n), inst
+            got[inst.n, inst.sizes] = j
+        # among them the two where the root fails at j = k - 1
+        assert got[14, (3, 3, 8)] == 2 and got[15, (2, 2, 2, 2, 7)] == 4
+        assert sum(j is not None for j in got.values()) > 1000
 
     def test_root_keeps_the_complement_of_the_largest_block(self):
         # at the root no block's own bounds are checked yet, so j = k - 1 can
         # fail: (14; 3, 3, 8) has s = 35 < tri(8), the largest block's minimum
-        assert condition_failing_index(Instance.from_sizes(14, [3, 3, 8])) == 2
-        assert condition_failing_index(Instance.from_sizes(15, [2, 2, 2, 2, 7])) == 4
+        assert condition_failing_index(14, (3, 3, 8), 35) == 2
+        assert condition_failing_index(15, (2, 2, 2, 2, 7), 24) == 4
 
 
 class TestFeasibility:

@@ -15,19 +15,15 @@ from hypothesis import strategies as st
 
 import equipart
 from equipart.core import Instance, Partition, magic_sum
-from equipart.feasibility import (
-    _FULL_KEY,
-    FeasibilityStatus,
-    _failing_union,
-    condition_failing_index,
-    feasibility,
-)
+from equipart.feasibility import FeasibilityStatus, condition_failing_index, feasibility
 from equipart.lab import _box, enumerate_size_sequences
 from equipart.solver import (
+    _FULL_KEY,
     ExactResult,
     ExactStatus,
     SearchParams,
     SolveStatus,
+    _failing_union,
     solve,
     solve_exact,
     solve_k2,
@@ -35,6 +31,7 @@ from equipart.solver import (
 
 from helpers import (
     k2_greedy_trace,
+    naive_completion_exists,
     naive_equitable_exists,
     random_valid_instance,
     reference_failing_prefix,
@@ -309,14 +306,14 @@ class TestSolveExact:
         # as the build-and-sort reference does.
         calls = []
 
-        def checked(keys, e, m, inner=False):
+        def checked(keys, e, m):
             search = sys._getframe(1).f_locals
             left, need = search["left"], search["need"]
             assert keys == [(d / j, -j, d) if j else _FULL_KEY for j, d in zip(left, need)]
-            assert (e, m, inner) == (search["e"], sum(map(bool, left)), True)
-            got = _failing_union(keys, e, m, inner)
-            assert got == reference_failing_prefix(left, need, e, inner)
-            calls.append((got is not None, 0 in left))
+            assert (e, m) == (search["e"], sum(map(bool, left)))
+            got = _failing_union(keys, e, m)
+            assert got == (reference_failing_prefix(left, need, e, True) is not None)
+            calls.append((got, 0 in left))
             return got
 
         monkeypatch.setattr("equipart.solver._failing_union", checked)
@@ -329,19 +326,21 @@ class TestSolveExact:
 
     def test_small_k_calls_the_union_routine_only_at_the_root(self, monkeypatch):
         # With k <= 3 no placed node has four open blocks, so the search keeps
-        # no keys and reaches the routine only through its root test,
-        # _failing_prefix; from k = 4 the placed nodes call it too.
+        # no keys and never calls the union routine: its one union test is the
+        # root's, the verdict's condition_failing_index.  From k = 4 the placed
+        # nodes call the routine too.
         root, inner = [], []
 
-        def counting(calls):
+        def counting(calls, routine):
             def count(*args):
                 calls.append(args)
-                return _failing_union(*args)
+                return routine(*args)
             return count
 
-        # "equipart.feasibility" names the function the package exports
-        monkeypatch.setattr(sys.modules["equipart.feasibility"], "_failing_union", counting(root))
-        monkeypatch.setattr("equipart.solver._failing_union", counting(inner))
+        monkeypatch.setattr(
+            "equipart.solver.condition_failing_index", counting(root, condition_failing_index)
+        )
+        monkeypatch.setattr("equipart.solver._failing_union", counting(inner, _failing_union))
         box = list(_box(30, [1, 2, 3], 1))
         for inst in box:
             solve_exact(inst, BIG_BUDGET)
@@ -378,6 +377,115 @@ class TestSolveExact:
             solve_exact(Instance.from_sizes(12, (3, 4, 5)), BIG_BUDGET, order)
 
 
+class TestFailingUnion:
+    """_failing_union, the union bound the exact search runs at placed nodes."""
+
+    @staticmethod
+    def _random_states(count, k_max=5, n_max=14):
+        """count random partial states (e, left, need): labels n, ..., e + 1 placed at random."""
+        rng = random.Random(3)
+        states = 0
+        while states < count:
+            n, k = rng.randint(6, n_max), rng.randint(3, k_max)
+            s = magic_sum(n, k)
+            if s is None or n < k:
+                continue
+            sizes = [1] * k
+            for _ in range(n - k):
+                sizes[rng.randrange(k)] += 1
+            left, need = sizes[:], [s] * k
+            e = rng.randint(0, n)
+            for x in range(n, e, -1):
+                i = rng.choice([i for i in range(k) if left[i]])
+                left[i] -= 1
+                need[i] -= x
+            states += 1
+            yield e, left, need
+
+    @staticmethod
+    def _blocks_completable(e, left, need):
+        """Every block's need lies between its smallest and largest completion from {1, ..., e}."""
+        return all(j * (j + 1) // 2 <= d <= j * (2 * e + 1 - j) // 2 for j, d in zip(left, need))
+
+    @staticmethod
+    def _keys(left, need):
+        """The union keys the search keeps for (left, need), in block order."""
+        return [(d / j, -j, d) if j else _FULL_KEY for j, d in zip(left, need)]
+
+    def test_dead_states_have_no_completion(self):
+        # The search prunes a state when a block cannot be completed or, with
+        # four or more open blocks, the routine finds a union that cannot.
+        dead = beyond_single_blocks = 0
+        for e, left, need in self._random_states(5000):
+            completable = self._blocks_completable(e, left, need)
+            m = sum(map(bool, left))
+            if completable and not (m > 3 and _failing_union(self._keys(left, need), e, m)):
+                continue
+            dead += 1
+            assert not naive_completion_exists(e, left, need), (e, left, need)
+            # a state every single block of which could still be completed
+            beyond_single_blocks += completable
+        assert dead > 1000 and beyond_single_blocks > 20
+
+    def test_inner_prefixes_prune_like_all_prefixes(self):
+        # At a placed search state every open block meets its own bounds; there
+        # the routine's check of j = 2 ... m - 2 prunes exactly when the check
+        # of all prefixes does.  k up to 8 and n up to 30 give states that
+        # first fail past j = 2.
+        kept = pruned = deep = 0
+        for e, left, need in self._random_states(30000, k_max=8, n_max=30):
+            if not self._blocks_completable(e, left, need):
+                continue
+            kept += 1
+            full = reference_failing_prefix(left, need, e)
+            m = sum(map(bool, left))
+            if m <= 3:  # the search's guard: no prefix is left to check
+                assert full is None, (e, left, need)
+                continue
+            assert _failing_union(self._keys(left, need), e, m) == (full is not None), (e, left, need)
+            pruned += full is not None
+            deep += full is not None and full > 2
+        assert kept > 3000 and pruned > 200 and deep > 10
+
+    @staticmethod
+    def _tie_states(count):
+        """count states (e, left, need) where 2 or 3 blocks of different sizes share need / left."""
+        rng = random.Random(7)
+        for _ in range(count):
+            k = rng.randint(4, 8)
+            q, r = rng.randint(1, 3), rng.randint(1, 20)
+            group = rng.sample(range(1, 5), rng.randint(2, 3))
+            blocks = [(q * c, r * c) for c in group]  # need / left = r / q for each
+            while len(blocks) < k:
+                j = rng.randint(0, 6)
+                blocks.append((j, rng.randint(j * (j + 1) // 2, j * (j + 12)) if j else 0))
+            rng.shuffle(blocks)
+            left, need = map(list, zip(*blocks))
+            yield max(0, sum(left) + rng.randint(-4, 4)), left, need
+
+    def test_routine_matches_the_build_and_sort_reference(self):
+        # _failing_union ranks the keys it is handed.  Called as the search
+        # calls it, with one key per block in block order, _FULL_KEY for a full
+        # block and m >= 4 open blocks, it overflows exactly when the
+        # reference's j = 2 ... m - 2 does; the full blocks' keys change nothing.
+        # Most tie states have four or more open blocks, so they carry the counts.
+        states = [*self._random_states(20000, k_max=8, n_max=30), *self._tie_states(30000)]
+        with_full = tie_decides = inner_pruned = 0
+        for e, left, need in states:
+            m = sum(map(bool, left))
+            if m < 4:
+                continue
+            j = reference_failing_prefix(left, need, e, True)
+            assert _failing_union(self._keys(left, need), e, m) == (j is not None), (e, left, need)
+            inner_pruned += j is not None and self._blocks_completable(e, left, need)
+            with_full += m < len(left)
+            # the failing union ends inside a run of equal need / left, so the
+            # tie-break by fewer slots decides which union failed
+            ranked = sorted((d / s for s, d in zip(left, need) if s), reverse=True)
+            tie_decides += j is not None and ranked[j - 1] == ranked[j]
+        assert with_full > 10000 and tie_decides > 1000 and inner_pruned > 200
+
+
 class TestSolveK2:
     def test_examples(self):
         assert solve_k2(Instance.from_sizes(7, [3, 4])).blocks == (
@@ -407,7 +515,7 @@ class TestSolveK2:
                 continue
             for p1 in range(2, n // 2 + 1):
                 inst = Instance.from_sizes(n, [p1, n - p1])
-                if condition_failing_index(inst) is not None:
+                if condition_failing_index(n, inst.sizes, s) is not None:
                     continue
                 p = solve_k2(inst)
                 assert list(p.blocks[0]) == sorted(k2_greedy_trace(n, p1, s))
@@ -429,15 +537,17 @@ class TestSolveK2:
                 for p1 in range(2, n // 2 + 1):
                     yield n, p1
             for n in (99_999, 100_000, 100_003):
-                feasible = [p1 for p1 in range(2, n // 2 + 1) if condition_failing_index(
-                    Instance.from_sizes(n, [p1, n - p1])) is None]
+                s = magic_sum(n, 2)
+                feasible = [p1 for p1 in range(2, n // 2 + 1)
+                            if condition_failing_index(n, (p1, n - p1), s) is None]
                 yield from ((n, p1) for p1 in (feasible[0], feasible[1], n // 3, n // 2))
 
         digest = hashlib.sha256()
         rows = 0
         for n, p1 in box():
             inst = Instance.from_sizes(n, [p1, n - p1])
-            if magic_sum(n, 2) is None or condition_failing_index(inst) is not None:
+            s = magic_sum(n, 2)
+            if s is None or condition_failing_index(n, inst.sizes, s) is not None:
                 continue
             digest.update(json.dumps([n, inst.sizes, solve_k2(inst).blocks]).encode())
             rows += 1
@@ -448,11 +558,12 @@ class TestSolveK2:
         # rebuilding solve_k2's answer from its blocks gives the same
         # partition, across a spread of shapes
         for n in range(10, 2000, 37):
-            if magic_sum(n, 2) is None:
+            s = magic_sum(n, 2)
+            if s is None:
                 continue
             for p1 in (max(2, n // 3), n // 2):
                 inst = Instance.from_sizes(n, [p1, n - p1])
-                if condition_failing_index(inst) is not None:
+                if condition_failing_index(n, inst.sizes, s) is not None:
                     continue
                 p = solve_k2(inst)
                 assert Partition.from_blocks(n, p.blocks) == p
@@ -731,7 +842,7 @@ def test_condition_equivalent_to_oracle_for_k_le_4(n, k, data):
     sizes = data.draw(st.sampled_from(sequences))
     inst = Instance(n=n, sizes=sizes)
     res = solve_exact(inst, budget=BIG_BUDGET)
-    assert (res.status is ExactStatus.FOUND) == (condition_failing_index(inst) is None)
+    assert (res.status is ExactStatus.FOUND) == (condition_failing_index(n, sizes, s) is None)
 
 
 def _assert_solved_in_slot_order(inst: Instance) -> None:
