@@ -1,5 +1,7 @@
 """Feasibility pipeline: divisibility, size-one rule, prefix condition."""
 
+import importlib
+import random
 from itertools import accumulate
 
 import pytest
@@ -14,8 +16,9 @@ from equipart.feasibility import (
     prefix_top_sum,
 )
 from equipart.lab import _box, enumerate_size_sequences
+from equipart.solver import _FULL_KEY, _failing_union, solve_exact, solve_k2
 
-from helpers import naive_equitable_exists, reference_failing_prefix
+from helpers import naive_completion_exists, naive_equitable_exists, reference_failing_prefix
 
 
 class TestPrefixTopSum:
@@ -42,7 +45,7 @@ class TestPrefixTopSum:
         assert prefix_top_sum(n, P) == sum(range(n - P + 1, n + 1))
 
 
-class TestConditionFailingIndex:
+class TestNecessaryCondition:
     def test_examples(self):
         assert condition_failing_index(8, (2, 2, 2, 2), 9) is None
         assert condition_failing_index(12, (2, 2, 8), 26) is not None
@@ -53,6 +56,23 @@ class TestConditionFailingIndex:
         # fails at j=2 while j=1 passes: top-6 = 75 < 2*40
         assert condition_failing_index(15, (3, 3, 9), 40) == 2
         assert prefix_top_sum(15, 3) >= 40
+
+    def test_requires_integral_magic_sum(self, monkeypatch):
+        # C(7, 2) = 21 has no integral share among k = 4 or k = 2 blocks: the
+        # verdict stops at divisibility before the loop, and the routes that
+        # would run the loop at their root reject the instance
+        def unreachable(*args):
+            raise AssertionError("prefix condition run without an integral magic sum")
+
+        # the package's feasibility() hides its module of the same name
+        module = importlib.import_module("equipart.feasibility")
+        monkeypatch.setattr(module, "condition_failing_index", unreachable)
+        verdict = feasibility(Instance.from_sizes(6, [1, 1, 2, 2]))
+        assert verdict.status is FeasibilityStatus.INFEASIBLE_DIVISIBILITY
+        with pytest.raises(ValueError):
+            solve_exact(Instance.from_sizes(6, [1, 1, 2, 2]), budget=10)
+        with pytest.raises(ValueError):
+            solve_k2(Instance.from_sizes(6, [3, 3]))
 
     def test_last_index_is_always_equality(self):
         for n in range(1, 25):
@@ -79,7 +99,8 @@ class TestConditionFailingIndex:
 
 
 class TestUnionBound:
-    """condition_failing_index is the exact search's union bound at the root."""
+    """The exact search's union bound: condition_failing_index at the root,
+    solver._failing_union at placed nodes."""
 
     def test_root_case_is_the_papers_inequality(self):
         # PAPER.md: sum_{i=1}^{P_j} (n - i + 1) >= j * C(n + 1, 2) / k for every
@@ -117,6 +138,112 @@ class TestUnionBound:
         # fail: (14; 3, 3, 8) has s = 35 < tri(8), the largest block's minimum
         assert condition_failing_index(14, (3, 3, 8), 35) == 2
         assert condition_failing_index(15, (2, 2, 2, 2, 7), 24) == 4
+
+
+    @staticmethod
+    def _random_states(count, k_max=5, n_max=14):
+        """count random partial states (e, left, need): labels n, ..., e + 1 placed at random."""
+        rng = random.Random(3)
+        states = 0
+        while states < count:
+            n, k = rng.randint(6, n_max), rng.randint(3, k_max)
+            s = magic_sum(n, k)
+            if s is None or n < k:
+                continue
+            sizes = [1] * k
+            for _ in range(n - k):
+                sizes[rng.randrange(k)] += 1
+            left, need = sizes[:], [s] * k
+            e = rng.randint(0, n)
+            for x in range(n, e, -1):
+                i = rng.choice([i for i in range(k) if left[i]])
+                left[i] -= 1
+                need[i] -= x
+            states += 1
+            yield e, left, need
+
+    @staticmethod
+    def _blocks_completable(e, left, need):
+        """Every block's need lies between its smallest and largest completion from {1, ..., e}."""
+        return all(j * (j + 1) // 2 <= d <= j * (2 * e + 1 - j) // 2 for j, d in zip(left, need))
+
+    @staticmethod
+    def _keys(left, need):
+        """The union keys the search keeps for (left, need), in block order."""
+        return [(d / j, -j, d) if j else _FULL_KEY for j, d in zip(left, need)]
+
+    def test_dead_states_have_no_completion(self):
+        # The search prunes a state when a block cannot be completed or, with
+        # four or more open blocks, the routine finds a union that cannot.
+        dead = beyond_single_blocks = 0
+        for e, left, need in self._random_states(5000):
+            completable = self._blocks_completable(e, left, need)
+            m = sum(map(bool, left))
+            if completable and not (m > 3 and _failing_union(self._keys(left, need), e, m)):
+                continue
+            dead += 1
+            assert not naive_completion_exists(e, left, need), (e, left, need)
+            # a state every single block of which could still be completed
+            beyond_single_blocks += completable
+        assert dead > 1000 and beyond_single_blocks > 20
+
+    def test_inner_prefixes_prune_like_all_prefixes(self):
+        # At a placed search state every open block meets its own bounds; there
+        # the routine's check of j = 2 ... m - 2 prunes exactly when the check
+        # of all prefixes does.  k up to 8 and n up to 30 give states that
+        # first fail past j = 2.
+        kept = pruned = deep = 0
+        for e, left, need in self._random_states(30000, k_max=8, n_max=30):
+            if not self._blocks_completable(e, left, need):
+                continue
+            kept += 1
+            full = reference_failing_prefix(left, need, e)
+            m = sum(map(bool, left))
+            if m <= 3:  # the search's guard: no prefix is left to check
+                assert full is None, (e, left, need)
+                continue
+            assert _failing_union(self._keys(left, need), e, m) == (full is not None), (e, left, need)
+            pruned += full is not None
+            deep += full is not None and full > 2
+        assert kept > 3000 and pruned > 200 and deep > 10
+
+    @staticmethod
+    def _tie_states(count):
+        """count states (e, left, need) where 2 or 3 blocks of different sizes share need / left."""
+        rng = random.Random(7)
+        for _ in range(count):
+            k = rng.randint(4, 8)
+            q, r = rng.randint(1, 3), rng.randint(1, 20)
+            group = rng.sample(range(1, 5), rng.randint(2, 3))
+            blocks = [(q * c, r * c) for c in group]  # need / left = r / q for each
+            while len(blocks) < k:
+                j = rng.randint(0, 6)
+                blocks.append((j, rng.randint(j * (j + 1) // 2, j * (j + 12)) if j else 0))
+            rng.shuffle(blocks)
+            left, need = map(list, zip(*blocks))
+            yield max(0, sum(left) + rng.randint(-4, 4)), left, need
+
+    def test_routine_matches_the_build_and_sort_reference(self):
+        # _failing_union ranks the keys it is handed.  Called as the search
+        # calls it, with one key per block in block order, _FULL_KEY for a full
+        # block and m >= 4 open blocks, it overflows exactly when the
+        # reference's j = 2 ... m - 2 does; the full blocks' keys change nothing.
+        # Most tie states have four or more open blocks, so they carry the counts.
+        states = [*self._random_states(20000, k_max=8, n_max=30), *self._tie_states(30000)]
+        with_full = tie_decides = inner_pruned = 0
+        for e, left, need in states:
+            m = sum(map(bool, left))
+            if m < 4:
+                continue
+            j = reference_failing_prefix(left, need, e, True)
+            assert _failing_union(self._keys(left, need), e, m) == (j is not None), (e, left, need)
+            inner_pruned += j is not None and self._blocks_completable(e, left, need)
+            with_full += m < len(left)
+            # the failing union ends inside a run of equal need / left, so the
+            # tie-break by fewer slots decides which union failed
+            ranked = sorted((d / s for s, d in zip(left, need) if s), reverse=True)
+            tie_decides += j is not None and ranked[j - 1] == ranked[j]
+        assert with_full > 10000 and tie_decides > 1000 and inner_pruned > 200
 
 
 class TestFeasibility:

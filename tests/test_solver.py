@@ -31,7 +31,6 @@ from equipart.solver import (
 
 from helpers import (
     k2_greedy_trace,
-    naive_completion_exists,
     naive_equitable_exists,
     random_valid_instance,
     reference_failing_prefix,
@@ -375,115 +374,6 @@ class TestSolveExact:
     def test_order_must_be_a_permutation(self, order):
         with pytest.raises(ValueError, match="permutation"):
             solve_exact(Instance.from_sizes(12, (3, 4, 5)), BIG_BUDGET, order)
-
-
-class TestFailingUnion:
-    """_failing_union, the union bound the exact search runs at placed nodes."""
-
-    @staticmethod
-    def _random_states(count, k_max=5, n_max=14):
-        """count random partial states (e, left, need): labels n, ..., e + 1 placed at random."""
-        rng = random.Random(3)
-        states = 0
-        while states < count:
-            n, k = rng.randint(6, n_max), rng.randint(3, k_max)
-            s = magic_sum(n, k)
-            if s is None or n < k:
-                continue
-            sizes = [1] * k
-            for _ in range(n - k):
-                sizes[rng.randrange(k)] += 1
-            left, need = sizes[:], [s] * k
-            e = rng.randint(0, n)
-            for x in range(n, e, -1):
-                i = rng.choice([i for i in range(k) if left[i]])
-                left[i] -= 1
-                need[i] -= x
-            states += 1
-            yield e, left, need
-
-    @staticmethod
-    def _blocks_completable(e, left, need):
-        """Every block's need lies between its smallest and largest completion from {1, ..., e}."""
-        return all(j * (j + 1) // 2 <= d <= j * (2 * e + 1 - j) // 2 for j, d in zip(left, need))
-
-    @staticmethod
-    def _keys(left, need):
-        """The union keys the search keeps for (left, need), in block order."""
-        return [(d / j, -j, d) if j else _FULL_KEY for j, d in zip(left, need)]
-
-    def test_dead_states_have_no_completion(self):
-        # The search prunes a state when a block cannot be completed or, with
-        # four or more open blocks, the routine finds a union that cannot.
-        dead = beyond_single_blocks = 0
-        for e, left, need in self._random_states(5000):
-            completable = self._blocks_completable(e, left, need)
-            m = sum(map(bool, left))
-            if completable and not (m > 3 and _failing_union(self._keys(left, need), e, m)):
-                continue
-            dead += 1
-            assert not naive_completion_exists(e, left, need), (e, left, need)
-            # a state every single block of which could still be completed
-            beyond_single_blocks += completable
-        assert dead > 1000 and beyond_single_blocks > 20
-
-    def test_inner_prefixes_prune_like_all_prefixes(self):
-        # At a placed search state every open block meets its own bounds; there
-        # the routine's check of j = 2 ... m - 2 prunes exactly when the check
-        # of all prefixes does.  k up to 8 and n up to 30 give states that
-        # first fail past j = 2.
-        kept = pruned = deep = 0
-        for e, left, need in self._random_states(30000, k_max=8, n_max=30):
-            if not self._blocks_completable(e, left, need):
-                continue
-            kept += 1
-            full = reference_failing_prefix(left, need, e)
-            m = sum(map(bool, left))
-            if m <= 3:  # the search's guard: no prefix is left to check
-                assert full is None, (e, left, need)
-                continue
-            assert _failing_union(self._keys(left, need), e, m) == (full is not None), (e, left, need)
-            pruned += full is not None
-            deep += full is not None and full > 2
-        assert kept > 3000 and pruned > 200 and deep > 10
-
-    @staticmethod
-    def _tie_states(count):
-        """count states (e, left, need) where 2 or 3 blocks of different sizes share need / left."""
-        rng = random.Random(7)
-        for _ in range(count):
-            k = rng.randint(4, 8)
-            q, r = rng.randint(1, 3), rng.randint(1, 20)
-            group = rng.sample(range(1, 5), rng.randint(2, 3))
-            blocks = [(q * c, r * c) for c in group]  # need / left = r / q for each
-            while len(blocks) < k:
-                j = rng.randint(0, 6)
-                blocks.append((j, rng.randint(j * (j + 1) // 2, j * (j + 12)) if j else 0))
-            rng.shuffle(blocks)
-            left, need = map(list, zip(*blocks))
-            yield max(0, sum(left) + rng.randint(-4, 4)), left, need
-
-    def test_routine_matches_the_build_and_sort_reference(self):
-        # _failing_union ranks the keys it is handed.  Called as the search
-        # calls it, with one key per block in block order, _FULL_KEY for a full
-        # block and m >= 4 open blocks, it overflows exactly when the
-        # reference's j = 2 ... m - 2 does; the full blocks' keys change nothing.
-        # Most tie states have four or more open blocks, so they carry the counts.
-        states = [*self._random_states(20000, k_max=8, n_max=30), *self._tie_states(30000)]
-        with_full = tie_decides = inner_pruned = 0
-        for e, left, need in states:
-            m = sum(map(bool, left))
-            if m < 4:
-                continue
-            j = reference_failing_prefix(left, need, e, True)
-            assert _failing_union(self._keys(left, need), e, m) == (j is not None), (e, left, need)
-            inner_pruned += j is not None and self._blocks_completable(e, left, need)
-            with_full += m < len(left)
-            # the failing union ends inside a run of equal need / left, so the
-            # tie-break by fewer slots decides which union failed
-            ranked = sorted((d / s for s, d in zip(left, need) if s), reverse=True)
-            tie_decides += j is not None and ranked[j - 1] == ranked[j]
-        assert with_full > 10000 and tie_decides > 1000 and inner_pruned > 200
 
 
 class TestSolveK2:
