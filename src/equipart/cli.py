@@ -1,8 +1,11 @@
 """Command-line front end: check, solve, label, verify, sweep, symmetric.
 
-Every command renders the same facts in text or JSON (--format).  The
-JSON schema uses the stable field names n, k, sizes, status, magic_sum,
-blocks, graph_constant, stats, plus a detail object for verdict- or
+Every command renders the same facts in text or JSON (--format).  An
+instance command (check, solve, label, verify) renders its text from the
+payload it writes as JSON, so each fact has one source; sweep and
+symmetric render theirs from the report.  The JSON schema uses the
+stable field names n, k, sizes, status, magic_sum, blocks,
+graph_constant, stats, plus a detail object for verdict- or
 witness-specific facts.  The JSON puts one field per line, keys sorted,
 and one item per line of a non-empty list (one block, or one sweep row);
 it is written to the file or stdout piece by piece, never joined into one
@@ -14,7 +17,8 @@ magic, or mismatches present; 2 usage or input error; 3 inconclusive
 solve or label exits by its result, not the verdict: proven_infeasible
 exits 1 even on a conjectured verdict, budget_exhausted exits 3.  A sweep
 or symmetric report with both mismatches and unresolved rows exits 1: a
-mismatch wins.
+mismatch wins.  A reader that closes standard output early does not
+change the code: the rest of the output is dropped.
 
 No colors and no environment configuration are used, so NO_COLOR is
 honored trivially.
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from typing import Any, Callable, TextIO
@@ -86,15 +91,29 @@ def _write_json(handle: TextIO, payload: dict[str, Any]) -> None:
     write("\n}\n")
 
 
-def _emit(args: argparse.Namespace, payload: dict[str, Any], text: Callable[[], str]) -> None:
-    """Write the payload as JSON, or call text() for the text form; only one is built."""
+def _emit(args: argparse.Namespace, payload: dict[str, Any], render: Callable[[dict], str]) -> None:
+    """Write the payload as JSON, or render(payload) for the text form; only one is built.
+
+    A reader that closes stdout early (`| head`) ends the writing, not the
+    command: the rest is dropped and stdout is pointed at os.devnull, so the
+    interpreter's flush at exit cannot fail again.  A failed -o FILE write
+    still raises.
+    """
     target = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
     with target as handle:
-        if args.format == "json":
-            _write_json(handle, payload)
-        else:
-            rendered = text()
-            handle.write(rendered if rendered.endswith("\n") else rendered + "\n")
+        try:
+            if args.format == "json":
+                _write_json(handle, payload)
+            else:
+                rendered = render(payload)
+                handle.write(rendered if rendered.endswith("\n") else rendered + "\n")
+            handle.flush()
+        except BrokenPipeError:
+            if handle is not sys.stdout:
+                raise
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, handle.fileno())
+            os.close(devnull)
 
 
 def _verdict_detail(inst: Instance, verdict: Verdict) -> dict[str, Any] | None:
@@ -105,23 +124,6 @@ def _verdict_detail(inst: Instance, verdict: Verdict) -> dict[str, Any] | None:
     if verdict.status is FeasibilityStatus.INFEASIBLE_SIZE_ONE:
         return {"reason": verdict.reason}
     return None
-
-
-def _verdict_line(inst: Instance, verdict: Verdict) -> str:
-    status = verdict.status
-    if status is FeasibilityStatus.INFEASIBLE_DIVISIBILITY:
-        return f"infeasible: {inst.n}({inst.n}+1)/2 is not divisible by k={inst.k}"
-    if status is FeasibilityStatus.INFEASIBLE_CONDITION:
-        detail = _verdict_detail(inst, verdict)
-        return (
-            f"infeasible: condition fails at j={detail['failing_index']} "
-            f"({detail['prefix_sum']} < {detail['required']})"
-        )
-    if status is FeasibilityStatus.INFEASIBLE_SIZE_ONE:
-        return f"infeasible: {verdict.reason}"
-    if status is FeasibilityStatus.FEASIBLE_PROVEN:
-        return "feasible (proven)"
-    return "condition holds (conjectured sufficient for k >= 5)"
 
 
 def _base_payload(n: int, sizes) -> dict[str, Any]:
@@ -139,11 +141,28 @@ def _base_payload(n: int, sizes) -> dict[str, Any]:
     }
 
 
-def _instance_header(inst: Instance) -> list[str]:
-    lines = [f"instance: n={inst.n} k={inst.k} sizes={','.join(map(str, inst.sizes))}"]
-    s = magic_sum(inst.n, inst.k)
-    lines.append(f"magic sum: {s if s is not None else 'not integral'}")
-    return lines
+def _instance_header(payload: dict[str, Any]) -> list[str]:
+    s = payload["magic_sum"]
+    return [
+        f"instance: n={payload['n']} k={payload['k']} sizes={','.join(map(str, payload['sizes']))}",
+        f"magic sum: {s if s is not None else 'not integral'}",
+    ]
+
+
+def _check_text(payload: dict[str, Any]) -> str:
+    status, detail, n = FeasibilityStatus(payload["status"]), payload["detail"], payload["n"]
+    if status is FeasibilityStatus.INFEASIBLE_DIVISIBILITY:
+        verdict = f"infeasible: {n}({n}+1)/2 is not divisible by k={payload['k']}"
+    elif status is FeasibilityStatus.INFEASIBLE_CONDITION:
+        verdict = (f"infeasible: condition fails at j={detail['failing_index']} "
+                   f"({detail['prefix_sum']} < {detail['required']})")
+    elif status is FeasibilityStatus.INFEASIBLE_SIZE_ONE:
+        verdict = f"infeasible: {detail['reason']}"
+    elif status is FeasibilityStatus.FEASIBLE_PROVEN:
+        verdict = "feasible (proven)"
+    else:
+        verdict = "condition holds (conjectured sufficient for k >= 5)"
+    return "\n".join(_instance_header(payload) + [f"verdict: {verdict}"])
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -152,8 +171,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     payload = _base_payload(inst.n, inst.sizes)
     payload["status"] = verdict.status.value
     payload["detail"] = _verdict_detail(inst, verdict)
-    _emit(args, payload, lambda: "\n".join(
-        _instance_header(inst) + [f"verdict: {_verdict_line(inst, verdict)}"]))
+    _emit(args, payload, _check_text)
     if verdict.status is FeasibilityStatus.FEASIBLE_PROVEN:
         return EXIT_OK
     if verdict.status is FeasibilityStatus.CONDITION_HOLDS_CONJECTURED:
@@ -173,8 +191,7 @@ def _solve_payload(args: argparse.Namespace, inst: Instance) -> tuple[dict[str, 
     }
     if result.status is SolveStatus.SOLVED:
         payload["blocks"] = result.partition.blocks
-        total = inst.n * (inst.n + 1) // 2
-        payload["graph_constant"] = total - result.verdict.s
+        payload["graph_constant"] = verify_distance_magic(result.partition).constant
         code = EXIT_OK
     else:
         payload["detail"] = {
@@ -190,44 +207,42 @@ def _blocks_text(blocks) -> str:
     return " ".join("{" + ",".join(map(str, b)) + "}" for b in blocks)
 
 
+def _solve_text(payload: dict[str, Any]) -> str:
+    lines = _instance_header(payload) + [f"status: {payload['status']}"]
+    if payload["blocks"] is not None:
+        lines.append(f"blocks: {_blocks_text(payload['blocks'])}")
+        lines.append(f"block sums: {' '.join(str(sum(b)) for b in payload['blocks'])}")
+        lines.append(f"graph constant: {payload['graph_constant']}")
+    elif payload["detail"]:
+        lines.append(f"verdict: {payload['detail']['verdict']}")
+    st = payload["stats"]
+    lines.append(
+        f"stats: nodes={st['nodes']} search_restarts={st['search_restarts']} "
+        f"elapsed={st['elapsed']}s"
+    )
+    return "\n".join(lines)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
-    inst = _instance_from_args(args)
-    payload, code = _solve_payload(args, inst)
-
-    def text() -> str:
-        lines = _instance_header(inst) + [f"status: {payload['status']}"]
-        if payload["blocks"] is not None:
-            lines.append(f"blocks: {_blocks_text(payload['blocks'])}")
-            lines.append(f"block sums: {' '.join(str(sum(b)) for b in payload['blocks'])}")
-            lines.append(f"graph constant: {payload['graph_constant']}")
-        elif payload["detail"]:
-            lines.append(f"verdict: {payload['detail']['verdict']}")
-        st = payload["stats"]
-        lines.append(
-            f"stats: nodes={st['nodes']} search_restarts={st['search_restarts']} "
-            f"elapsed={st['elapsed']}s"
-        )
-        return "\n".join(lines)
-
-    _emit(args, payload, text)
+    payload, code = _solve_payload(args, _instance_from_args(args))
+    _emit(args, payload, _solve_text)
     return code
 
 
+def _label_text(payload: dict[str, Any]) -> str:
+    lines = _instance_header(payload) + [f"status: {payload['status']}"]
+    if payload["blocks"] is not None:
+        for i, part in enumerate(payload["blocks"]):
+            lines.append(f"part {i}: {_blocks_text([part])} (size {len(part)})")
+        lines.append(f"every open neighborhood sums to: {payload['graph_constant']}")
+    elif payload["detail"]:
+        lines.append(f"verdict: {payload['detail']['verdict']}")
+    return "\n".join(lines)
+
+
 def cmd_label(args: argparse.Namespace) -> int:
-    inst = _instance_from_args(args)
-    payload, code = _solve_payload(args, inst)
-
-    def text() -> str:
-        lines = _instance_header(inst) + [f"status: {payload['status']}"]
-        if payload["blocks"] is not None:
-            for i, part in enumerate(payload["blocks"]):
-                lines.append(f"part {i}: {_blocks_text([part])} (size {len(part)})")
-            lines.append(f"every open neighborhood sums to: {payload['graph_constant']}")
-        elif payload["detail"]:
-            lines.append(f"verdict: {payload['detail']['verdict']}")
-        return "\n".join(lines)
-
-    _emit(args, payload, text)
+    payload, code = _solve_payload(args, _instance_from_args(args))
+    _emit(args, payload, _label_text)
     return code
 
 
@@ -251,35 +266,31 @@ def _read_partition(args: argparse.Namespace) -> Partition:
     return Partition.from_blocks(n, blocks)
 
 
+def _verify_text(payload: dict[str, Any]) -> str:
+    detail = payload["detail"]
+    lines = [f"mode: {detail['mode']} (n={payload['n']}, k={payload['k']})"]
+    if payload["status"] == "magic":
+        lines.append(f"magic: yes, constant {payload['graph_constant']}")
+        if detail["degenerate"]:
+            lines.append("note: k=3 closed neighborhoods cover all vertices; constant is forced")
+    else:
+        x, y = detail["witness"]
+        lines.append(f"magic: no, witness vertices {x} and {y}")
+    return "\n".join(lines)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     p = _read_partition(args)
-    if args.closed:
-        check = verify_closed_magic_cycle(p)
-        mode = "closed"
-    else:
-        check = verify_distance_magic(p)
-        mode = "open"
+    check = (verify_closed_magic_cycle if args.closed else verify_distance_magic)(p)
     payload = _base_payload(p.n, sorted(len(b) for b in p.blocks))
     payload["status"] = "magic" if check.is_magic else "not_magic"
     payload["graph_constant"] = check.constant
     payload["detail"] = {
-        "mode": mode,
+        "mode": "closed" if args.closed else "open",
         "witness": list(check.witness) if check.witness else None,
         "degenerate": check.degenerate,
     }
-
-    def text() -> str:
-        lines = [f"mode: {mode} (n={p.n}, k={p.k})"]
-        if check.is_magic:
-            lines.append(f"magic: yes, constant {check.constant}")
-            if check.degenerate:
-                lines.append("note: k=3 closed neighborhoods cover all vertices; constant is forced")
-        else:
-            x, y = check.witness  # type: ignore[misc]
-            lines.append(f"magic: no, witness vertices {x} and {y}")
-        return "\n".join(lines)
-
-    _emit(args, payload, text)
+    _emit(args, payload, _verify_text)
     return EXIT_OK if check.is_magic else EXIT_NEGATIVE
 
 
@@ -289,7 +300,8 @@ def _emit_report(args: argparse.Namespace, report: SweepReport, title: str) -> i
     The code is 1 on any mismatch, else 3 on an unresolved (budget) row,
     else 0: a report with both a mismatch and an unresolved row exits 1.
     """
-    def text() -> str:
+    def text(_payload: dict[str, Any]) -> str:
+        # From the report, not its JSON form: a row's repr keeps its tuples.
         cfg = " ".join(f"{k}={v}" for k, v in report.config.items() if k != "sweep")
         lines = [
             f"{title}: {cfg}",

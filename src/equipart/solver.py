@@ -3,32 +3,14 @@
 Two solvers, picked by the pipeline in solve().  Each takes the Instance
 and answers in its size slots, block i of size inst.sizes[i]:
 
-* a complete backtracking oracle (solve_exact) assigning elements from n
-  down to 1, each trying the blocks in a given order (index order by
-  default), with symmetry breaking between equal-size blocks.  Every node
-  is pruned by completion sums, per block and over unions of blocks; a
-  child is tested before it is placed, against the two bounds of the
-  block it changes and a count, taken once per label, of the blocks that
-  cannot be completed without that label.  The union bound is the paper's
-  prefix condition applied to the search state, and the feasibility
-  verdict is its root case.  It is solve()'s one route at k >= 3:
-  1 + max_restarts runs, the first in index order with a cutoff of
-  4n max(1, k // 4) nodes, each later one in a freshly shuffled order with
-  twice the cutoff before it, the last on all that is left of the node
-  budget;
-* a closed-form constructor for k = 2 (solve_k2) realizing the endpoint
+* solve_exact, a complete backtracking search pruned by completion sums,
+  solve()'s one route at k >= 3 (solve() gives its restart schedule);
+* solve_k2, a closed-form constructor for k = 2 realizing the endpoint
   of the adjacent-exchange sliding sequence.
 
 solve() builds the other two answers itself: [n] for k = 1, and {n} plus
 the pairs {i, n - i} for the sizes (1, 2, ..., 2) the size-one verdict
 passes.
-
-One budget bounds the nodes of all search runs together, so it bounds
-all of a k >= 3 solve's work, and the last run keeps all of it that is
-left; each order's search is complete, so the route is complete at any
-n.  Outputs are deterministic, a search's for a fixed seed.  The random
-module promises across versions only random()'s stream, not shuffle()'s;
-it is the same on CPython 3.10 to 3.13, where CI runs the tests that pin it.
 """
 
 from __future__ import annotations
@@ -49,11 +31,9 @@ DEFAULT_NODE_BUDGET = 100_000_000
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Budgets and seeding for solve().
+    """Budgets and seeding for solve(), whose docstring gives the restart schedule.
 
-    solve() makes max_restarts search runs after the first, each in a
-    trial order shuffled by random.Random(seed), which takes a seed of any
-    size; the last run searches on all of exact_node_budget that is left.
+    seed may be of any size: random.Random takes one.
     """
 
     seed: int = 0
@@ -67,7 +47,7 @@ class SearchParams:
 
 @dataclass
 class SolveStats:
-    """Mutable counters accumulated across the solve pipeline."""
+    """What one solve() did; solve() says what each counter counts."""
 
     nodes: int = 0
     search_restarts: int = 0
@@ -295,8 +275,10 @@ def solve_k2(inst: Instance) -> Partition:
     single middle element, so the small block is a prefix of [n], at most
     one middle value, and a suffix of top values.  This closed form equals
     the position-by-position greedy raise.  The blocks go to Partition's
-    checking constructor as lazy ranges, not built tuples, and like every
-    other route's answer they are checked in full there.
+    checking constructor as lazy ranges, not built tuples; it checks them
+    as a cover of [n].  The small block keeps p_1 - full labels and gains
+    full raised ones, so its size is p_1 by construction; solve()'s
+    certificate checks sizes and sums, as for every route.
     """
     if inst.k != 2:
         raise ValueError(f"solve_k2 requires k=2, got k={inst.k}")
@@ -319,10 +301,7 @@ def solve_k2(inst: Instance) -> Partition:
         mid = prefix_len + partial
         small = chain(range(1, prefix_len), (mid,), top)
         rest = chain(range(prefix_len, mid), range(mid + 1, n - full + 1))
-    p = Partition.from_blocks(n, (small, rest))
-    if tuple(map(len, p.blocks)) != inst.sizes:
-        raise RuntimeError("two-block construction produced wrong sizes")
-    return p
+    return Partition.from_blocks(n, (small, rest))
 
 
 def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
@@ -335,12 +314,17 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
     at all that is left of the one exact_node_budget.  Run 0 tries the
     blocks in index order; each later run shuffles the order with
     random.Random(params.seed), so restarts escape an unlucky early choice
-    while the answer stays deterministic for a fixed seed.  Any order
-    prunes the same states, so any run's FOUND is SOLVED and its NOT_FOUND
-    is a proof, PROVEN_INFEASIBLE.  The runs stop at a witness, a proof or
-    the end of the budget.  stats.nodes sums the runs' nodes; a solve cut
-    off reports budget + 1, the node it did not place.
-    stats.search_restarts counts the runs after the first.
+    while the answer stays deterministic for a fixed seed.  The random
+    module promises across versions only random()'s stream, not
+    shuffle()'s; it is the same on CPython 3.10 to 3.13, where CI runs the
+    tests that pin it.  Any order prunes the same states, so any run's
+    FOUND is SOLVED and its NOT_FOUND is a proof, PROVEN_INFEASIBLE.  The
+    runs stop at a witness, a proof or the end of the budget.  The one
+    budget bounds all of a k >= 3 solve's work, and as each order's search
+    is complete and the last run keeps all that is left, the route is
+    complete at any n.  stats.nodes sums the runs' nodes; a solve cut off
+    reports budget + 1, the node it did not place.  stats.search_restarts
+    counts the runs after the first.
 
     A SOLVED result always carries an equitable partition whose block i has
     size inst.sizes[i]; every route's answer is certified against that, and
@@ -366,8 +350,6 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
 
     if not verdict.predicts_feasible:
         return finish(SolveStatus.PROVEN_INFEASIBLE, None)
-    if verdict.s is None:
-        raise RuntimeError(f"feasible verdict without a magic sum: {verdict}")
 
     if inst.k == 1:
         return finish(SolveStatus.SOLVED, Partition.from_blocks(inst.n, [range(1, inst.n + 1)]))
@@ -385,15 +367,15 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
         if r:
             if r == 1:  # seeded here, as most solves never restart
                 shuffle = random.Random(params.seed).shuffle
-            stats.search_restarts += 1
             shuffle(order)
         cap = min(cutoff << r, remaining) if r < params.max_restarts else remaining
         exact = solve_exact(inst, cap, order)
         if exact.status is not ExactStatus.BUDGET or cap == remaining:
             break
-        stats.nodes += cap  # a cut-off run placed all of its cap
-        remaining -= cap
-    stats.nodes += exact.nodes
+        remaining -= cap  # a cut-off run placed all of its cap
+    # The loop ends on a break, as the last run's cap is all that remains.
+    stats.search_restarts = r
+    stats.nodes = params.exact_node_budget - remaining + exact.nodes
     if exact.status is ExactStatus.FOUND:
         return finish(SolveStatus.SOLVED, exact.partition)
     if exact.status is ExactStatus.NOT_FOUND:

@@ -648,6 +648,74 @@ class TestGoldenOutput:
         assert "note: k=3 closed neighborhoods cover all vertices; constant is forced" in out
 
 
+#: The renderer of each instance command's text form.
+RENDERERS = {"check": cli._check_text, "solve": cli._solve_text,
+             "label": cli._label_text, "verify": cli._verify_text}
+
+
+class TestTextFromJson:
+    """An instance command's text is its JSON payload rendered, elapsed seconds masked."""
+
+    def _assert_text_is_rendered_json(self, capsys, argv):
+        code, text, _ = run_cli(capsys, *argv)
+        json_code, payload = run_json(capsys, *argv)
+        assert json_code == code
+        rendered = RENDERERS[argv[0]](payload) + "\n"
+        assert _masked_sha256(rendered) == _masked_sha256(text), rendered
+
+    @pytest.mark.parametrize("line", [
+        line for line in GOLDEN_STDOUT
+        if line.split()[0] in ("check", "solve", "label") and "--format" not in line
+    ])
+    def test_golden_lines(self, capsys, line):
+        self._assert_text_is_rendered_json(capsys, line.split())
+
+    @pytest.mark.parametrize("solved,flags", [
+        ("7 1,2,2,2", ()), ("7 1,2,2,2", ("--closed",)), ("9 2,3,4", ("--closed",)), (None, ()),
+    ], ids=["golden-open", "golden-closed", "k3-closed", "not-magic"])
+    def test_verify(self, capsys, tmp_path, solved, flags):
+        path = tmp_path / "input.json"
+        if solved is None:
+            path.write_text(json.dumps({"n": 4, "blocks": [[1, 2], [3, 4]]}))
+        else:
+            n, sizes = solved.split()
+            run_cli(capsys, "solve", "--n", n, "--sizes", sizes, "--format", "json",
+                    "-o", str(path))
+        self._assert_text_is_rendered_json(capsys, ["verify", "--input", str(path), *flags])
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "1000000", "--k", "2", "--sizes", "400000,600000"],
+        ["solve", "--n", "1000000", "--k", "2", "--sizes", "400000,600000", "--format", "json"],
+        ["sweep", "--nmax", "34", "--k", "3,4,5", "--format", "json"],
+    ], ids=["solve-text", "solve-json", "sweep-json"])
+    def test_reader_closing_stdout_keeps_the_result_code(self, argv):
+        # the reader takes 100 bytes and closes its end, as `| head -c 100` does
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "equipart.cli", *argv], env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b"")
+        assert len(head) == 100
+
+    def test_closed_output_file_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _ClosedPipe(), raising=False)
+        code, out, err = run_cli(capsys, "solve", "--n", "9", "--sizes", "2,3,4", "-o", "x.json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Broken pipe" in err
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),

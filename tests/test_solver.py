@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -640,6 +641,44 @@ class TestSolve:
                         assert res.stats.nodes == budget + 1, (inst, params)
                     else:
                         assert res.status is SolveStatus.SOLVED, (inst, params)
+
+    def test_counters_equal_a_replay_of_the_runs(self):
+        # Replay the schedule of solve()'s docstring with solve_exact: run r in
+        # index order, then in orders shuffled by random.Random(seed), cut off
+        # at 4n max(1, k // 4) 2^r nodes, the last run on what is left.  Seed 0
+        # adds the box's two solves that restart twice.
+        settled = {ExactStatus.FOUND: SolveStatus.SOLVED,
+                   ExactStatus.NOT_FOUND: SolveStatus.PROVEN_INFEASIBLE,
+                   ExactStatus.BUDGET: SolveStatus.BUDGET_EXHAUSTED}
+        restarted = twice = cut_off = 0
+        for inst in _box(26, [4, 5, 6], 2):
+            if not feasibility(inst).predicts_feasible:
+                continue
+            cutoff = 4 * inst.n * max(1, inst.k // 4)
+            for seed, restarts, budget in itertools.product(
+                    (3, 0), (0, 1, 7), (0, 7, 100, 1000, 10**6)):
+                order, shuffle = list(range(inst.k)), random.Random(seed).shuffle
+                remaining, spent = budget, 0
+                for r in range(restarts + 1):
+                    if r:
+                        shuffle(order)
+                    cap = remaining if r == restarts else min(cutoff * 2**r, remaining)
+                    run = solve_exact(inst, cap, order)
+                    if run.status is not ExactStatus.BUDGET or cap == remaining:
+                        break
+                    spent += cap
+                    remaining -= cap
+                res = solve(inst, SearchParams(
+                    seed=seed, max_restarts=restarts, exact_node_budget=budget))
+                assert (res.status, res.partition, res.stats.nodes,
+                        res.stats.search_restarts) == (
+                    settled[run.status], run.partition, spent + run.nodes, r), (
+                    inst, seed, restarts, budget)
+                restarted += r > 0
+                twice += r > 1
+                cut_off += res.status is SolveStatus.BUDGET_EXHAUSTED
+        # the box keeps reaching restarts, second restarts and solves cut off
+        assert restarted >= 60 and twice >= 2 and cut_off >= 1000, (restarted, twice, cut_off)
 
     def test_shuffle_generator_is_seeded_on_the_first_restart(self, monkeypatch):
         # random.Random(seed) is built once a run is cut off, and only once:
