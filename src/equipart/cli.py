@@ -92,9 +92,10 @@ def _write_json(handle: TextIO, payload: dict[str, Any]) -> None:
 
 
 def _emit(args: argparse.Namespace, payload: dict[str, Any], render: Callable[[dict], str]) -> None:
-    """Write the payload as JSON, or render(payload) for the text form; only one is built.
+    """Write the payload as JSON, or render(payload) and a newline for the text form.
 
-    A reader that closes stdout early (`| head`) ends the writing, not the
+    Only one form is built; a renderer returns its lines joined, with no
+    final newline.  A reader that closes stdout early (`| head`) ends the writing, not the
     command: the rest is dropped and stdout is pointed at os.devnull, so the
     interpreter's flush at exit cannot fail again.  A failed -o FILE write
     still raises.
@@ -105,8 +106,7 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], render: Callable[[d
             if args.format == "json":
                 _write_json(handle, payload)
             else:
-                rendered = render(payload)
-                handle.write(rendered if rendered.endswith("\n") else rendered + "\n")
+                handle.write(render(payload) + "\n")
             handle.flush()
         except BrokenPipeError:
             if handle is not sys.stdout:
@@ -213,7 +213,7 @@ def _solve_text(payload: dict[str, Any]) -> str:
         lines.append(f"blocks: {_blocks_text(payload['blocks'])}")
         lines.append(f"block sums: {' '.join(str(sum(b)) for b in payload['blocks'])}")
         lines.append(f"graph constant: {payload['graph_constant']}")
-    elif payload["detail"]:
+    else:
         lines.append(f"verdict: {payload['detail']['verdict']}")
     st = payload["stats"]
     lines.append(
@@ -235,7 +235,7 @@ def _label_text(payload: dict[str, Any]) -> str:
         for i, part in enumerate(payload["blocks"]):
             lines.append(f"part {i}: {_blocks_text([part])} (size {len(part)})")
         lines.append(f"every open neighborhood sums to: {payload['graph_constant']}")
-    elif payload["detail"]:
+    else:
         lines.append(f"verdict: {payload['detail']['verdict']}")
     return "\n".join(lines)
 
@@ -419,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,9 +14,8 @@ Verdicts are deterministic: a failing prefix condition reports the
 smallest failing index j.
 
 condition_failing_index checks the prefix condition in exact integers,
-one inequality per prefix as the paper states it.  It is also the exact
-search's root test in solver: at the root, where no label is placed yet,
-the search's bound on unions of blocks is this condition.
+one inequality per prefix as the paper states it.  It is also the root
+test of solver.solve_exact, whose docstring says why.
 """
 
 from __future__ import annotations

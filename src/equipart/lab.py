@@ -2,11 +2,11 @@
 
 sweep() enumerates every size sequence in a bound box, predicts
 feasibility from the verdict pipeline, and settles the truth with the
-exhaustive search; a row the prefix condition refutes is settled by that
-proof, the search's root test.  A resolved disagreement is a
-counterexample candidate, not a bug: for k <= 4 none can exist (that
-range is proven), while for k >= 5 one would be a reportable finding
-against the sufficiency conjecture.
+exhaustive search; a row the verdict refutes by divisibility or by the
+prefix condition, the search's root test, is settled by that proof.  A
+resolved disagreement is a counterexample candidate, not a bug: for
+k <= 4 none can exist (that range is proven), while for k >= 5 one would
+be a reportable finding against the sufficiency conjecture.
 
 check_symmetric() covers the equal-part-size family: p parts of size m
 exist iff the magic sum divides, except that part size 1 collapses to
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .core import Instance, _check_count, magic_sum
-from .feasibility import FeasibilityStatus, feasibility
+from .feasibility import FeasibilityStatus, Verdict, feasibility
 from .solver import DEFAULT_NODE_BUDGET, solve_exact
 
 
@@ -127,11 +127,25 @@ def _agrees(predicted: bool, oracle: str) -> bool:
     return oracle == "budget" or predicted == (oracle == "found")
 
 
+_REFUTING = (FeasibilityStatus.INFEASIBLE_DIVISIBILITY, FeasibilityStatus.INFEASIBLE_CONDITION)
+
+
+def _oracle(inst: Instance, verdict: Verdict, budget: int) -> str:
+    """The oracle of a sweep row: which rows the search runs, for both sweeps.
+
+    A row the verdict refutes by divisibility or by the prefix condition
+    (the search's root test) is not_found by that proof, with no search;
+    every other row, a size-one refutation included, is searched.
+    """
+    if verdict.status in _REFUTING:
+        return "not_found"
+    return solve_exact(inst, budget=budget).status.value
+
+
 def _sweep_row(task: tuple[Instance, int]) -> SweepRow:
     inst, budget = task
     verdict = feasibility(inst)
-    refuted = verdict.status is FeasibilityStatus.INFEASIBLE_CONDITION  # the search's own root test
-    oracle = "not_found" if refuted else solve_exact(inst, budget=budget).status.value
+    oracle = _oracle(inst, verdict, budget)
     return SweepRow(n=inst.n, k=inst.k, sizes=inst.sizes, verdict=verdict.status.value,
                     predicted=verdict.predicts_feasible, oracle=oracle,
                     agree=_agrees(verdict.predicts_feasible, oracle))
@@ -194,10 +208,9 @@ def sweep(
     Covers every n <= n_max and k in k_set with an integral magic sum,
     and every non-decreasing size sequence with parts >= min_part.  With
     min_part = 1, size-one cases are predicted by the size-one rule (the
-    verdict pipeline applies it before the prefix condition).  A row the
-    prefix condition refutes is not_found without a search, since the
-    search would stop on that same test at node 0.  Budget exhaustion is
-    recorded per row and never counted as a mismatch.
+    verdict pipeline applies it before the prefix condition); _oracle
+    says which rows are searched.  Budget exhaustion is recorded per row
+    and never counted as a mismatch.
     """
     ks = _check_box(n_max, k_set, min_part)
     _check_budget_workers(budget, workers)
@@ -220,11 +233,8 @@ def _symmetric_row(task: tuple[int, int, int]) -> SymmetricRow:
     # divisibility of the magic sum.  Part size 1 is the complete graph:
     # never magic for p >= 2, whatever the parity says.
     criterion = m >= 2 and (m % 2 == 0 or p % 2 == 1)
-    if magic_sum(n, p) is None:
-        oracle = "not_found"  # divisibility failure counts as no labeling
-    else:
-        exact = solve_exact(Instance(n=n, sizes=(m,) * p), budget=budget)
-        oracle = exact.status.value
+    inst = Instance(n=n, sizes=(m,) * p)
+    oracle = _oracle(inst, feasibility(inst), budget)
     return SymmetricRow(m=m, p=p, n=n, criterion=criterion, oracle=oracle,
                         agree=_agrees(criterion, oracle))
 

@@ -92,6 +92,17 @@ class SolveResult:
 _FULL_KEY = (float("-inf"), 0, 0)
 
 
+def _certify(inst: Instance, s: int, partition: Partition) -> None:
+    """Raise RuntimeError unless block i has size inst.sizes[i] and every block sums to s.
+
+    A raise, not an assert, so python -O keeps it.
+    """
+    got = tuple(len(b) for b in partition.blocks)
+    if got != inst.sizes or any(t != s for t in partition.sums):
+        raise RuntimeError(f"solver output fails its certificate: sizes {got}, sums "
+                           f"{partition.sums}; expected sizes {inst.sizes}, every sum {s}")
+
+
 def _failing_union(keys: Sequence[tuple[float, int, int]], e: int, m: int) -> bool:
     """Whether a union of open blocks overflows {1, ..., e} at a placed state.
 
@@ -131,36 +142,43 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     block, or a union of blocks, cannot be completed from that pool: each
     block's remaining sum must lie between the smallest and largest
     completions, and so must the summed need of the open blocks taken by
-    largest need per slot.  At the root that union bound is the prefix
-    condition, so the root test is the verdict's condition_failing_index.
-    Placing a label changes one block, so a child is tested before it is
-    placed, on that block's lower bound tri(left) <= need; for the upper
-    bounds each block keeps the floor ceil((need + tri(left)) / left),
-    recomputed only for the block placed or restored: the need fits under
-    the largest sum of left labels of {1, ..., m} exactly when m + 1 is at
-    least the floor.  When label e starts every floor is at most e + 1: the
-    root test implies each block's bounds, the child placed at the label
-    above kept every floor at most e + 1, and a restore returns a state that
-    already held.  Placing e in block i keeps i's own floor at most e, as
-    need falls by e and tri(left) by left.  So a child into block i passes
-    when its lower bound holds and no other block's floor equals e + 1,
-    which one count of the floors at e + 1 per label tells; only the child
-    placed writes its floor.  Only a child that passes is placed and given
-    the union test, which then skips what the block tests settle: one block,
-    all open blocks but one, and all of them, so it runs only with four or
-    more open blocks.  For it each block keeps its key (need / left, -left,
-    need), rewritten only for the block restored or placed, and the test
-    ranks the kept keys (_failing_union); at k <= 3 the test never runs
-    below the root and no keys are kept.  Both bounds prune only states with
-    no completion, so NOT_FOUND is a proof of absence.  Equal-size blocks are
-    interchangeable, so an element may open only the first empty block of
-    each size class; blocks within an equal-size run are re-ordered by least
-    element on output.
+    largest need per slot.  At the root every block's need per slot is
+    s / p_i and sizes never decrease, so those unions are the prefixes and
+    the union bound is the prefix condition: the root test is the verdict's
+    condition_failing_index.  It implies each block's bounds, as the first
+    union is the smallest block and the (k - 1)-th the complement of the
+    largest, the two tightest.  Placing a label changes one block, so a
+    child is tested before it is placed, on that block's lower bound
+    tri(left) <= need; for the upper bounds each block keeps the floor
+    ceil((need + tri(left)) / left), recomputed only for the block placed
+    or restored: the need fits under the largest sum of left labels of
+    {1, ..., x} exactly when x + 1 is at least the floor.  When label e
+    starts every floor is at most e + 1: the root test implies each block's
+    bounds, the child placed at the label above kept every floor at most
+    e + 1, and a restore returns a state that already held.  Placing e in
+    block i keeps i's own floor at most e, as need falls by e and tri(left)
+    by left.  So a child into block i passes when its lower bound holds and
+    no other block's floor equals e + 1, which one count of the floors at
+    e + 1 per label tells; only the child placed writes its floor.  Only a
+    child that passes is placed and given the union test, which then skips
+    what the block tests settle: one block, all open blocks but one, and
+    all of them, so it checks the prefixes j = 2 ... m - 2 of the m open
+    blocks and runs only with m >= 4.  For it each block keeps its key
+    (need / left, -left, need), and the test ranks the kept keys
+    (_failing_union).  A restore writes the block's key back; a placement
+    writes it only where the test runs, as no state below a placement that
+    leaves three or fewer open blocks has more.  Both bounds prune only
+    states with no completion, so NOT_FOUND is a proof of absence.
+    Equal-size blocks are interchangeable, so an element may open only the
+    first empty block of each size class, and full blocks are skipped;
+    blocks within an equal-size run are re-ordered by least element on
+    output.
 
     Each label tries the blocks in `order`, a permutation of range(k); None
     means index order.  The equal-size rule is keyed by block index, not by
     position in `order`, so every order prunes the same states and a
-    NOT_FOUND under any order is a proof of absence.
+    NOT_FOUND under any order is a proof of absence.  A FOUND witness
+    passes solve()'s certificate (_certify) before it is returned.
 
     At most `budget` nodes are tried, a child that fails before it is placed
     included; BUDGET reports budget + 1, the node it did not try.  Raises
@@ -181,15 +199,9 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     # An open block's need fits under j(e + 1) - tri[j] exactly while e + 1 is
     # at least its floor; a full block passed its last check with need 0.
     floors = [-(-(s + tri[j]) // j) for j in sizes]
-    # Block i's union key, kept only where the union test runs (k >= 4): see
-    # _failing_union.
-    keys = [(s / j, -j, s) for j in sizes] if k > 3 else []
+    keys = [(s / j, -j, s) for j in sizes]  # see _failing_union
     open_blocks = k
     nodes = 0
-    # At the root the union bound is the prefix condition, which implies each
-    # block's bounds: its first union is the smallest block, its (k - 1)-th
-    # the complement of the largest, and those two bounds are the tightest.
-    # Sizes never decrease, so the unions by largest s / p_i are the prefixes.
     if condition_failing_index(n, sizes, s) is not None:
         return ExactResult(status=ExactStatus.NOT_FOUND, partition=None, nodes=0)
     # Depth-first with an explicit cursor, not recursion, so n is not bounded
@@ -199,8 +211,6 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     e = n
     while e:  # until every label is placed
         # Put label e in its next block, backtracking while it has none left.
-        # Full blocks are skipped, and so is an empty block after an empty
-        # block of the same size (the two are interchangeable).
         p = tried[e]
         if p >= 0:
             i = order[p]
@@ -208,10 +218,7 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
             j = left[i] = left[i] + 1
             d = need[i] = need[i] + e
             floors[i] = -(-(d + tri[j]) // j)
-            if keys:
-                keys[i] = (d / j, -j, d)
-        # Every floor is at most e + 1 here (see the docstring), so a child
-        # passes its upper bounds when no other floor equals e + 1.
+            keys[i] = (d / j, -j, d)
         top = floors.count(e + 1)
         p += 1
         while p < k:
@@ -223,10 +230,6 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
             nodes += 1
             if nodes > budget:
                 return ExactResult(status=ExactStatus.BUDGET, partition=None, nodes=nodes)
-            # Every block must stay completable from {1, ..., e - 1}: j labels
-            # sum to at least tri[j] and at most j * e - tri[j].  Only block i
-            # changes, so i's lower bound and the count of the other blocks'
-            # floors at e + 1 test the child; i's own upper bound holds.
             j -= 1
             d = need[i] - e
             if d >= tri[j] and top == (floors[i] == e + 1):
@@ -244,13 +247,6 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
         open_blocks -= not j
         tried[e] = p
         e -= 1
-        # The unions of open blocks must stay completable too.  Each open block
-        # meets its own bounds, so of m open blocks only the prefixes j = 2 ...
-        # m - 2 can fail: j = 1 is one block, j = m - 1 the complement of one
-        # and j = m the whole pool.  With m <= 3 (m = 0 once e = 0) none is left.
-        # Block i's key is written only here, where the test reads it: a state
-        # below a placement with m <= 3 also has m <= 3, and a restore writes
-        # the key back.
         if open_blocks > 3:
             keys[i] = (d / j, -j, d) if j else _FULL_KEY
             if _failing_union(keys, e, open_blocks):
@@ -261,9 +257,9 @@ def solve_exact(inst: Instance, budget: int, order: list[int] | None = None) -> 
     # Block i holds sizes[i] labels, ascending, and sizes never decreases: this
     # keeps the slot order and orders each equal-size run by least element.
     blocks.sort(key=lambda b: (len(b), b[0]))
-    return ExactResult(
-        status=ExactStatus.FOUND, partition=Partition.from_blocks(n, blocks), nodes=nodes
-    )
+    witness = Partition.from_blocks(n, blocks)
+    _certify(inst, s, witness)
+    return ExactResult(status=ExactStatus.FOUND, partition=witness, nodes=nodes)
 
 
 def solve_k2(inst: Instance) -> Partition:
@@ -338,13 +334,7 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
 
     def finish(status: SolveStatus, partition: Partition | None) -> SolveResult:
         if partition is not None:
-            # The certificate, checked with raise, not assert, so python -O keeps it.
-            got = tuple(len(b) for b in partition.blocks)
-            if got != inst.sizes or any(t != verdict.s for t in partition.sums):
-                raise RuntimeError(
-                    f"solver output fails its certificate: sizes {got}, sums "
-                    f"{partition.sums}; expected sizes {inst.sizes}, every sum {verdict.s}"
-                )
+            _certify(inst, verdict.s, partition)
         stats.elapsed = time.perf_counter() - start_time
         return SolveResult(status=status, partition=partition, verdict=verdict, stats=stats)
 

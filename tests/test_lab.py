@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from equipart import lab
-from equipart.core import Instance
+from equipart.core import Instance, magic_sum
 from equipart.lab import (
     SweepReport,
     check_symmetric,
@@ -121,8 +121,10 @@ class TestSweep:
 
     def test_condition_refuted_rows_skip_the_search(self, monkeypatch):
         # the verdict's refutation is the search's root test, so the row is
-        # settled without a search; every other row is searched once
+        # settled without a search; every other row is searched once.  Both
+        # sweep families keep that one rule.
         unpatched = sweep(40, {3, 4, 5}, 2, 250_000).to_jsonable()
+        unpatched_symmetric = check_symmetric(40, 250_000).to_jsonable()
         searched = []
 
         def counting(inst, *args, **kwargs):
@@ -140,6 +142,20 @@ class TestSweep:
         assert searched == [(r.n, r.sizes) for r in report.rows
                             if r.verdict != "infeasible_condition"]
         assert report.to_jsonable() == unpatched
+
+        # equal sizes always pass the prefix condition, so only a
+        # non-integral magic sum skips the search; part size 1 (the size-one
+        # verdict) and part sizes >= 2 with an integral sum are searched
+        searched.clear()
+        report = check_symmetric(40, 250_000)
+        integral = [(r.n, (r.m,) * r.p) for r in report.rows if magic_sum(r.n, r.p) is not None]
+        assert searched == integral
+        assert any(sizes[0] == 1 for _, sizes in integral)
+        assert any(sizes[0] >= 2 for _, sizes in integral)
+        assert len(integral) < len(report.rows)
+        assert all(r.oracle == "not_found" for r in report.rows
+                   if magic_sum(r.n, r.p) is None)
+        assert report.to_jsonable() == unpatched_symmetric
 
     @pytest.mark.parametrize("cpus,expected", [(2, [2]), (1, []), (None, [])])
     def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, expected):

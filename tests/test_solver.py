@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import equipart
 from equipart.core import Instance, Partition, magic_sum
 from equipart.feasibility import FeasibilityStatus, condition_failing_index, feasibility
-from equipart.lab import _box, enumerate_size_sequences
+from equipart.lab import _box, check_symmetric, enumerate_size_sequences, sweep
 from equipart.solver import (
     _FULL_KEY,
     ExactResult,
@@ -80,7 +80,9 @@ STALL_CORPUS_SHA256 = "b752cba8d32d955410700cc6592acbd2f5f7888f3f7117cb43aaa8f9f
 
 #: (n, sizes, status, nodes, search_restarts, sha256 of json.dumps(blocks)) of
 #: solve(inst) at n near 10^4, k = 3, 4, 5: for each k a balanced instance,
-#: then one pushed onto the prefix-condition boundary.  Each solves in run 0.
+#: then one pushed onto the prefix-condition boundary; then the balanced ones
+#: scaled to n near 10^5, the solves CI also runs through the CLI.  Each
+#: solves in run 0.
 LARGE_N_SOLVES = (
     (9999, (2000, 3000, 4999), "solved", 22997, 0,
      "f15c098f225562166c8f8a40a6de9f012582e3070e0508b6a71be8cd762933bb"),
@@ -94,6 +96,12 @@ LARGE_N_SOLVES = (
      "f048c7b52011b175fb85d853be424a3304cc6b08396b8293d8aaba6a2c81f42e"),
     (10000, (1056, 1800, 2000, 2200, 2944), "solved", 27192, 0,
      "e5c0d74d6b1bb5bbbbe3e0fd417c9fe1e5119725974cf6633484b00d8734fc9d"),
+    (99999, (20000, 30000, 49999), "solved", 229997, 0,
+     "3609164f350f453f980a5f07db0f6f48cd3c810bdb8b456de37a8c84ab77fc82"),
+    (100000, (15000, 20000, 25000, 40000), "solved", 290000, 0,
+     "cb01b4eaf33f6ac4d14b2a9f0b9fd41ba7ce7e111b8635c6899ef6670f7cd602"),
+    (100000, (12000, 18000, 20000, 22000, 28000), "solved", 336000, 0,
+     "8d04439cbbc7e267b0f78f156b995386970d8f2062f75107ac7ba0147f293777"),
 )
 
 class TestSearchParams:
@@ -742,6 +750,27 @@ class TestSolve:
             [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 7, proc.stderr
+
+    @pytest.mark.parametrize("run", [
+        lambda: solve_exact(Instance.from_sizes(8, [2, 2, 2, 2]), budget=BIG_BUDGET),
+        lambda: solve(Instance.from_sizes(8, [2, 2, 2, 2])),
+        lambda: sweep(12, {3}, 2),
+        lambda: check_symmetric(6),
+    ], ids=["solve_exact", "solve", "sweep", "check_symmetric"])
+    def test_search_witness_with_wrong_sums_raises(self, monkeypatch, run):
+        # the search's witness builder, broken to swap the least labels of
+        # blocks 0 and 1: still a cover of [n] with the right sizes, but the
+        # sums are wrong, and every caller of the search must refuse it
+        class SwappedWitness:
+            @staticmethod
+            def from_blocks(n, blocks):
+                blocks = [list(b) for b in blocks]
+                blocks[0][0], blocks[1][0] = blocks[1][0], blocks[0][0]
+                return Partition.from_blocks(n, blocks)
+
+        monkeypatch.setattr("equipart.solver.Partition", SwappedWitness)
+        with pytest.raises(RuntimeError, match="fails its certificate"):
+            run()
 
     def test_solved_results_pass_structural_checks(self):
         rng = random.Random(7)
