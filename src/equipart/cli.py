@@ -9,7 +9,9 @@ graph_constant, stats, plus a detail object for verdict- or
 witness-specific facts.  The JSON puts one field per line, keys sorted,
 and one item per line of a non-empty list (one block, or one sweep row);
 it is written to the file or stdout piece by piece, never joined into one
-string.  verify reads the JSON that solve emits, in this layout or any other.
+string.  A block, in JSON or text, is one %-format of its labels; every
+other value goes through one shared JSON encoder.  verify reads the JSON
+that solve emits, in this layout or any other.
 
 Exit codes: 0 solved/feasible/magic or clean sweep; 1 infeasible, not
 magic, or mismatches present; 2 usage or input error; 3 inconclusive
@@ -61,16 +63,28 @@ def _instance_from_args(args: argparse.Namespace) -> Instance:
     return Instance.from_sizes(args.n, sizes)
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True)  # one for every value, not one per json.dumps
+_ENCODER = json.JSONEncoder(sort_keys=True)  # one for every value but a block, not one per json.dumps
+
+
+def _block_form(block: tuple[int, ...], sep: str, brackets: str) -> str:
+    """The labels of block between brackets[0] and brackets[1], sep between them.
+
+    One %-format of %r slots writes every label into the one result
+    string, with no str per label.  %r of a genuine int is its decimal
+    text, which is also its JSON text; Partition holds no other label.
+    """
+    return (brackets[0] + (f"%r{sep}" * len(block))[:-len(sep)] + brackets[1]) % block
 
 
 def _write_json(handle: TextIO, payload: dict[str, Any]) -> None:
     """One field per line, keys sorted; a non-empty list puts one item per line.
 
     The document goes to the handle field by field and item by item, so no
-    string of the whole of it is built.  Each value is encoded on its own
-    without indent, so the C encoder runs, all by the one shared _ENCODER
-    rather than a new one per sweep row.
+    string of the whole of it is built.  A tuple item is a block of
+    genuine ints and goes through _block_form, with the encoder's ", "
+    separator; every other value is encoded on its own without indent, so
+    the C encoder runs, all by the one shared _ENCODER rather than a new
+    one per sweep row.
     """
     write, encode = handle.write, _ENCODER.encode
     write("{\n")
@@ -83,7 +97,7 @@ def _write_json(handle: TextIO, payload: dict[str, Any]) -> None:
             item_sep = "[\n    "
             for item in value:
                 write(item_sep)
-                write(encode(item))
+                write(_block_form(item, ", ", "[]") if type(item) is tuple else encode(item))
                 item_sep = ",\n    "
             write("\n  ]")
         else:
@@ -204,7 +218,8 @@ def _solve_payload(args: argparse.Namespace, inst: Instance) -> tuple[dict[str, 
 
 
 def _blocks_text(blocks) -> str:
-    return " ".join("{" + ",".join(map(str, b)) + "}" for b in blocks)
+    # a payload parsed back from JSON holds its blocks as lists
+    return " ".join(_block_form(tuple(b), ",", "{}") for b in blocks)
 
 
 def _solve_text(payload: dict[str, Any]) -> str:

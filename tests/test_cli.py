@@ -12,7 +12,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equipart import cli, lab, solver
@@ -383,7 +383,7 @@ def _payload_of(monkeypatch, *argv):
 class TestStreamedJson:
     """_emit writes, field by field and item by item, the joined document's bytes."""
 
-    @pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+    @pytest.mark.parametrize("command", ["solve", "verify", "sweep", "check", "label", "symmetric"])
     def test_file_and_stdout_bytes_match_the_joined_text(
             self, capsysbinary, monkeypatch, tmp_path, command):
         solved = _payload_of(monkeypatch, "solve", *K2_LARGE)
@@ -394,14 +394,48 @@ class TestStreamedJson:
             path = tmp_path / "solved.json"
             path.write_text(json.dumps(solved))
             payload = _payload_of(monkeypatch, "verify", "--input", str(path))
-        else:
+        elif command == "sweep":
             payload = _payload_of(monkeypatch, "sweep", "--nmax", "14", "--k", "3,4")
+        elif command == "check":
+            payload = _payload_of(monkeypatch, "check", "--n", "12", "--sizes", "2,2,8")
+        elif command == "label":
+            payload = _payload_of(monkeypatch, "label", "--n", "35", "--sizes", "4,4,6,8,13")
+            payload["stats"]["elapsed"] = 0.25
+        else:
+            payload = _payload_of(monkeypatch, "symmetric", "--max-total", "14")
         expected = joined_json_text(payload).encode()
         out = tmp_path / "out.json"
         for output in (str(out), None):
             cli._emit(argparse.Namespace(format="json", output=output), payload, None)
         assert out.read_bytes() == expected
         assert capsysbinary.readouterr().out == expected
+
+
+class TestBlockForm:
+    """One %-format of a block writes what the JSON encoder and the str join wrote."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(block=st.lists(st.integers(min_value=-2**70, max_value=2**70), max_size=40),
+           as_tuple=st.booleans())
+    @example(block=[], as_tuple=True)
+    @example(block=[7], as_tuple=True)
+    @example(block=list(range(-3000, 3000)), as_tuple=True)
+    @example(block=[2**63, -2**63 - 1, 2**64 + 1, 0], as_tuple=False)
+    def test_json_and_text_forms_equal_what_they_replace(self, block, as_tuple):
+        block = tuple(block) if as_tuple else block
+        text = "{" + ",".join(map(str, block)) + "}"
+        assert cli._blocks_text([block]) == text
+        assert cli._blocks_text([block, block]) == f"{text} {text}"
+        if as_tuple:
+            form = cli._block_form(block, ", ", "[]")
+            assert form == cli._ENCODER.encode(block)
+            assert json.loads(form) == list(block)
+        # the writer sends a tuple block through the format and a list through the encoder
+        payload = {"blocks": [block, block], "n": len(block)}
+        out = io.StringIO()
+        cli._write_json(out, payload)
+        assert out.getvalue() == joined_json_text(payload)
+        assert json.loads(out.getvalue())["blocks"] == [list(block)] * 2
 
 
 #: sha256 of the --format json file that each oracle_sweep benchmark command

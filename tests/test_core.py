@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equipart import cli
 from equipart.core import (
     MAX_N,
     Instance,
@@ -246,7 +247,10 @@ class TestPeakMemory:
     hash-set check (the set alone is over 40); solve_k2 peaks at 45.0
     B/label building its blocks lazily (28 of them are the labels' int
     objects, which the answer keeps), 110.9 B/label with concatenated
-    tuples and the hash set.
+    tuples and the hash set.  Writing solve_k2's blocks as JSON to a file
+    peaks at 8.9 B/label with one %-format per block, 21.3 B/label with
+    the JSON encoder; their text form at 12.9 B/label, 44.1 B/label with
+    a str per label.
     """
 
     N = 200_000
@@ -260,6 +264,20 @@ class TestPeakMemory:
     def test_solve_k2(self):
         inst = Instance.from_sizes(self.N, [80_000, 120_000])
         assert _traced_peak(lambda: solve_k2(inst)) / self.N < 60
+
+    def test_write_json(self, tmp_path):
+        blocks = solve_k2(Instance.from_sizes(self.N, [80_000, 120_000])).blocks
+        path = tmp_path / "blocks.json"
+
+        def write():
+            with open(path, "w", encoding="utf-8") as handle:
+                cli._write_json(handle, {"blocks": blocks})
+
+        assert _traced_peak(write) / self.N < 12
+
+    def test_blocks_text(self):
+        blocks = solve_k2(Instance.from_sizes(self.N, [80_000, 120_000])).blocks
+        assert _traced_peak(lambda: cli._blocks_text(blocks)) / self.N < 20
 
 
 class TestDeviation:
