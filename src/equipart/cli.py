@@ -9,9 +9,11 @@ graph_constant, stats, plus a detail object for verdict- or
 witness-specific facts.  The JSON puts one field per line, keys sorted,
 and one item per line of a non-empty list (one block, or one sweep row);
 it is written to the file or stdout piece by piece, never joined into one
-string.  A block, in JSON or text, is one %-format of its labels; every
-other value goes through one shared JSON encoder.  verify reads the JSON
-that solve emits, in this layout or any other.
+string, and so is the text form.  A block, in JSON or text, is written
+one %-format per run of at most 32,768 of its labels; every other value
+goes through one shared JSON encoder.  verify reads the JSON that solve
+emits, in this layout or any other, and builds its partition from the
+parsed blocks one at a time, letting go of each once it is copied.
 
 Exit codes: 0 solved/feasible/magic or clean sweep; 1 infeasible, not
 magic, or mismatches present; 2 usage or input error; 3 inconclusive
@@ -33,7 +35,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from typing import Any, Callable, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .core import Instance, Partition, magic_sum
 from .feasibility import FeasibilityStatus, Verdict, feasibility, prefix_top_sum
@@ -64,16 +66,24 @@ def _instance_from_args(args: argparse.Namespace) -> Instance:
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True)  # one for every value but a block, not one per json.dumps
+_RUN = 2**15  # labels per %-format: a block's text is held a run at a time, never whole
 
 
-def _block_form(block: tuple[int, ...], sep: str, brackets: str) -> str:
-    """The labels of block between brackets[0] and brackets[1], sep between them.
+def _block_runs(block, sep: str, head: str, tail: str) -> Iterator[str]:
+    """The labels of block between head and tail, sep between them, in pieces.
 
-    One %-format of %r slots writes every label into the one result
-    string, with no str per label.  %r of a genuine int is its decimal
-    text, which is also its JSON text; Partition holds no other label.
+    Each piece is one %-format of %r slots over a run of at most _RUN
+    labels, with no str per label, so the block's whole text is never held
+    at once; head opens the first piece and tail closes the last (neither
+    holds a %).  %r of a genuine int is its decimal text, which is also its
+    JSON text; Partition holds no other label.
     """
-    return (brackets[0] + (f"%r{sep}" * len(block))[:-len(sep)] + brackets[1]) % block
+    slot, start = "%r" + sep, 0
+    while len(block) - start > _RUN:
+        yield (head + slot * _RUN) % tuple(block[start:start + _RUN])
+        head, start = "", start + _RUN
+    run = tuple(block[start:])
+    yield (head + (slot * len(run))[:-len(sep)] + tail) % run
 
 
 def _write_json(handle: TextIO, payload: dict[str, Any]) -> None:
@@ -81,7 +91,7 @@ def _write_json(handle: TextIO, payload: dict[str, Any]) -> None:
 
     The document goes to the handle field by field and item by item, so no
     string of the whole of it is built.  A tuple item is a block of
-    genuine ints and goes through _block_form, with the encoder's ", "
+    genuine ints and goes through _block_runs, with the encoder's ", "
     separator; every other value is encoded on its own without indent, so
     the C encoder runs, all by the one shared _ENCODER rather than a new
     one per sweep row.
@@ -97,7 +107,10 @@ def _write_json(handle: TextIO, payload: dict[str, Any]) -> None:
             item_sep = "[\n    "
             for item in value:
                 write(item_sep)
-                write(_block_form(item, ", ", "[]") if type(item) is tuple else encode(item))
+                if type(item) is tuple:
+                    handle.writelines(_block_runs(item, ", ", "[", "]"))
+                else:
+                    write(encode(item))
                 item_sep = ",\n    "
             write("\n  ]")
         else:
@@ -105,11 +118,13 @@ def _write_json(handle: TextIO, payload: dict[str, Any]) -> None:
     write("\n}\n")
 
 
-def _emit(args: argparse.Namespace, payload: dict[str, Any], render: Callable[[dict], str]) -> None:
-    """Write the payload as JSON, or render(payload) and a newline for the text form.
+def _emit(args: argparse.Namespace, payload: dict[str, Any],
+          render: Callable[[dict], Iterable[str]]) -> None:
+    """Write the payload as JSON, or the pieces of render(payload) for the text form.
 
-    Only one form is built; a renderer returns its lines joined, with no
-    final newline.  A reader that closes stdout early (`| head`) ends the writing, not the
+    Only one form is built; a renderer yields its text in pieces, each
+    line ended by a newline, and no string of the whole of it is built.
+    A reader that closes stdout early (`| head`) ends the writing, not the
     command: the rest is dropped and stdout is pointed at os.devnull, so the
     interpreter's flush at exit cannot fail again.  A failed -o FILE write
     still raises.
@@ -120,7 +135,7 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], render: Callable[[d
             if args.format == "json":
                 _write_json(handle, payload)
             else:
-                handle.write(render(payload) + "\n")
+                handle.writelines(render(payload))
             handle.flush()
         except BrokenPipeError:
             if handle is not sys.stdout:
@@ -158,12 +173,12 @@ def _base_payload(n: int, sizes) -> dict[str, Any]:
 def _instance_header(payload: dict[str, Any]) -> list[str]:
     s = payload["magic_sum"]
     return [
-        f"instance: n={payload['n']} k={payload['k']} sizes={','.join(map(str, payload['sizes']))}",
-        f"magic sum: {s if s is not None else 'not integral'}",
+        f"instance: n={payload['n']} k={payload['k']} sizes={','.join(map(str, payload['sizes']))}\n",
+        f"magic sum: {s if s is not None else 'not integral'}\n",
     ]
 
 
-def _check_text(payload: dict[str, Any]) -> str:
+def _check_text(payload: dict[str, Any]) -> Iterator[str]:
     status, detail, n = FeasibilityStatus(payload["status"]), payload["detail"], payload["n"]
     if status is FeasibilityStatus.INFEASIBLE_DIVISIBILITY:
         verdict = f"infeasible: {n}({n}+1)/2 is not divisible by k={payload['k']}"
@@ -176,7 +191,8 @@ def _check_text(payload: dict[str, Any]) -> str:
         verdict = "feasible (proven)"
     else:
         verdict = "condition holds (conjectured sufficient for k >= 5)"
-    return "\n".join(_instance_header(payload) + [f"verdict: {verdict}"])
+    yield from _instance_header(payload)
+    yield f"verdict: {verdict}\n"
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -217,25 +233,27 @@ def _solve_payload(args: argparse.Namespace, inst: Instance) -> tuple[dict[str, 
     return payload, code
 
 
-def _blocks_text(blocks) -> str:
-    # a payload parsed back from JSON holds its blocks as lists
-    return " ".join(_block_form(tuple(b), ",", "{}") for b in blocks)
+def _blocks_text(blocks) -> Iterator[str]:
+    head = "{"
+    for block in blocks:
+        yield from _block_runs(block, ",", head, "}")
+        head = " {"
 
 
-def _solve_text(payload: dict[str, Any]) -> str:
-    lines = _instance_header(payload) + [f"status: {payload['status']}"]
-    if payload["blocks"] is not None:
-        lines.append(f"blocks: {_blocks_text(payload['blocks'])}")
-        lines.append(f"block sums: {' '.join(str(sum(b)) for b in payload['blocks'])}")
-        lines.append(f"graph constant: {payload['graph_constant']}")
+def _solve_text(payload: dict[str, Any]) -> Iterator[str]:
+    yield from _instance_header(payload)
+    yield f"status: {payload['status']}\n"
+    blocks = payload["blocks"]
+    if blocks is not None:
+        yield "blocks: "
+        yield from _blocks_text(blocks)
+        yield f"\nblock sums: {' '.join(str(sum(b)) for b in blocks)}\n"
+        yield f"graph constant: {payload['graph_constant']}\n"
     else:
-        lines.append(f"verdict: {payload['detail']['verdict']}")
+        yield f"verdict: {payload['detail']['verdict']}\n"
     st = payload["stats"]
-    lines.append(
-        f"stats: nodes={st['nodes']} search_restarts={st['search_restarts']} "
-        f"elapsed={st['elapsed']}s"
-    )
-    return "\n".join(lines)
+    yield (f"stats: nodes={st['nodes']} search_restarts={st['search_restarts']} "
+           f"elapsed={st['elapsed']}s\n")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -244,15 +262,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return code
 
 
-def _label_text(payload: dict[str, Any]) -> str:
-    lines = _instance_header(payload) + [f"status: {payload['status']}"]
+def _label_text(payload: dict[str, Any]) -> Iterator[str]:
+    yield from _instance_header(payload)
+    yield f"status: {payload['status']}\n"
     if payload["blocks"] is not None:
         for i, part in enumerate(payload["blocks"]):
-            lines.append(f"part {i}: {_blocks_text([part])} (size {len(part)})")
-        lines.append(f"every open neighborhood sums to: {payload['graph_constant']}")
+            yield f"part {i}: "
+            yield from _blocks_text([part])
+            yield f" (size {len(part)})\n"
+        yield f"every open neighborhood sums to: {payload['graph_constant']}\n"
     else:
-        lines.append(f"verdict: {payload['detail']['verdict']}")
-    return "\n".join(lines)
+        yield f"verdict: {payload['detail']['verdict']}\n"
 
 
 def cmd_label(args: argparse.Namespace) -> int:
@@ -278,20 +298,23 @@ def _read_partition(args: argparse.Namespace) -> Partition:
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise ValueError('"blocks" must be a list of lists of labels')
     # Partition rejects a float or bool n or label (JSON 1.0, 1e400, true).
-    return Partition.from_blocks(n, blocks)
+    # Each parsed list is taken out of the document as it is handed on, so
+    # Partition holds its only reference and it is freed once copied; popped
+    # from the end of the reversed list, O(1) a block where pop(0) is O(k).
+    blocks.reverse()
+    return Partition.from_blocks(n, (blocks.pop() for _ in range(len(blocks))))
 
 
-def _verify_text(payload: dict[str, Any]) -> str:
+def _verify_text(payload: dict[str, Any]) -> Iterator[str]:
     detail = payload["detail"]
-    lines = [f"mode: {detail['mode']} (n={payload['n']}, k={payload['k']})"]
+    yield f"mode: {detail['mode']} (n={payload['n']}, k={payload['k']})\n"
     if payload["status"] == "magic":
-        lines.append(f"magic: yes, constant {payload['graph_constant']}")
+        yield f"magic: yes, constant {payload['graph_constant']}\n"
         if detail["degenerate"]:
-            lines.append("note: k=3 closed neighborhoods cover all vertices; constant is forced")
+            yield "note: k=3 closed neighborhoods cover all vertices; constant is forced\n"
     else:
         x, y = detail["witness"]
-        lines.append(f"magic: no, witness vertices {x} and {y}")
-    return "\n".join(lines)
+        yield f"magic: no, witness vertices {x} and {y}\n"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -315,22 +338,19 @@ def _emit_report(args: argparse.Namespace, report: SweepReport, title: str) -> i
     The code is 1 on any mismatch, else 3 on an unresolved (budget) row,
     else 0: a report with both a mismatch and an unresolved row exits 1.
     """
-    def text(_payload: dict[str, Any]) -> str:
+    def text(_payload: dict[str, Any]) -> Iterator[str]:
         # From the report, not its JSON form: a row's repr keeps its tuples.
         cfg = " ".join(f"{k}={v}" for k, v in report.config.items() if k != "sweep")
-        lines = [
-            f"{title}: {cfg}",
-            f"rows: {report.totals['rows']}  mismatches: {report.totals['mismatches']}  "
-            f"budget: {report.totals['budget']}",
-        ]
+        yield f"{title}: {cfg}\n"
+        yield (f"rows: {report.totals['rows']}  mismatches: {report.totals['mismatches']}  "
+               f"budget: {report.totals['budget']}\n")
         for key in sorted(report.totals):
             if key.startswith("verdict_"):
-                lines.append(f"  {key[8:]}: {report.totals[key]}")
+                yield f"  {key[8:]}: {report.totals[key]}\n"
         for row in report.mismatches:
-            lines.append(f"counterexample candidate: {row!r}")
+            yield f"counterexample candidate: {row!r}\n"
         if report.budget_rows:
-            lines.append(f"unresolved rows (budget exhausted): {report.budget_rows}")
-        return "\n".join(lines)
+            yield f"unresolved rows (budget exhausted): {report.budget_rows}\n"
 
     _emit(args, report.to_jsonable(), text)
     if report.totals["mismatches"]:

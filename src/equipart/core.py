@@ -141,8 +141,10 @@ class Partition:
         n = self.n
         _check_n(n)
         blocks = []
-        for block in self.blocks:
-            labels = list(block)
+        # map's call drops its hold on each input block once list() has
+        # copied it: given a consuming iterator (verify's parsed lists),
+        # the block is freed before the next one is copied.
+        for labels in map(list, self.blocks):
             if not labels:
                 raise ValueError("blocks must be non-empty")
             # Types before sorting: a string label would make sort() or

@@ -215,6 +215,14 @@ class TestVerify:
         assert code == 0
         assert "constant 5" in out
 
+    def test_read_keeps_the_block_order_of_the_input(self, monkeypatch):
+        # the parsed lists are handed to Partition one by one and taken out of the document
+        blocks = [[7, 5], [1, 2, 4], [6, 3], [8]]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": 8, "blocks": blocks})))
+        p = cli._read_partition(argparse.Namespace(input="-"))
+        assert p.blocks == ((5, 7), (1, 2, 4), (3, 6), (8,))
+        assert p.sums == (12, 7, 9, 8)
+
     def test_not_magic_exit_one(self, capsys, monkeypatch):
         data = json.dumps({"n": 4, "blocks": [[1, 2], [3, 4]]})
         monkeypatch.setattr("sys.stdin", io.StringIO(data))
@@ -412,7 +420,7 @@ class TestStreamedJson:
 
 
 class TestBlockForm:
-    """One %-format of a block writes what the JSON encoder and the str join wrote."""
+    """A block's %-formats, one per run of labels, write the JSON encoder's and str join's text."""
 
     @settings(max_examples=200, deadline=None)
     @given(block=st.lists(st.integers(min_value=-2**70, max_value=2**70), max_size=40),
@@ -424,10 +432,10 @@ class TestBlockForm:
     def test_json_and_text_forms_equal_what_they_replace(self, block, as_tuple):
         block = tuple(block) if as_tuple else block
         text = "{" + ",".join(map(str, block)) + "}"
-        assert cli._blocks_text([block]) == text
-        assert cli._blocks_text([block, block]) == f"{text} {text}"
+        assert "".join(cli._blocks_text([block])) == text
+        assert "".join(cli._blocks_text([block, block])) == f"{text} {text}"
         if as_tuple:
-            form = cli._block_form(block, ", ", "[]")
+            form = "".join(cli._block_runs(block, ", ", "[", "]"))
             assert form == cli._ENCODER.encode(block)
             assert json.loads(form) == list(block)
         # the writer sends a tuple block through the format and a list through the encoder
@@ -436,6 +444,22 @@ class TestBlockForm:
         cli._write_json(out, payload)
         assert out.getvalue() == joined_json_text(payload)
         assert json.loads(out.getvalue())["blocks"] == [list(block)] * 2
+
+    @pytest.mark.parametrize("run", [1, 2, 3, 7])
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 6, 7, 14, 15])
+    def test_runs_write_the_one_format_bytes(self, monkeypatch, run, size):
+        # a block longer than a run is written in runs that join to the one-format text
+        block = tuple(range(-3, size - 3))
+        for sep, head, tail in ((", ", "[", "]"), (",", " {", "}")):
+            whole = head + sep.join(map(str, block)) + tail
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_RUN", run)
+                pieces = list(cli._block_runs(block, sep, head, tail))
+                listed = "".join(cli._block_runs(list(block), sep, head, tail))
+                texts = "".join(cli._blocks_text([block, list(block)]))
+            assert "".join(pieces) == listed == whole
+            assert len(pieces) == max(1, -(-size // run))
+            assert texts == "{" + ",".join(map(str, block)) + "} {" + ",".join(map(str, block)) + "}"
 
 
 #: sha256 of the --format json file that each oracle_sweep benchmark command
@@ -694,7 +718,7 @@ class TestTextFromJson:
         code, text, _ = run_cli(capsys, *argv)
         json_code, payload = run_json(capsys, *argv)
         assert json_code == code
-        rendered = RENDERERS[argv[0]](payload) + "\n"
+        rendered = "".join(RENDERERS[argv[0]](payload))
         assert _masked_sha256(rendered) == _masked_sha256(text), rendered
 
     @pytest.mark.parametrize("line", [

@@ -1,5 +1,7 @@
 """Exact-integer properties of the partition algebra."""
 
+import argparse
+import json
 import random
 import tracemalloc
 
@@ -244,16 +246,26 @@ class TestPeakMemory:
 
     Measured on CPython 3.11: Partition.from_blocks on two tuple blocks
     peaks at 12.8 B/label with the byte marks, 70.9 B/label with the
-    hash-set check (the set alone is over 40); solve_k2 peaks at 45.0
-    B/label building its blocks lazily (28 of them are the labels' int
-    objects, which the answer keeps), 110.9 B/label with concatenated
-    tuples and the hash set.  Writing solve_k2's blocks as JSON to a file
-    peaks at 8.9 B/label with one %-format per block, 21.3 B/label with
-    the JSON encoder; their text form at 12.9 B/label, 44.1 B/label with
-    a str per label.
+    hash-set check (the set alone is over 40); solve_k2 peaks at 44.8
+    B/label building its blocks lazily with their lengths known, 45.0
+    B/label as bare chains (28 of them are the labels' int objects, which
+    the answer keeps), 110.9 B/label with concatenated tuples and the hash
+    set.  Writing solve_k2's blocks as JSON to a file peaks at 3.9 B/label
+    in runs of at most cli._RUN labels, 8.9 B/label with one %-format per
+    block, 21.3 B/label with the JSON encoder.  Their text form, and a
+    whole text answer of solve or label, written to a file peaks at
+    3.0-3.6 B/label in runs, 12.9 B/label with one %-format per block (the
+    blocks, or the whole answer, as one string), 44.1 B/label with a str
+    per label.  Reading a solve JSON file back into a Partition peaks at
+    44.1 B/label, json.load's own peak, when the build takes each parsed
+    list out of the document as it copies it; 49.4 B/label while the
+    document keeps them all.
     """
 
     N = 200_000
+
+    def _k2_blocks(self):
+        return solve_k2(Instance.from_sizes(self.N, [80_000, 120_000])).blocks
 
     def test_from_blocks(self):
         n, half = self.N, 80_000
@@ -266,18 +278,45 @@ class TestPeakMemory:
         assert _traced_peak(lambda: solve_k2(inst)) / self.N < 60
 
     def test_write_json(self, tmp_path):
-        blocks = solve_k2(Instance.from_sizes(self.N, [80_000, 120_000])).blocks
+        blocks = self._k2_blocks()
         path = tmp_path / "blocks.json"
 
         def write():
             with open(path, "w", encoding="utf-8") as handle:
                 cli._write_json(handle, {"blocks": blocks})
 
-        assert _traced_peak(write) / self.N < 12
+        assert _traced_peak(write) / self.N < 5
 
-    def test_blocks_text(self):
-        blocks = solve_k2(Instance.from_sizes(self.N, [80_000, 120_000])).blocks
-        assert _traced_peak(lambda: cli._blocks_text(blocks)) / self.N < 20
+    def test_blocks_text(self, tmp_path):
+        blocks = self._k2_blocks()
+        path = tmp_path / "blocks.txt"
+
+        def write():
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.writelines(cli._blocks_text(blocks))
+
+        assert _traced_peak(write) / self.N < 5
+
+    @pytest.mark.parametrize("render", ["_solve_text", "_label_text"])
+    def test_text_answer(self, tmp_path, render):
+        payload = cli._base_payload(self.N, [80_000, 120_000])
+        payload.update(status="solved", blocks=self._k2_blocks(), graph_constant=0,
+                       stats={"nodes": 0, "search_restarts": 0, "elapsed": 0.0})
+        args = argparse.Namespace(format="text", output=str(tmp_path / "answer.txt"))
+        assert _traced_peak(lambda: cli._emit(args, payload, getattr(cli, render))) / self.N < 5
+
+    def test_read_partition(self, tmp_path):
+        path = tmp_path / "solved.json"
+        assert cli.main(["solve", "--n", str(self.N), "--sizes", "80000,120000",
+                         "--format", "json", "-o", str(path)]) == 0
+
+        def load():
+            with open(path, encoding="utf-8") as handle:
+                json.load(handle)
+
+        args = argparse.Namespace(input=str(path))
+        read = _traced_peak(lambda: cli._read_partition(args))
+        assert read <= _traced_peak(load) + self.N
 
 
 class TestDeviation:

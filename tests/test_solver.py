@@ -393,6 +393,24 @@ class TestSolveK2:
         )
         assert solve_k2(Instance.from_sizes(4, [2, 2])).blocks == ((1, 4), (2, 3))
 
+    def test_blocks_reach_partition_with_their_length(self, monkeypatch):
+        # Partition copies a block with a len() into a list allocated once at
+        # its final size; a bare chain's copy is grown by reallocation
+        handed = []
+
+        def spy(n, blocks):
+            blocks = tuple(blocks)
+            handed.append([len(b) for b in blocks])
+            return Partition(n=n, blocks=blocks)
+
+        monkeypatch.setattr(Partition, "from_blocks", spy)
+        # n = 4, 7 raise no middle label; n = 12, 999, 1000 do
+        for n, sizes in [(4, [2, 2]), (7, [3, 4]), (12, [5, 7]),
+                         (999, [333, 666]), (1000, [400, 600])]:
+            handed.clear()
+            p = solve_k2(Instance.from_sizes(n, sizes))
+            assert handed == [[len(b) for b in p.blocks]] == [sizes]
+
     def test_condition_violation_rejected(self):
         with pytest.raises(ValueError):
             solve_k2(Instance.from_sizes(8, [2, 6]))
