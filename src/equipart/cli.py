@@ -17,12 +17,13 @@ parsed blocks one at a time, letting go of each once it is copied.
 
 Exit codes: 0 solved/feasible/magic or clean sweep; 1 infeasible, not
 magic, or mismatches present; 2 usage or input error; 3 inconclusive
-(conjectured verdict, budget exhaustion, or unresolved sweep rows).  A
-solve or label exits by its result, not the verdict: proven_infeasible
-exits 1 even on a conjectured verdict, budget_exhausted exits 3.  A sweep
-or symmetric report with both mismatches and unresolved rows exits 1: a
-mismatch wins.  A reader that closes standard output early does not
-change the code: the rest of the output is dropped.
+(conjectured verdict, budget exhaustion, or unresolved sweep rows).  The
+code is read off the payload: an instance command's status through one
+table, so a solve or label exits by its result, not the verdict
+(proven_infeasible exits 1 even on a conjectured verdict, budget_exhausted
+3); a sweep or symmetric report's totals, where a mismatch wins over an
+unresolved row (exit 1).  A reader that closes standard output early does
+not change the code: the rest of the output is dropped.
 
 No colors and no environment configuration are used, so NO_COLOR is
 honored trivially.
@@ -47,6 +48,15 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+
+#: The exit code of each status an instance command writes, with no default:
+#: solve and label's, verify's, then check's.
+_EXIT_BY_STATUS = {
+    "solved": EXIT_OK, "proven_infeasible": EXIT_NEGATIVE, "budget_exhausted": EXIT_INCONCLUSIVE,
+    "magic": EXIT_OK, "not_magic": EXIT_NEGATIVE, "feasible_proven": EXIT_OK,
+    "infeasible_divisibility": EXIT_NEGATIVE, "infeasible_condition": EXIT_NEGATIVE,
+    "infeasible_size_one": EXIT_NEGATIVE, "condition_holds_conjectured": EXIT_INCONCLUSIVE,
+}
 
 
 def _parse_ints(text: str, name: str) -> tuple[int, ...]:
@@ -118,6 +128,10 @@ def _write_json(handle: TextIO, payload: dict[str, Any]) -> None:
     write("\n}\n")
 
 
+#: What a command hands main: its payload, and the renderer of its text form.
+_Out = tuple[dict[str, Any], Callable[[dict], Iterable[str]]]
+
+
 def _emit(args: argparse.Namespace, payload: dict[str, Any],
           render: Callable[[dict], Iterable[str]]) -> None:
     """Write the payload as JSON, or the pieces of render(payload) for the text form.
@@ -143,6 +157,15 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any],
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, handle.fileno())
             os.close(devnull)
+
+
+def _exit_code(payload: dict[str, Any]) -> int:
+    """An instance payload's code is its status's in the one table; a sweep
+    or symmetric report's is 1 on a mismatch, else 3 on a budget row, else 0."""
+    if "totals" not in payload:
+        return _EXIT_BY_STATUS[payload["status"]]
+    mismatches, budget = payload["totals"]["mismatches"], payload["totals"]["budget"]
+    return EXIT_NEGATIVE if mismatches else EXIT_INCONCLUSIVE if budget else EXIT_OK
 
 
 def _verdict_detail(inst: Instance, verdict: Verdict) -> dict[str, Any] | None:
@@ -178,38 +201,35 @@ def _instance_header(payload: dict[str, Any]) -> list[str]:
     ]
 
 
+#: check's verdict line by status, filled from the payload and its detail.
+_VERDICT_LINES = {
+    "infeasible_divisibility": "infeasible: {n}({n}+1)/2 is not divisible by k={k}",
+    "infeasible_condition":
+        "infeasible: condition fails at j={failing_index} ({prefix_sum} < {required})",
+    "infeasible_size_one": "infeasible: {reason}",
+    "feasible_proven": "feasible (proven)",
+    "condition_holds_conjectured": "condition holds (conjectured sufficient for k >= 5)",
+}
+
+
 def _check_text(payload: dict[str, Any]) -> Iterator[str]:
-    status, detail, n = FeasibilityStatus(payload["status"]), payload["detail"], payload["n"]
-    if status is FeasibilityStatus.INFEASIBLE_DIVISIBILITY:
-        verdict = f"infeasible: {n}({n}+1)/2 is not divisible by k={payload['k']}"
-    elif status is FeasibilityStatus.INFEASIBLE_CONDITION:
-        verdict = (f"infeasible: condition fails at j={detail['failing_index']} "
-                   f"({detail['prefix_sum']} < {detail['required']})")
-    elif status is FeasibilityStatus.INFEASIBLE_SIZE_ONE:
-        verdict = f"infeasible: {detail['reason']}"
-    elif status is FeasibilityStatus.FEASIBLE_PROVEN:
-        verdict = "feasible (proven)"
-    else:
-        verdict = "condition holds (conjectured sufficient for k >= 5)"
     yield from _instance_header(payload)
-    yield f"verdict: {verdict}\n"
+    line = _VERDICT_LINES[payload["status"]]
+    yield f"verdict: {line.format(**payload, **(payload['detail'] or {}))}\n"
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> _Out:
     inst = _instance_from_args(args)
     verdict = feasibility(inst)
     payload = _base_payload(inst.n, inst.sizes)
     payload["status"] = verdict.status.value
     payload["detail"] = _verdict_detail(inst, verdict)
-    _emit(args, payload, _check_text)
-    if verdict.status is FeasibilityStatus.FEASIBLE_PROVEN:
-        return EXIT_OK
-    if verdict.status is FeasibilityStatus.CONDITION_HOLDS_CONJECTURED:
-        return EXIT_INCONCLUSIVE
-    return EXIT_NEGATIVE
+    return payload, _check_text
 
 
-def _solve_payload(args: argparse.Namespace, inst: Instance) -> tuple[dict[str, Any], int]:
+def cmd_solve(args: argparse.Namespace) -> _Out:
+    """solve and label: one answer, rendered by the subparser's own text renderer."""
+    inst = _instance_from_args(args)
     result = solve(inst, SearchParams(
         seed=args.seed, max_restarts=args.max_restarts, exact_node_budget=args.exact_budget))
     payload = _base_payload(inst.n, inst.sizes)
@@ -222,15 +242,12 @@ def _solve_payload(args: argparse.Namespace, inst: Instance) -> tuple[dict[str, 
     if result.status is SolveStatus.SOLVED:
         payload["blocks"] = result.partition.blocks
         payload["graph_constant"] = verify_distance_magic(result.partition).constant
-        code = EXIT_OK
     else:
         payload["detail"] = {
             "verdict": result.verdict.status.value,
             **(_verdict_detail(inst, result.verdict) or {}),
         }
-        code = (EXIT_NEGATIVE if result.status is SolveStatus.PROVEN_INFEASIBLE
-                else EXIT_INCONCLUSIVE)
-    return payload, code
+    return payload, args.render
 
 
 def _blocks_text(blocks) -> Iterator[str]:
@@ -256,12 +273,6 @@ def _solve_text(payload: dict[str, Any]) -> Iterator[str]:
            f"elapsed={st['elapsed']}s\n")
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    payload, code = _solve_payload(args, _instance_from_args(args))
-    _emit(args, payload, _solve_text)
-    return code
-
-
 def _label_text(payload: dict[str, Any]) -> Iterator[str]:
     yield from _instance_header(payload)
     yield f"status: {payload['status']}\n"
@@ -273,12 +284,6 @@ def _label_text(payload: dict[str, Any]) -> Iterator[str]:
         yield f"every open neighborhood sums to: {payload['graph_constant']}\n"
     else:
         yield f"verdict: {payload['detail']['verdict']}\n"
-
-
-def cmd_label(args: argparse.Namespace) -> int:
-    payload, code = _solve_payload(args, _instance_from_args(args))
-    _emit(args, payload, _label_text)
-    return code
 
 
 def _read_partition(args: argparse.Namespace) -> Partition:
@@ -317,7 +322,7 @@ def _verify_text(payload: dict[str, Any]) -> Iterator[str]:
         yield f"magic: no, witness vertices {x} and {y}\n"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> _Out:
     p = _read_partition(args)
     check = (verify_closed_magic_cycle if args.closed else verify_distance_magic)(p)
     payload = _base_payload(p.n, sorted(len(b) for b in p.blocks))
@@ -328,16 +333,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "witness": list(check.witness) if check.witness else None,
         "degenerate": check.degenerate,
     }
-    _emit(args, payload, _verify_text)
-    return EXIT_OK if check.is_magic else EXIT_NEGATIVE
+    return payload, _verify_text
 
 
-def _emit_report(args: argparse.Namespace, report: SweepReport, title: str) -> int:
-    """Write a sweep or symmetric report as JSON or text, and return its exit code.
-
-    The code is 1 on any mismatch, else 3 on an unresolved (budget) row,
-    else 0: a report with both a mismatch and an unresolved row exits 1.
-    """
+def _report(report: SweepReport, title: str) -> _Out:
+    """A sweep or symmetric report's payload, and its text renderer."""
     def text(_payload: dict[str, Any]) -> Iterator[str]:
         # From the report, not its JSON form: a row's repr keeps its tuples.
         cfg = " ".join(f"{k}={v}" for k, v in report.config.items() if k != "sweep")
@@ -349,16 +349,13 @@ def _emit_report(args: argparse.Namespace, report: SweepReport, title: str) -> i
                 yield f"  {key[8:]}: {report.totals[key]}\n"
         for row in report.mismatches:
             yield f"counterexample candidate: {row!r}\n"
-        if report.budget_rows:
-            yield f"unresolved rows (budget exhausted): {report.budget_rows}\n"
+        if report.totals["budget"]:
+            yield f"unresolved rows (budget exhausted): {report.totals['budget']}\n"
 
-    _emit(args, report.to_jsonable(), text)
-    if report.totals["mismatches"]:
-        return EXIT_NEGATIVE
-    return EXIT_INCONCLUSIVE if report.budget_rows else EXIT_OK
+    return report.to_jsonable(), text
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> _Out:
     # sweep rejects a k below 1 (exit 2)
     k_set = set(_parse_ints(args.k, "k"))
     report = sweep(
@@ -368,12 +365,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         budget=args.budget,
         workers=args.workers,
     )
-    return _emit_report(args, report, "sweep")
+    return _report(report, "sweep")
 
 
-def cmd_symmetric(args: argparse.Namespace) -> int:
+def cmd_symmetric(args: argparse.Namespace) -> _Out:
     report = check_symmetric(args.max_total, budget=args.budget, workers=args.workers)
-    return _emit_report(args, report, "symmetric")
+    return _report(report, "symmetric")
 
 
 def _add_output_opts(parser: argparse.ArgumentParser) -> None:
@@ -409,17 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_opts(check)
     check.set_defaults(handler=cmd_check)
 
-    slv = sub.add_parser("solve", help="produce an equitable partition")
-    _add_instance_opts(slv)
-    _add_search_opts(slv)
-    _add_output_opts(slv)
-    slv.set_defaults(handler=cmd_solve)
-
-    label = sub.add_parser("label", help="solve and print the vertex labeling")
-    _add_instance_opts(label)
-    _add_search_opts(label)
-    _add_output_opts(label)
-    label.set_defaults(handler=cmd_label)
+    for name, render, help_text in (("solve", _solve_text, "produce an equitable partition"),
+                                    ("label", _label_text, "solve and print the vertex labeling")):
+        answer = sub.add_parser(name, help=help_text)
+        _add_instance_opts(answer)
+        _add_search_opts(answer)
+        _add_output_opts(answer)
+        answer.set_defaults(handler=cmd_solve, render=render)
 
     verify = sub.add_parser("verify", help="verify a partition from JSON input")
     verify.add_argument("--input", type=str, default="-", help="JSON file, or - for stdin")
@@ -453,10 +446,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        payload, render = args.handler(args)
+        _emit(args, payload, render)
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return _exit_code(payload)
 
 
 if __name__ == "__main__":

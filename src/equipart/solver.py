@@ -79,6 +79,12 @@ class SolveStatus(Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
+#: A search's outcome as solve() reports it: a witness, a proof of absence, or neither.
+_SOLVE_STATUS = {ExactStatus.FOUND: SolveStatus.SOLVED,
+                 ExactStatus.NOT_FOUND: SolveStatus.PROVEN_INFEASIBLE,
+                 ExactStatus.BUDGET: SolveStatus.BUDGET_EXHAUSTED}
+
+
 @dataclass(frozen=True)
 class SolveResult:
     status: SolveStatus
@@ -389,8 +395,4 @@ def solve(inst: Instance, params: SearchParams | None = None) -> SolveResult:
     # The loop ends on a break, as the last run's cap is all that remains.
     stats.search_restarts = r
     stats.nodes = params.exact_node_budget - remaining + exact.nodes
-    if exact.status is ExactStatus.FOUND:
-        return finish(SolveStatus.SOLVED, exact.partition)
-    if exact.status is ExactStatus.NOT_FOUND:
-        return finish(SolveStatus.PROVEN_INFEASIBLE, None)
-    return finish(SolveStatus.BUDGET_EXHAUSTED, None)
+    return finish(_SOLVE_STATUS[exact.status], exact.partition)

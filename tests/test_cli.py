@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from equipart import cli, lab, solver
 from equipart.cli import main
+from equipart.feasibility import FeasibilityStatus
 
 from helpers import joined_json_text
 
@@ -59,6 +60,22 @@ class TestCheck:
         code, payload = run_json(capsys, "check", "--n", "12", "--k", "3", "--sizes", "8,2,2")
         assert code == 1
         assert payload["sizes"] == [2, 2, 8]
+
+
+class TestExitTable:
+    def test_every_status_has_its_readme_code(self):
+        # README: 0 solved / proven feasible / magic; 1 infeasible or not magic;
+        # 3 inconclusive (conjectured verdict, budget exhaustion)
+        readme = {
+            "solved": 0, "feasible_proven": 0, "magic": 0,
+            "proven_infeasible": 1, "infeasible_divisibility": 1, "infeasible_condition": 1,
+            "infeasible_size_one": 1, "not_magic": 1,
+            "budget_exhausted": 3, "condition_holds_conjectured": 3,
+        }
+        written = ({s.value for s in FeasibilityStatus} | {s.value for s in solver.SolveStatus}
+                   | {"magic", "not_magic"})
+        assert set(readme) == written
+        assert cli._EXIT_BY_STATUS == readme
 
 
 class TestUsageErrors:
@@ -142,11 +159,13 @@ class TestSolve:
         assert payload["status"] == "proven_infeasible"
         assert payload["blocks"] is None
 
-    @pytest.mark.parametrize(
+    SEARCH_RESULTS = pytest.mark.parametrize(
         "exact_status, code, status",
         [("NOT_FOUND", 1, "proven_infeasible"), ("BUDGET", 3, "budget_exhausted")],
     )
-    def test_exit_code_follows_the_result(self, capsys, monkeypatch, exact_status, code, status):
+
+    def _assert_exit_follows_the_result(self, capsys, monkeypatch, command,
+                                        exact_status, code, status):
         # A conjectured (k >= 5) instance: a search that proves absence exits 1
         # like any proven_infeasible solve; one cut off on budget exits 3.
         def exact(inst, budget, order=None):
@@ -154,9 +173,21 @@ class TestSolve:
                 status=solver.ExactStatus[exact_status], partition=None, nodes=1)
 
         monkeypatch.setattr(solver, "solve_exact", exact)
-        got, payload = run_json(capsys, "solve", "--n", "15", "--sizes", "3,3,3,3,3")
+        got, payload = run_json(capsys, command, "--n", "15", "--sizes", "3,3,3,3,3")
         assert (got, payload["status"]) == (code, status)
         assert payload["detail"]["verdict"] == "condition_holds_conjectured"
+
+    @SEARCH_RESULTS
+    def test_exit_code_follows_the_result(self, capsys, monkeypatch, exact_status, code, status):
+        self._assert_exit_follows_the_result(
+            capsys, monkeypatch, "solve", exact_status, code, status)
+
+    @SEARCH_RESULTS
+    def test_label_exit_code_follows_the_result(
+            self, capsys, monkeypatch, exact_status, code, status):
+        # label shares solve's handler, and so its exit code
+        self._assert_exit_follows_the_result(
+            capsys, monkeypatch, "label", exact_status, code, status)
 
     def test_single_search_run_settles_within_its_cutoff(self, capsys):
         code, payload = run_json(
